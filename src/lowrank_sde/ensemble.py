@@ -9,11 +9,11 @@ matrix-product code path, fixed once for reproducibility.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, RankTooLarge
-from .linalg import sym_eig
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -23,6 +23,13 @@ class Gramian:
     """Sample second-moment matrix E[Y Y^T], symmetric PSD, k x k."""
 
     c: np.ndarray
+
+    @cached_property
+    def sigma_min(self):
+        """Smallest eigenvalue clamped at 0; nan if c is not finite."""
+        if not np.all(np.isfinite(self.c)):
+            return np.nan
+        return max(float(np.linalg.eigvalsh(self.c)[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,8 @@ def gramian(y):
 
 
 def gramian_sigma_min(y):
-    """Smallest eigenvalue of the sample Gramian of y."""
-    return float(sym_eig(gramian(y).c).eigenvalues[-1])
+    """Smallest eigenvalue of the sample Gramian of y (see Gramian)."""
+    return gramian(y).sigma_min
 
 
 def init_rank_k(samples, k):

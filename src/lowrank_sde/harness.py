@@ -38,6 +38,7 @@ import hashlib
 import json
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -127,6 +128,11 @@ def _steps_for(dt, t_final, where):
     return n
 
 
+def _off_node(t, node, t_final):
+    """True when t misses the grid node by more than 1e-9 max(1, t_final)."""
+    return abs(t - node) > 1e-9 * max(1.0, t_final)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Resolved description of one experiment section."""
@@ -198,7 +204,7 @@ class ExperimentSpec:
                                 % where)
             for dt in self.dt_values:
                 n = _steps_for(dt, self.t_final, where)
-                if abs(n * dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+                if _off_node(n * dt, self.t_final, self.t_final):
                     raise SpecError("%s dt=%g does not divide t_final=%g"
                                     % (where, dt, self.t_final))
             n_fine = self.fine_factor * _steps_for(
@@ -218,8 +224,7 @@ class ExperimentSpec:
             n = _steps_for(dt, self.t_final, where)
             for t in self.snapshot_times:
                 i = int(round(t / dt))
-                if i < 0 or i > n or \
-                        abs(i * dt - t) > 1e-9 * max(1.0, self.t_final):
+                if i < 0 or i > n or _off_node(i * dt, t, self.t_final):
                     raise SpecError("%s snapshot time %g is not a grid node"
                                     % (where, t))
 
@@ -399,6 +404,28 @@ def _prepare(spec):
     return model, samples, state0
 
 
+def _integrate_from(spec, model, samples, state0, scheme, grid, **recording):
+    """Run one scheme with the spec's step options from its initial
+    ensemble: the samples for "em", their rank-k factorization else."""
+    init = samples if scheme == "em" else state0
+    return integrate(model, scheme, init, grid,
+                     debug=spec.debug_identities,
+                     fast_linear=spec.linear_fast_path,
+                     rank_policy=spec.rank_policy, **recording)
+
+
+def _fixed_grid(spec, model, dt):
+    """Brownian grid of n = round(t_final / dt) steps of size dt, which
+    ends at n * dt; warns when that horizon is not t_final."""
+    n = _steps_for(dt, spec.t_final, spec.name)
+    horizon = n * dt
+    if _off_node(horizon, spec.t_final, spec.t_final):
+        warnings.warn("[%s] dt=%g does not divide t_final=%g; the run "
+                      "ends at t=%.17g" % (spec.name, dt, spec.t_final,
+                                           horizon))
+    return generate(spec.seed, 0.0, horizon, n, model.m, spec.paths)
+
+
 def _wrap_exact_reference(model, root, node_indices):
     """Pathwise-exact oracle values packaged as a reference trajectory."""
     values = gbm_exact_values(model.mu, model.sigma, root, node_indices)
@@ -458,13 +485,8 @@ def run_convergence(spec):
     def run_cell(cell):
         scheme, dt, n = cell
         grid = coarsen(root, n_fine // n)
-        init = samples if scheme == "em" else state0
-        traj = integrate(
-            model, scheme, init, grid,
-            record_nodes=range(n + 1),
-            debug=spec.debug_identities,
-            fast_linear=spec.linear_fast_path and scheme == "dlr_em",
-            rank_policy=spec.rank_policy)
+        traj = _integrate_from(spec, model, samples, state0, scheme, grid,
+                               record_nodes=range(n + 1))
         if traj.error:
             return scheme, dt, None, traj.error
         errors = {}
@@ -551,18 +573,12 @@ def run_singular_values(spec):
 
     def run_cell(cell):
         scheme, dt = cell
-        n = _steps_for(dt, spec.t_final, spec.name)
-        grid = generate(spec.seed, 0.0, n * dt, n, model.m, spec.paths)
-        traj = integrate(
-            model, scheme, state0, grid,
-            debug=spec.debug_identities,
-            fast_linear=spec.linear_fast_path and scheme == "dlr_em",
-            rank_policy=spec.rank_policy)
-        horizon = n * dt
+        grid = _fixed_grid(spec, model, dt)
+        traj = _integrate_from(spec, model, samples, state0, scheme, grid)
         if scheme == "dlr_em":
-            k_bound = k1_bound(horizon, e0, c_lgb)
+            k_bound = k1_bound(grid.t1, e0, c_lgb)
         else:
-            k_bound = k4_bound(horizon, e0, c_lgb, horizon)
+            k_bound = k4_bound(grid.t1, e0, c_lgb, grid.t1)
         return scheme, dt, traj, k_bound
 
     cells = [(scheme, dt) for scheme in spec.schemes
@@ -618,7 +634,9 @@ def run_singular_values(spec):
                 "scheme,dt,t,sigma_k,threshold", violation_rows)
     outputs.append("violations.csv")
 
-    summary = {"violations": len(violation_rows), "failures": failures}
+    summary = {"violations": len(violation_rows), "failures": failures,
+               "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1
+                            for scheme, dt, traj, _ in results}}
     _write_manifest(spec, spec.output_dir, outputs,
                     time.monotonic() - started, summary)
     return {"traces": traces, "violations": violation_rows,
@@ -654,14 +672,9 @@ def run_stability(spec):
 
     def run_cell(cell):
         scheme, dt = cell
-        n = _steps_for(dt, spec.t_final, spec.name)
-        grid = generate(spec.seed, 0.0, n * dt, n, model.m, spec.paths)
-        traj = integrate(
-            model, scheme, state0, grid,
-            debug=spec.debug_identities,
-            fast_linear=spec.linear_fast_path and scheme == "dlr_em",
-            rank_policy=spec.rank_policy)
-        return scheme, dt, traj
+        grid = _fixed_grid(spec, model, dt)
+        return scheme, dt, _integrate_from(spec, model, samples, state0,
+                                           scheme, grid)
 
     cells = [(scheme, dt) for scheme in spec.schemes
              for dt in spec.dt_values]
@@ -692,7 +705,9 @@ def run_stability(spec):
     outputs.append("classification.csv")
 
     summary = {"classification": {"%s dt=%s" % (s, _g(dt)): v
-                                  for (s, dt), v in classifications.items()}}
+                                  for (s, dt), v in classifications.items()},
+               "horizons": {"%s dt=%s" % (s, _g(dt)): traj.t1
+                            for s, dt, traj in results}}
     _write_manifest(spec, spec.output_dir, outputs,
                     time.monotonic() - started, summary)
     return {"classifications": classifications,
@@ -710,18 +725,13 @@ def run_single(spec):
     model, samples, state0 = _prepare(spec)
     scheme = spec.schemes[0]
     dt = spec.dt_values[0]
-    n = _steps_for(dt, spec.t_final, spec.name)
-    grid = generate(spec.seed, 0.0, n * dt, n, model.m, spec.paths)
+    grid = _fixed_grid(spec, model, dt)
+    n = grid.n_steps
     snapshot_nodes = [int(round(t / dt)) for t in spec.snapshot_times]
     record = sorted({0, n, *snapshot_nodes})
 
-    init = samples if scheme == "em" else state0
-    traj = integrate(
-        model, scheme, init, grid,
-        record_nodes=record, keep_states=True,
-        debug=spec.debug_identities,
-        fast_linear=spec.linear_fast_path and scheme == "dlr_em",
-        rank_policy=spec.rank_policy)
+    traj = _integrate_from(spec, model, samples, state0, scheme, grid,
+                           record_nodes=record, keep_states=True)
     if traj.error:
         raise StepFailed("single run failed: %s" % traj.error)
 
@@ -746,7 +756,8 @@ def run_single(spec):
                 "t,mean_square_norm,sigma_k", trace_rows)
     outputs.append("trace.csv")
 
-    summary = {"final_mean_square_norm": float(traj.mean_square_norms[-1])}
+    summary = {"final_mean_square_norm": float(traj.mean_square_norms[-1]),
+               "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1}}
     _write_manifest(spec, spec.output_dir, outputs,
                     time.monotonic() - started, summary)
     return {"trajectory": traj, "output_dir": spec.output_dir}

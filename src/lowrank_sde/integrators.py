@@ -2,22 +2,22 @@
 
 Four steppers are provided.  ``em_step`` advances a full-order sample
 cloud with explicit Euler-Maruyama.  The three low-rank steppers advance
-a factored ensemble X = u^T y: all of them first move every sample by the
-projected Euler-Maruyama increment, then update the orthonormal basis by
-solving a small Gramian-weighted linear system, and finally restore
-orthonormality with a QR refactorization.  They differ only in which
-Gramian weights the basis solve and in which part of the increment enters
-its right-hand side:
+a factored ensemble X = u^T y and share one step body: it moves every
+sample by the projected Euler-Maruyama increment w = a dt + b dW, updates
+the orthonormal basis by solving a small Gramian-weighted linear system,
+and restores orthonormality with a QR refactorization.  The schemes
+differ only in two choices, the samples whose Gramian weights the basis
+solve and the part of the increment that enters its right-hand side
+(Lubich & Oseledets, BIT 54, 2014, write them as variants of one
+projected-increment map):
 
-``dlr_em_step``
-    weights with the Gramian of the old samples and feeds only the drift
-    into the basis solve.
-``dlr_ps_em_step``
-    weights with the Gramian of the moved samples and feeds the complete
-    increment (drift and diffusion) into the basis solve.
-``dlr_ps_sde_step``
-    weights with the Gramian of the moved samples and feeds only the
-    drift into the basis solve.
+==============  ==============  ======================================
+scheme          Gramian of      basis right-hand side
+==============  ==============  ======================================
+``dlr_em``      old samples     ``expectation_outer(y, a) * dt``
+``dlr_ps_em``   moved samples   ``expectation_outer(y_moved, w)``
+``dlr_ps_sde``  moved samples   ``expectation_outer(y_moved, a) * dt``
+==============  ==============  ======================================
 
 ``integrate`` runs a chosen stepper over a Brownian increment grid and
 collects per-step diagnostics into a ``Trajectory``.
@@ -25,6 +25,7 @@ collects per-step diagnostics into a ``Trajectory``.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .ensemble import (
     mean_square_norm,
     reconstruct,
 )
-from .errors import ModelBlowUp, RankDeficient, StepFailed
+from .errors import LowRankSdeError, ModelBlowUp, RankDeficient, StepFailed
 from .linalg import (DEFAULT_PINV_RELATIVE_THRESHOLD, reduced_qr,
                      solve_spsd_minnorm)
 
@@ -132,10 +133,6 @@ class Trajectory:
         """Step count of the finest grid this trajectory's noise came from."""
         return self.n_steps * self.coarsen_factor
 
-    def node_fraction_pairs(self):
-        """Recorded nodes as exact fractions (index, n_steps) of [t0, t1]."""
-        return [(int(i), self.n_steps) for i in self.node_indices]
-
 
 def _first_bad_path(arr):
     bad = ~np.isfinite(arr)
@@ -185,12 +182,10 @@ def em_step(model, x, t, dt, dw):
 def _moved_samples(model, state, dt, dw):
     """Common first stage of all low-rank steppers.
 
-    Evaluates the model on the reconstructed cloud and moves every
-    sample by the basis-projected Euler-Maruyama increment.
-
-    Returns (x, a, bdw, y_moved) where x is the reconstructed cloud,
-    a the drift, bdw the diffusion increment (all (d, M)) and y_moved
-    the moved coefficient samples (k, M).
+    Evaluates the model on the reconstructed cloud x and moves every
+    sample by the basis-projected Euler-Maruyama increment.  Returns
+    (x, a, w, y_moved): the cloud, the drift, the increment w = a dt +
+    b dW, all (d, M), and the moved coefficients (k, M).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -204,9 +199,10 @@ def _moved_samples(model, state, dt, dw):
     _check_finite(a, t, "drift")
     bdw = model.diffusion_dw(t, x, dw)
     _check_finite(bdw, t, "diffusion increment")
-    y_moved = state.y + state.u @ (a * dt + bdw)
+    w = a * dt + bdw
+    y_moved = state.y + state.u @ w
     _check_finite(y_moved, t, "coefficient samples")
-    return x, a, bdw, y_moved
+    return x, a, w, y_moved
 
 
 def _without_row_span(g, u):
@@ -214,7 +210,7 @@ def _without_row_span(g, u):
     return g - (g @ u.T) @ u
 
 
-def _basis_solve(c_mat, u, g_orth, u_solve_perturbation):
+def _basis_solve(c_mat, u, g_orth):
     """Solve C * u_new = C * u + g_orth for the unnormalized basis.
 
     The minimal-norm solution is used so a singular Gramian cannot
@@ -227,39 +223,18 @@ def _basis_solve(c_mat, u, g_orth, u_solve_perturbation):
         residual = np.linalg.norm(c_mat @ u_new - rhs) / rhs_norm
     else:
         residual = 0.0
-    if u_solve_perturbation is not None:
-        u_new = u_new + u_solve_perturbation(c_mat)
     return u_new, residual
-
-
-def _gramian_sigma_min(c_mat):
-    if not np.all(np.isfinite(c_mat)):
-        return np.nan
-    lam = np.linalg.eigvalsh(0.5 * (c_mat + c_mat.T))
-    return max(float(lam[0]), 0.0)
-
-
-def _checked_gramian(y, t):
-    """Sample Gramian of y, raising ModelBlowUp if squares overflowed."""
-    c_mat = gramian(y).c
-    if not np.all(np.isfinite(c_mat)):
-        sq = np.sum(y * y, axis=0)
-        j = int(np.argmax(~np.isfinite(sq)))
-        raise ModelBlowUp(
-            "sample second moments overflowed at t=%.6g on path %d"
-            % (t, j), t=t, path=j)
-    return c_mat
 
 
 def _identity_tolerance(c_mat):
     """Debug-check tolerance, loosened when the solve truncated."""
-    lam = np.linalg.eigvalsh(0.5 * (c_mat + c_mat.T))
+    lam = np.linalg.eigvalsh(c_mat)
     if lam[0] <= DEFAULT_PINV_RELATIVE_THRESHOLD * max(lam[-1], 0.0):
         return _IDENTITY_TOL_TRUNCATED
     return _IDENTITY_TOL
 
 
-def _refactor(u_new, y_moved, t_next, rank_policy):
+def _refactor(u_new, y_moved, rank_policy):
     """Restore row orthonormality of the basis after the solve.
 
     QR of the transposed basis is the default.  If QR reports rank
@@ -308,32 +283,6 @@ def _refactor(u_new, y_moved, t_next, rank_policy):
     return u_plus, y_plus, condition
 
 
-def _finish(state, u_new, y_moved, dt, c_mat, residual, rank_policy,
-            debug, t_next=None):
-    """Refactor, validate, and package the step result."""
-    if t_next is None:
-        t_next = state.t + dt
-    u_plus, y_plus, condition = _refactor(u_new, y_moved, t_next, rank_policy)
-    _check_finite(y_plus, t_next, "coefficient samples")
-    new_state = EnsembleState(t=t_next, u=u_plus, y=y_plus)
-    if debug:
-        product = u_new.T @ y_moved
-        err = np.linalg.norm(u_plus.T @ y_plus - product)
-        scale = max(np.linalg.norm(product), 1.0)
-        if err > _FACTORIZATION_TOL * scale:
-            raise StepFailed(
-                "refactorization changed the sample product "
-                "(relative error %.3e)" % (err / scale))
-    record = StepRecord(
-        t_next=t_next,
-        sigma_min_gramian=_gramian_sigma_min(c_mat),
-        qr_r_condition=condition,
-        solver_residual=float(residual),
-        solver_warning=bool(residual > SOLVER_WARNING_THRESHOLD),
-    )
-    return new_state, record
-
-
 def _tangent_apply(u, y_ref, c_ref, z):
     """Apply the sample tangent projector at (u, y_ref) to a cloud z.
 
@@ -361,6 +310,67 @@ def _check_identity(lhs, rhs, what, tol):
             "%s violated (relative error %.3e)" % (what, err / scale))
 
 
+def _dlr_step(model, state, dt, dw, *, moved_gramian, full_increment,
+              fast_linear=False, debug=False, rank_policy="abort",
+              u_solve_perturbation=None, t_next=None, node_gramian=None):
+    """One low-rank step; the two flags pick the scheme (module table).
+
+    The linear-drift shortcut applies to the old-samples Gramian only.
+    ``t_next`` (default state.t + dt) labels the new state, and
+    ``node_gramian`` is the Gramian of state.y if the caller has it.
+    """
+    x, a, w, y_moved = _moved_samples(model, state, dt, dw)
+    u = state.u
+    y_ref = y_moved if moved_gramian else state.y
+    gram = node_gramian
+    if moved_gramian or gram is None:
+        gram = gramian(y_ref)
+    if np.isnan(gram.sigma_min):
+        sq = np.sum(y_ref * y_ref, axis=0)
+        j = int(np.argmax(~np.isfinite(sq)))
+        raise ModelBlowUp(
+            "sample second moments overflowed at t=%.6g on path %d"
+            % (state.t, j), t=state.t, path=j)
+    c_mat = gram.c
+    if fast_linear and not moved_gramian and model.is_linear_drift:
+        u_new = u + _without_row_span(u @ model.a_mat(state.t).T, u) * dt
+        residual = 0.0
+    else:
+        g = (expectation_outer(y_ref, w) if full_increment
+             else expectation_outer(y_ref, a) * dt)
+        u_new, residual = _basis_solve(c_mat, u, _without_row_span(g, u))
+    if u_solve_perturbation is not None:
+        u_new = u_new + u_solve_perturbation(c_mat)
+
+    if t_next is None:
+        t_next = state.t + dt
+    u_plus, y_plus, condition = _refactor(u_new, y_moved, rank_policy)
+    _check_finite(y_plus, t_next, "coefficient samples")
+    new_state = EnsembleState(t=t_next, u=u_plus, y=y_plus)
+    if debug:
+        _check_identity(u_new.T @ y_moved, u_plus.T @ y_plus,
+                        "sample product of the refactorization",
+                        _FACTORIZATION_TOL)
+        if moved_gramian:
+            # new cloud = old cloud + tangent projection of the part of
+            # the increment that enters the solve + row projection of
+            # the rest
+            g_inc = w if full_increment else a * dt
+            rhs = (x + _tangent_apply(u, y_moved, c_mat, g_inc)
+                   + u.T @ (u @ (w - g_inc)))
+            _check_identity(reconstruct(new_state), rhs,
+                            "projected-update identity",
+                            _identity_tolerance(c_mat))
+    record = StepRecord(
+        t_next=t_next,
+        sigma_min_gramian=gram.sigma_min,
+        qr_r_condition=condition,
+        solver_residual=float(residual),
+        solver_warning=bool(residual > SOLVER_WARNING_THRESHOLD),
+    )
+    return new_state, record
+
+
 def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
                 rank_policy="abort", u_solve_perturbation=None):
     """One low-rank Euler-Maruyama step.
@@ -375,21 +385,10 @@ def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
     -------
     (EnsembleState, StepRecord)
     """
-    x, a, bdw, y_moved = _moved_samples(model, state, dt, dw)
-    c_old = _checked_gramian(state.y, state.t)
-    if fast_linear and model.is_linear_drift:
-        a_mat = model.a_mat(state.t)
-        u_new = state.u + _without_row_span(state.u @ a_mat.T, state.u) * dt
-        residual = 0.0
-        if u_solve_perturbation is not None:
-            u_new = u_new + u_solve_perturbation(c_old)
-    else:
-        g = expectation_outer(state.y, a) * dt
-        u_new, residual = _basis_solve(
-            c_old, state.u, _without_row_span(g, state.u),
-            u_solve_perturbation)
-    return _finish(state, u_new, y_moved, dt, c_old, residual, rank_policy,
-                   debug)
+    return _dlr_step(model, state, dt, dw, moved_gramian=False,
+                     full_increment=False, fast_linear=fast_linear,
+                     debug=debug, rank_policy=rank_policy,
+                     u_solve_perturbation=u_solve_perturbation)
 
 
 def dlr_ps_em_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
@@ -410,20 +409,10 @@ def dlr_ps_em_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
     -------
     (EnsembleState, StepRecord)
     """
-    x, a, bdw, y_moved = _moved_samples(model, state, dt, dw)
-    c_new = _checked_gramian(y_moved, state.t)
-    w = a * dt + bdw
-    g = expectation_outer(y_moved, w)
-    u_new, residual = _basis_solve(
-        c_new, state.u, _without_row_span(g, state.u), u_solve_perturbation)
-    new_state, record = _finish(state, u_new, y_moved, dt, c_new, residual,
-                                rank_policy, debug)
-    if debug:
-        rhs = x + _tangent_apply(state.u, y_moved, c_new, w)
-        _check_identity(reconstruct(new_state), rhs,
-                        "projected-update identity",
-                        _identity_tolerance(c_new))
-    return new_state, record
+    return _dlr_step(model, state, dt, dw, moved_gramian=True,
+                     full_increment=True, debug=debug,
+                     rank_policy=rank_policy,
+                     u_solve_perturbation=u_solve_perturbation)
 
 
 def dlr_ps_sde_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
@@ -441,26 +430,18 @@ def dlr_ps_sde_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
     -------
     (EnsembleState, StepRecord)
     """
-    x, a, bdw, y_moved = _moved_samples(model, state, dt, dw)
-    c_new = _checked_gramian(y_moved, state.t)
-    g = expectation_outer(y_moved, a) * dt
-    u_new, residual = _basis_solve(
-        c_new, state.u, _without_row_span(g, state.u), u_solve_perturbation)
-    new_state, record = _finish(state, u_new, y_moved, dt, c_new, residual,
-                                rank_policy, debug)
-    if debug:
-        rhs = (x + _tangent_apply(state.u, y_moved, c_new, a) * dt
-               + state.u.T @ (state.u @ bdw))
-        _check_identity(reconstruct(new_state), rhs,
-                        "projected-update identity",
-                        _identity_tolerance(c_new))
-    return new_state, record
+    return _dlr_step(model, state, dt, dw, moved_gramian=True,
+                     full_increment=False, debug=debug,
+                     rank_policy=rank_policy,
+                     u_solve_perturbation=u_solve_perturbation)
 
 
+# integrate looks each scheme's step up here and passes all the same keywords
 _DLR_STEPS = {
-    "dlr_em": dlr_em_step,
-    "dlr_ps_em": dlr_ps_em_step,
-    "dlr_ps_sde": dlr_ps_sde_step,
+    "dlr_em": partial(_dlr_step, moved_gramian=False, full_increment=False),
+    "dlr_ps_em": partial(_dlr_step, moved_gramian=True, full_increment=True),
+    "dlr_ps_sde": partial(_dlr_step, moved_gramian=True,
+                          full_increment=False),
 }
 
 
@@ -500,8 +481,9 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
     Returns
     -------
     Trajectory
-        ``completed`` is False when a step failed; scalar diagnostics
-        before the failure are kept and the error is annotated.
+        ``completed`` is False when a step raised a LowRankSdeError or
+        a LinAlgError; scalar diagnostics before the failure are kept
+        and the error is annotated.  Other exceptions propagate.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r, expected one of %r"
@@ -551,11 +533,13 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         sigma_min_gramians=sig,
     )
 
+    step = _DLR_STEPS.get(scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n + 1):
             if low_rank:
                 msq[i] = mean_square_norm(state.y)
-                sig[i] = _gramian_sigma_min(gramian(state.y).c)
+                node_gramian = gramian(state.y)
+                sig[i] = node_gramian.sigma_min
             else:
                 msq[i] = mean_square_norm(x)
             if i in record_set:
@@ -569,20 +553,15 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
             dw = grid.increments[i]
             try:
                 if low_rank:
-                    step = _DLR_STEPS[scheme]
-                    kwargs = dict(debug=debug, rank_policy=rank_policy,
-                                  u_solve_perturbation=u_solve_perturbation)
-                    if scheme == "dlr_em":
-                        kwargs["fast_linear"] = fast_linear
-                    state, record = step(model, state, dt, dw, **kwargs)
-                    # pin the node time to the grid lattice
-                    state = EnsembleState(t=times[i + 1], u=state.u,
-                                          y=state.y)
+                    state, record = step(
+                        model, state, dt, dw, fast_linear=fast_linear,
+                        debug=debug, rank_policy=rank_policy,
+                        u_solve_perturbation=u_solve_perturbation,
+                        t_next=times[i + 1], node_gramian=node_gramian)
                     traj.records.append(record)
                 else:
                     x = em_step(model, x, times[i], dt, dw)
-            except (StepFailed, ModelBlowUp, ValueError,
-                    np.linalg.LinAlgError) as exc:
+            except (LowRankSdeError, np.linalg.LinAlgError) as exc:
                 traj.completed = False
                 traj.error = "%s at step %d (t=%.6g): %s" % (
                     type(exc).__name__, i, times[i], exc)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lowrank_sde.harness import (
     classify_stability,
     load_specs,
     run_convergence,
+    run_experiment,
     run_single,
     run_singular_values,
     run_stability,
@@ -418,6 +420,40 @@ class TestRunSingle:
         state = load_snapshot(str(tmp_path / "em_one" / "snapshot_t0.5.csv"))
         np.testing.assert_allclose(state.u, np.eye(3))
         assert state.y.shape == (3, 100)
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("kind, scheme", [
+        ("singular_values", "dlr_ps_sde"),
+        ("stability", "dlr_em"),
+        ("single_run", "dlr_em"),
+    ])
+    def test_non_dividing_dt_warns_and_reports_horizon(self, tmp_path, kind,
+                                                       scheme):
+        # round(1 / 0.3) = 3 steps end at 0.9: the run warns and reports
+        # that horizon, and writes the CSVs of a spec with t_final = 0.9
+        def spec(name, t_final):
+            return ExperimentSpec(
+                name=name, kind=kind, model="toy_example_1",
+                schemes=(scheme,), rank=2, paths=100, seed=3,
+                t_final=t_final, dt_values=(0.3,),
+                output_dir=str(tmp_path / name))
+
+        with pytest.warns(UserWarning, match="does not divide t_final=1"):
+            run_experiment(spec("long", 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(spec("exact", 0.9))
+        with open(tmp_path / "long" / "manifest.json") as fh:
+            summary = json.load(fh)["summary"]
+        assert summary["horizons"] == {
+            "%s dt=0.3" % scheme: pytest.approx(0.9, rel=1e-12)}
+        names = sorted(n for n in os.listdir(tmp_path / "exact")
+                       if n.endswith(".csv"))
+        assert names
+        for name in names:
+            assert (tmp_path / "long" / name).read_bytes() == \
+                (tmp_path / "exact" / name).read_bytes()
 
 
 class TestCli:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lowrank_sde.ensemble import (
@@ -35,6 +37,9 @@ from lowrank_sde.noise import coarsen, generate
 
 DLR_STEPS = (dlr_em_step, dlr_ps_em_step, dlr_ps_sde_step)
 
+# derandomized so every tier-1 run checks the same examples
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
 
 def zero_model(d=3, m=2):
     return SdeModel(
@@ -57,6 +62,33 @@ def cubic_blowup_model(d=2):
         diffusion_dw=lambda t, x, dw: np.zeros_like(x),
         diffusion_mat=lambda t, x: np.zeros((d, 1)),
     )
+
+
+def linear_model(rng, d, sigma):
+    """Random linear drift x -> A x with multiplicative noise sigma x dW."""
+    a_mat = rng.normal(size=(d, d))
+    return SdeModel(
+        name="linear", d=d, m=d,
+        drift_many=lambda t, x: a_mat @ x,
+        diffusion_dw=lambda t, x, dw: sigma * x * dw,
+        diffusion_mat=lambda t, x: sigma * np.diag(x),
+        is_linear_drift=True, a_mat=lambda t: a_mat,
+    )
+
+
+@st.composite
+def step_setups(draw):
+    """(d, k, M, dt, rng) with k <= d <= 6 and a few more paths than k."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, d))
+    m_paths = draw(st.integers(k + 2, 60))
+    dt = draw(st.floats(1e-3, 0.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return d, k, m_paths, dt, rng
+
+
+def rank_r_samples(rng, d, r, m_paths):
+    return rng.normal(size=(d, r)) @ rng.normal(size=(r, m_paths))
 
 
 def toy_state(k=2, m_paths=400, seed=7, sigma_b=1e-8):
@@ -122,32 +154,50 @@ class TestEmStep:
 
 
 class TestDlrStepsShared:
-    def test_zero_dynamics_preserves_reconstruction(self):
-        model = zero_model()
-        rng = np.random.default_rng(3)
-        samples = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 200))
-        state = init_rank_k(samples, 2)
-        dw = np.ones((2, 200))
+    @PROPERTY
+    @given(step_setups())
+    def test_zero_dynamics_preserves_reconstruction(self, setup):
+        d, k, m_paths, dt, rng = setup
+        model = zero_model(d=d)
+        state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
+        x = reconstruct(state)
+        dw = rng.normal(size=(2, m_paths))
         for step in DLR_STEPS:
-            new_state, record = step(model, state, 0.25, dw)
-            assert_allclose(reconstruct(new_state), reconstruct(state),
-                            atol=1e-12)
+            new_state, record = step(model, state, dt, dw)
+            err = np.linalg.norm(reconstruct(new_state) - x)
+            assert err <= 1e-12 * max(np.linalg.norm(x), 1.0)
             assert record.solver_residual <= 1e-12
             assert not record.solver_warning
 
-    def test_orthonormality_after_steps(self):
-        model, state = toy_state()
-        dw = generate(11, 0.0, 0.05, 1, model.m, state.m_paths).increments[0]
+    @PROPERTY
+    @given(step_setups())
+    def test_orthonormality_after_steps(self, setup):
+        d, k, m_paths, dt, rng = setup
+        model = linear_model(rng, d, sigma=0.3)
+        state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
         for step in DLR_STEPS:
-            new_state, _ = step(model, state, 0.05, dw)
-            defect = new_state.u @ new_state.u.T - np.eye(state.k)
-            assert np.linalg.norm(defect) <= 1e-10
+            current = state
+            for _ in range(3):
+                dw = np.sqrt(dt) * rng.normal(size=(d, m_paths))
+                current, _ = step(model, current, dt, dw)
+                defect = current.u @ current.u.T - np.eye(k)
+                assert np.linalg.norm(defect) <= 1e-10
 
-    def test_factorization_consistency_debug_mode(self):
-        model, state = toy_state()
-        dw = generate(12, 0.0, 0.05, 1, model.m, state.m_paths).increments[0]
-        for step in DLR_STEPS:
-            step(model, state, 0.05, dw, debug=True)
+    @PROPERTY
+    @given(step_setups(), st.data())
+    def test_factorization_consistency_debug_mode(self, setup, data):
+        # samples of rank r <= k: with r < k the solve truncates and the
+        # refactorization may need the SVD fallback, which must keep the
+        # sample product (the debug checks raise StepFailed otherwise)
+        d, k, m_paths, dt, rng = setup
+        r = data.draw(st.integers(1, k))
+        model = linear_model(rng, d, sigma=0.3)
+        state = init_rank_k(rank_r_samples(rng, d, r, m_paths), k)
+        dw = np.sqrt(dt) * rng.normal(size=(d, m_paths))
+        dlr_em_step(model, state, dt, dw, debug=True, rank_policy="svd",
+                    fast_linear=data.draw(st.booleans()))
+        for step in (dlr_ps_em_step, dlr_ps_sde_step):
+            step(model, state, dt, dw, debug=True, rank_policy="svd")
 
     def test_full_rank_collapse_matches_em(self):
         # with k = d the tangent projector is the identity, so both
@@ -274,12 +324,15 @@ class TestProjectorSplittingIdentities:
         scale = max(np.linalg.norm(rhs), 1.0)
         assert np.linalg.norm(reconstruct(new_state) - rhs) <= 1e-8 * scale
 
-    def test_schemes_coincide_without_diffusion(self):
-        model, law = toy_example_2(sigma_b=0.0)
-        state = init_rank_k(law(9, 400), 2)
-        dw = generate(20, 0.0, 0.01, 1, model.m, 400).increments[0]
-        a_state, _ = dlr_ps_em_step(model, state, 0.01, dw)
-        b_state, _ = dlr_ps_sde_step(model, state, 0.01, dw)
+    @PROPERTY
+    @given(step_setups())
+    def test_schemes_coincide_without_diffusion(self, setup):
+        d, k, m_paths, dt, rng = setup
+        model = linear_model(rng, d, sigma=0.0)
+        state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
+        dw = rng.normal(size=(d, m_paths))
+        a_state, _ = dlr_ps_em_step(model, state, dt, dw)
+        b_state, _ = dlr_ps_sde_step(model, state, dt, dw)
         scale = np.linalg.norm(reconstruct(a_state))
         assert np.linalg.norm(reconstruct(a_state) - reconstruct(b_state)) \
             <= 1e-12 * scale
@@ -519,6 +572,23 @@ class TestIntegrate:
         low = integrate(model, "dlr_ps_em", state, grid, rank_policy="svd")
         assert not low.completed
         assert "ModelBlowUp" in low.error
+
+    def test_programming_error_raises_instead_of_failing_the_run(self):
+        # a drift of the wrong shape is a bug, not a numerical failure:
+        # integrate must raise it rather than return completed=False
+        model = SdeModel(
+            name="bad_shape", d=3, m=1,
+            drift_many=lambda t, x: np.zeros((4, x.shape[1])),
+            diffusion_dw=lambda t, x, dw: np.zeros_like(x),
+            diffusion_mat=lambda t, x: np.zeros((3, 1)),
+        )
+        rng = np.random.default_rng(69)
+        state = init_rank_k(rank_r_samples(rng, 3, 2, 40), 2)
+        grid = generate(69, 0.0, 0.1, 2, model.m, 40)
+        for scheme in ("em", "dlr_em", "dlr_ps_em", "dlr_ps_sde"):
+            init = reconstruct(state) if scheme == "em" else state
+            with pytest.raises(ValueError, match="broadcast"):
+                integrate(model, scheme, init, grid)
 
     def test_keep_states_round_trip(self):
         model, state = toy_state(m_paths=120)
