@@ -183,13 +183,29 @@ def _matched_node_pairs(traj_a, traj_b):
     return pairs
 
 
-def _sup_sq_over_nodes(values_a, values_b, pairs):
-    sup_sq = None
-    for i, j in pairs:
-        diff = values_a[i] - values_b[j]
-        sq = np.sum(diff * diff, axis=0)
-        sup_sq = sq if sup_sq is None else np.maximum(sup_sq, sq)
-    return sup_sq
+def fold_sup_sq(sup_sq, cloud):
+    """Fold one (d, M) node cloud into a running per-path sup of |x|^2.
+
+    Returns the per-path squared norms of cloud when sup_sq is None (the
+    first node), else their elementwise maximum with sup_sq.  The
+    maximum is exact, so the fold order never changes the result.
+    """
+    sq = np.sum(cloud * cloud, axis=0)
+    return sq if sup_sq is None else np.maximum(sup_sq, sq)
+
+
+def l2_sup_errors(diff_sup_sq, ref_sup_sq):
+    """Absolute and relative L2-sup error from the folded per-path sups.
+
+    diff_sup_sq folds the pathwise differences to the reference and
+    ref_sup_sq the reference itself, over the same nodes.  Returns
+    (sqrt(E[sup |X - X_ref|^2]), that value over sqrt(E[sup |X_ref|^2])).
+    """
+    num = float(np.sqrt(np.mean(diff_sup_sq)))
+    denom = float(np.sqrt(np.mean(ref_sup_sq)))
+    if denom == 0.0:
+        return num, (0.0 if num == 0.0 else np.inf)
+    return num, num / denom
 
 
 def l2_sup_error(traj_a, traj_b):
@@ -205,26 +221,21 @@ def l2_sup_error(traj_a, traj_b):
         If the trajectories were not driven by the same root noise or
         record no common nodes.
     """
-    pairs = _matched_node_pairs(traj_a, traj_b)
-    sup_sq = _sup_sq_over_nodes(traj_a.node_values, traj_b.node_values,
-                                pairs)
+    sup_sq = None
+    for i, j in _matched_node_pairs(traj_a, traj_b):
+        sup_sq = fold_sup_sq(sup_sq,
+                             traj_a.node_values[i] - traj_b.node_values[j])
     return float(np.sqrt(np.mean(sup_sq)))
 
 
 def relative_l2_sup_error(traj_a, traj_ref):
     """``l2_sup_error`` divided by the same functional of the reference."""
-    pairs = _matched_node_pairs(traj_a, traj_ref)
-    sup_sq = _sup_sq_over_nodes(traj_a.node_values, traj_ref.node_values,
-                                pairs)
-    ref_sup_sq = None
-    for _, j in pairs:
-        sq = np.sum(traj_ref.node_values[j] ** 2, axis=0)
-        ref_sup_sq = sq if ref_sup_sq is None else np.maximum(ref_sup_sq, sq)
-    num = float(np.sqrt(np.mean(sup_sq)))
-    denom = float(np.sqrt(np.mean(ref_sup_sq)))
-    if denom == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / denom
+    diff_sup_sq = ref_sup_sq = None
+    for i, j in _matched_node_pairs(traj_a, traj_ref):
+        ref = traj_ref.node_values[j]
+        diff_sup_sq = fold_sup_sq(diff_sup_sq, traj_a.node_values[i] - ref)
+        ref_sup_sq = fold_sup_sq(ref_sup_sq, ref)
+    return l2_sup_errors(diff_sup_sq, ref_sup_sq)[1]
 
 
 def fit_order(dt_values, errors):

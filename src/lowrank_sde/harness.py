@@ -10,7 +10,10 @@ instead of being ignored.  Four experiment kinds exist:
     integrates the configured schemes, and reports L2-sup errors and
     fitted orders against the configured reference (pathwise exact
     values for the scalar oracle, otherwise a fine full-order run and
-    a fine splitting run on the same grid and initial samples).
+    a fine splitting run on the same grid and initial samples).  One
+    walk over the fine grid streams the noise and advances the
+    references and all cells in lockstep, folding the errors node by
+    node, so memory does not grow with the horizon.
 ``singular_values``
     Traces the smallest Gramian eigenvalue per step for each
     (scheme, dt) cell, next to the simple and accumulated lower
@@ -29,8 +32,11 @@ library version, wall time, and a SHA-256 digest of each output file;
 re-running a spec reproduces every CSV byte for byte.
 
 The LOWRANK_SDE_THREADS environment variable (default 1) sets how
-many (scheme, dt) cells may run concurrently; each cell's step loop
-stays sequential, so results do not depend on the thread count.
+many (scheme, dt) cells of a ``singular_values`` or ``stability``
+experiment may run concurrently; each cell's step loop stays
+sequential, so results do not depend on the thread count.  The cells
+of a ``convergence`` sweep depend on one shared walk and run on one
+thread; the variable is still validated there.
 """
 
 import configparser
@@ -51,11 +57,11 @@ from .diagnostics import (
     dt_condition,
     empirical_c_lgb,
     fit_order,
+    fold_sup_sq,
     gramian_bound_refined,
     k1_bound,
     k4_bound,
-    l2_sup_error,
-    relative_l2_sup_error,
+    l2_sup_errors,
     write_bound_trace_csv,
     write_error_report_csv,
 )
@@ -66,9 +72,13 @@ from .ensemble import (
     save_snapshot,
 )
 from .errors import SpecError, StepFailed
-from .integrators import RANK_POLICIES, SCHEMES, Trajectory, integrate
-from .models import build_model, gbm_exact_values
-from .noise import coarsen, generate
+from .integrators import RANK_POLICIES, SCHEMES, Stepper, integrate
+from .models import build_model, gbm_exact_value
+from .noise import BlockSum, BrownianGrid, generate, increment_blocks
+
+# unused here; perfbench/tracer.py wraps these names on this module
+from .diagnostics import l2_sup_error, relative_l2_sup_error  # noqa: F401
+from .noise import coarsen  # noqa: F401
 
 KINDS = ("convergence", "singular_values", "stability", "single_run")
 REFERENCES = ("exact", "em_fine", "dlr_ps_sde_fine")
@@ -394,24 +404,27 @@ def _g(value):
 
 
 def _prepare(spec):
-    """Shared setup: output dir, model, initial cloud, factored state."""
+    """Shared setup: output dir, model, initial cloud, and the factored
+    state when a low-rank scheme or the fine splitting reference runs."""
     os.makedirs(spec.output_dir, exist_ok=True)
     model, law = build_model(spec.model, spec.model_overrides)
     samples = law(spec.seed, spec.paths)
     state0 = None
-    if any(s != "em" for s in spec.schemes):
+    if spec.reference in ("em_fine", "dlr_ps_sde_fine") \
+            or any(s != "em" for s in spec.schemes):
         state0 = init_rank_k(samples, spec.rank)
     return model, samples, state0
 
 
-def _integrate_from(spec, model, samples, state0, scheme, grid, **recording):
-    """Run one scheme with the spec's step options from its initial
-    ensemble: the samples for "em", their rank-k factorization else."""
+def _run_from(run, spec, model, samples, state0, scheme, grid, **recording):
+    """Call run (``integrate`` or ``Stepper``) for one scheme with the
+    spec's step options from its initial ensemble: the samples for "em",
+    their rank-k factorization else."""
     init = samples if scheme == "em" else state0
-    return integrate(model, scheme, init, grid,
-                     debug=spec.debug_identities,
-                     fast_linear=spec.linear_fast_path,
-                     rank_policy=spec.rank_policy, **recording)
+    return run(model, scheme, init, grid,
+               debug=spec.debug_identities,
+               fast_linear=spec.linear_fast_path,
+               rank_policy=spec.rank_policy, **recording)
 
 
 def _fixed_grid(spec, model, dt):
@@ -426,90 +439,141 @@ def _fixed_grid(spec, model, dt):
     return generate(spec.seed, 0.0, horizon, n, model.m, spec.paths)
 
 
-def _wrap_exact_reference(model, root, node_indices):
-    """Pathwise-exact oracle values packaged as a reference trajectory."""
-    values = gbm_exact_values(model.mu, model.sigma, root, node_indices)
-    filler = np.full(root.n_steps + 1, np.nan)
-    return Trajectory(
-        scheme="exact",
-        model_name=model.name,
-        t0=root.t0,
-        t1=root.t1,
-        n_steps=root.n_steps,
-        grid_seed=root.seed,
-        coarsen_factor=1,
-        times=root.times(),
-        mean_square_norms=filler,
-        sigma_min_gramians=filler.copy(),
-        node_indices=list(node_indices),
-        node_values=[values[row] for row in range(values.shape[0])],
-        final_state=None,
-    )
+class _ExactReference:
+    """Pathwise exact oracle values on the fine grid, from a running
+    Brownian sum of the streamed increments."""
+
+    def __init__(self, model, grid):
+        self._mu = model.mu
+        self._sigma = model.sigma
+        self._times = grid.times()
+        self._node = 0
+        self._w = np.zeros((1, grid.m_paths))
+
+    def advance(self, dw):
+        self._w += dw
+        self._node += 1
+        return True
+
+    def cloud(self):
+        return gbm_exact_value(self._mu, self._sigma,
+                               self._times[self._node], self._w)
+
+
+@dataclass
+class _SweepLevel:
+    """The cells of one coarse dt, the block sum that builds their
+    increments, and the running per-path sups of the references at
+    their nodes and of each cell's distance to each reference."""
+
+    block_sum: BlockSum
+    cells: dict
+    ref_sup_sq: dict
+    cell_sup_sq: dict
+
+    def fold(self, ref_clouds):
+        for name, ref in ref_clouds.items():
+            self.ref_sup_sq[name] = fold_sup_sq(self.ref_sup_sq[name], ref)
+        for scheme, stepper in self.cells.items():
+            if stepper.traj.error:
+                continue
+            cloud = stepper.cloud()
+            sups = self.cell_sup_sq[scheme]
+            for name, ref in ref_clouds.items():
+                sups[name] = fold_sup_sq(sups[name], cloud - ref)
 
 
 def run_convergence(spec):
     """Coupled step-size sweep with fitted convergence orders.
 
-    One fine grid drives everything; each coarse grid is its block-sum
-    coarsening, so all runs share Brownian paths and initial samples.
+    One walk over the fine grid drives everything.  Each fine Brownian
+    block is generated once; the fine references take one step on it,
+    and each coarse dt adds it to the running left-to-right sum that
+    becomes its next increment, stepping all of its cells when the sum
+    is complete.  All runs thus share Brownian paths and initial
+    samples.  At every coarse node the pathwise squared distance of each
+    cell to each reference, and the reference's own squared norm, are
+    folded into running per-path maxima, so no noise grid and no node
+    cloud is stored.  The cells run in lockstep on one thread.
+
     Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv,
     status.csv (ok/failed per cell; failed cells are excluded from the
-    fits), and manifest.json.
+    fits), and manifest.json.  A failing fine reference raises
+    StepFailed before any file is written.
     """
     started = time.monotonic()
     model, samples, state0 = _prepare(spec)
+    _thread_count()  # cells run in lockstep, but a bad value still fails
     n_values = [_steps_for(dt, spec.t_final, spec.name)
                 for dt in spec.dt_values]
     n_fine = spec.fine_factor * n_values[-1]
-    root = generate(spec.seed, 0.0, spec.t_final, n_fine, model.m,
-                    spec.paths)
 
-    union = sorted({i * (n_fine // n) for n in n_values
-                    for i in range(n + 1)})
-    references = {}
+    def lattice(n):
+        return BrownianGrid(seed=spec.seed, t0=0.0, t1=spec.t_final,
+                            n_steps=n, m=model.m, m_paths=spec.paths,
+                            coarsen_factor=n_fine // n)
+
+    fine = lattice(n_fine)
     if spec.reference == "exact":
-        references["exact"] = _wrap_exact_reference(model, root, union)
+        references = {"exact": _ExactReference(model, fine)}
     else:
-        em_ref = integrate(model, "em", samples, root, record_nodes=union)
-        if em_ref.error:
-            raise StepFailed("fine full-order reference failed: %s"
-                             % em_ref.error)
-        ps_ref = integrate(model, "dlr_ps_sde", state0, root,
-                           record_nodes=union, rank_policy=spec.rank_policy)
-        if ps_ref.error:
-            raise StepFailed("fine splitting reference failed: %s"
-                             % ps_ref.error)
-        references["em_fine"] = em_ref
-        references["dlr_ps_sde_fine"] = ps_ref
+        references = {
+            "em_fine": Stepper(model, "em", samples, fine, record_nodes=()),
+            "dlr_ps_sde_fine": Stepper(model, "dlr_ps_sde", state0, fine,
+                                       record_nodes=(),
+                                       rank_policy=spec.rank_policy),
+        }
 
-    def run_cell(cell):
-        scheme, dt, n = cell
-        grid = coarsen(root, n_fine // n)
-        traj = _integrate_from(spec, model, samples, state0, scheme, grid,
-                               record_nodes=range(n + 1))
-        if traj.error:
-            return scheme, dt, None, traj.error
-        errors = {}
-        for ref_name, ref in references.items():
-            errors[ref_name] = (l2_sup_error(traj, ref),
-                                relative_l2_sup_error(traj, ref))
-        return scheme, dt, errors, None
+    levels = []
+    for n in n_values:
+        grid = lattice(n)
+        levels.append(_SweepLevel(
+            block_sum=BlockSum(n_fine // n),
+            cells={scheme: _run_from(Stepper, spec, model, samples, state0,
+                                     scheme, grid, record_nodes=())
+                   for scheme in spec.schemes},
+            ref_sup_sq=dict.fromkeys(references),
+            cell_sup_sq={scheme: dict.fromkeys(references)
+                         for scheme in spec.schemes}))
 
-    cells = [(scheme, dt, n)
-             for scheme in spec.schemes
-             for dt, n in zip(spec.dt_values, n_values)]
-    results = _map_cells(run_cell, cells)
+    ref_clouds = {name: ref.cloud() for name, ref in references.items()}
+    for level in levels:
+        level.fold(ref_clouds)
+    for block in increment_blocks(spec.seed, 0.0, spec.t_final, n_fine,
+                                  model.m, spec.paths):
+        for name, ref in references.items():
+            if not ref.advance(block):
+                raise StepFailed("fine reference %s failed: %s"
+                                 % (name, ref.traj.error))
+        ref_clouds = None
+        for level in levels:
+            dw = level.block_sum.push(block)
+            if dw is None:
+                continue
+            for stepper in level.cells.values():
+                if not stepper.traj.error:
+                    stepper.advance(dw)
+            if ref_clouds is None:
+                ref_clouds = {name: ref.cloud()
+                              for name, ref in references.items()}
+            level.fold(ref_clouds)
 
     by_scheme = {scheme: [] for scheme in spec.schemes}
     failures = []
     status_rows = []
-    for scheme, dt, errors, error in results:
-        status_rows.append((scheme, _g(dt), "ok" if error is None
-                            else "failed"))
-        if error is None:
-            by_scheme[scheme].append((dt, errors))
-        else:
-            failures.append({"scheme": scheme, "dt": dt, "error": error})
+    for scheme in spec.schemes:
+        for dt, level in zip(spec.dt_values, levels):
+            error = level.cells[scheme].traj.error
+            status_rows.append((scheme, _g(dt), "ok" if error is None
+                                else "failed"))
+            if error is None:
+                sups = level.cell_sup_sq[scheme]
+                by_scheme[scheme].append((dt, {
+                    name: l2_sup_errors(sups[name], level.ref_sup_sq[name])
+                    for name in references}))
+            else:
+                failures.append({"scheme": scheme, "dt": dt,
+                                 "error": error})
 
     outputs = []
     reports = {}
@@ -574,7 +638,7 @@ def run_singular_values(spec):
     def run_cell(cell):
         scheme, dt = cell
         grid = _fixed_grid(spec, model, dt)
-        traj = _integrate_from(spec, model, samples, state0, scheme, grid)
+        traj = _run_from(integrate, spec, model, samples, state0, scheme, grid)
         if scheme == "dlr_em":
             k_bound = k1_bound(grid.t1, e0, c_lgb)
         else:
@@ -673,8 +737,8 @@ def run_stability(spec):
     def run_cell(cell):
         scheme, dt = cell
         grid = _fixed_grid(spec, model, dt)
-        return scheme, dt, _integrate_from(spec, model, samples, state0,
-                                           scheme, grid)
+        return scheme, dt, _run_from(integrate, spec, model, samples,
+                                     state0, scheme, grid)
 
     cells = [(scheme, dt) for scheme in spec.schemes
              for dt in spec.dt_values]
@@ -730,7 +794,7 @@ def run_single(spec):
     snapshot_nodes = [int(round(t / dt)) for t in spec.snapshot_times]
     record = sorted({0, n, *snapshot_nodes})
 
-    traj = _integrate_from(spec, model, samples, state0, scheme, grid,
+    traj = _run_from(integrate, spec, model, samples, state0, scheme, grid,
                            record_nodes=record, keep_states=True)
     if traj.error:
         raise StepFailed("single run failed: %s" % traj.error)

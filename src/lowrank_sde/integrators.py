@@ -19,8 +19,9 @@ scheme          Gramian of      basis right-hand side
 ``dlr_ps_sde``  moved samples   ``expectation_outer(y_moved, a) * dt``
 ==============  ==============  ======================================
 
-``integrate`` runs a chosen stepper over a Brownian increment grid and
-collects per-step diagnostics into a ``Trajectory``.
+``Stepper`` is the step loop of one scheme, fed one Brownian increment
+at a time and collecting per-step diagnostics into a ``Trajectory``;
+``integrate`` drives it over a stored increment grid.
 """
 
 import warnings
@@ -445,6 +446,129 @@ _DLR_STEPS = {
 }
 
 
+class Stepper:
+    """The step loop of one scheme, fed one Brownian increment at a time.
+
+    ``grid`` fixes the time lattice and the trajectory's lineage; its
+    increments are not read, so a caller that streams the increments
+    passes a grid that stores none and calls ``advance`` with each one
+    in turn.  The keyword arguments are those of ``integrate``, which
+    drives a stepper over a stored grid.  The scalar diagnostics of a
+    node, and its cloud if recorded, are taken when the loop reaches it;
+    ``traj.final_state`` is the state at the last node reached.
+    """
+
+    def __init__(self, model, scheme, init, grid, *, record_nodes=None,
+                 keep_states=False, debug=False, fast_linear=False,
+                 rank_policy="abort", u_solve_perturbation=None):
+        if scheme not in SCHEMES:
+            raise ValueError("unknown scheme %r, expected one of %r"
+                             % (scheme, SCHEMES))
+        if grid.m != model.m:
+            raise ValueError("grid carries %d noise components, model "
+                             "needs %d" % (grid.m, model.m))
+        self.low_rank = scheme != "em"
+        if self.low_rank:
+            if not isinstance(init, EnsembleState):
+                raise TypeError("low-rank schemes need an EnsembleState init")
+            m_paths = init.m_paths
+            self.state = init
+        else:
+            x = np.array(init, dtype=float)
+            if x.ndim != 2 or x.shape[0] != model.d:
+                raise ValueError("em init must have shape (d, M)")
+            m_paths = x.shape[1]
+            self.state = x
+        if grid.m_paths != m_paths:
+            raise ValueError("grid carries %d paths, ensemble has %d"
+                             % (grid.m_paths, m_paths))
+
+        n = grid.n_steps
+        if record_nodes is None:
+            self._record_set = {0, n}
+        else:
+            self._record_set = {int(i) for i in record_nodes}
+            for i in self._record_set:
+                if i < 0 or i > n:
+                    raise ValueError("record node %d outside grid [0, %d]"
+                                     % (i, n))
+        self._model = model
+        self._dt = grid.dt
+        self._keep_states = keep_states
+        self._options = dict(fast_linear=fast_linear, debug=debug,
+                             rank_policy=rank_policy,
+                             u_solve_perturbation=u_solve_perturbation)
+        self._step = _DLR_STEPS.get(scheme)
+        self.traj = Trajectory(
+            scheme=scheme,
+            model_name=model.name,
+            t0=grid.t0,
+            t1=grid.t1,
+            n_steps=n,
+            grid_seed=grid.seed,
+            coarsen_factor=grid.coarsen_factor,
+            times=grid.times(),
+            mean_square_norms=np.full(n + 1, np.nan),
+            sigma_min_gramians=np.full(n + 1, np.nan),
+        )
+        self.node = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._reach_node()
+
+    def cloud(self):
+        """The (d, M) sample cloud at the current node."""
+        return reconstruct(self.state) if self.low_rank else self.state
+
+    def _reach_node(self):
+        i = self.node
+        traj = self.traj
+        traj.final_state = self.state
+        if self.low_rank:
+            traj.mean_square_norms[i] = mean_square_norm(self.state.y)
+            self._node_gramian = gramian(self.state.y)
+            traj.sigma_min_gramians[i] = self._node_gramian.sigma_min
+        else:
+            traj.mean_square_norms[i] = mean_square_norm(self.state)
+        if i in self._record_set:
+            traj.node_indices.append(i)
+            traj.node_values.append(
+                reconstruct(self.state) if self.low_rank
+                else self.state.copy())
+            if self._keep_states and self.low_rank:
+                traj.node_states.append(self.state)
+
+    def advance(self, dw):
+        """Step from the current node to the next one on increment dw.
+
+        Returns True on success.  A step that raises a LowRankSdeError
+        or a LinAlgError marks the trajectory failed and returns False;
+        the stepper must not be advanced after that, nor past the last
+        node of its grid.
+        """
+        i = self.node
+        traj = self.traj
+        times = traj.times
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if self.low_rank:
+                    self.state, record = self._step(
+                        self._model, self.state, self._dt, dw,
+                        t_next=times[i + 1], node_gramian=self._node_gramian,
+                        **self._options)
+                    traj.records.append(record)
+                else:
+                    self.state = em_step(self._model, self.state, times[i],
+                                         self._dt, dw)
+            except (LowRankSdeError, np.linalg.LinAlgError) as exc:
+                traj.completed = False
+                traj.error = "%s at step %d (t=%.6g): %s" % (
+                    type(exc).__name__, i, times[i], exc)
+                return False
+            self.node = i + 1
+            self._reach_node()
+        return True
+
+
 def integrate(model, scheme, init, grid, *, record_nodes=None,
               keep_states=False, debug=False, fast_linear=False,
               rank_policy="abort", u_solve_perturbation=None):
@@ -485,87 +609,11 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         a LinAlgError; scalar diagnostics before the failure are kept
         and the error is annotated.  Other exceptions propagate.
     """
-    if scheme not in SCHEMES:
-        raise ValueError("unknown scheme %r, expected one of %r"
-                         % (scheme, SCHEMES))
-    if grid.m != model.m:
-        raise ValueError("grid carries %d noise components, model needs %d"
-                         % (grid.m, model.m))
-    low_rank = scheme != "em"
-    if low_rank:
-        if not isinstance(init, EnsembleState):
-            raise TypeError("low-rank schemes need an EnsembleState init")
-        m_paths = init.m_paths
-        state = init
-    else:
-        x = np.array(init, dtype=float)
-        if x.ndim != 2 or x.shape[0] != model.d:
-            raise ValueError("em init must have shape (d, M)")
-        m_paths = x.shape[1]
-    if grid.m_paths != m_paths:
-        raise ValueError("grid carries %d paths, ensemble has %d"
-                         % (grid.m_paths, m_paths))
-
-    n = grid.n_steps
-    dt = grid.dt
-    times = grid.times()
-    if record_nodes is None:
-        record_set = {0, n}
-    else:
-        record_set = {int(i) for i in record_nodes}
-        for i in record_set:
-            if i < 0 or i > n:
-                raise ValueError("record node %d outside grid [0, %d]"
-                                 % (i, n))
-
-    msq = np.full(n + 1, np.nan)
-    sig = np.full(n + 1, np.nan)
-    traj = Trajectory(
-        scheme=scheme,
-        model_name=model.name,
-        t0=grid.t0,
-        t1=grid.t1,
-        n_steps=n,
-        grid_seed=grid.seed,
-        coarsen_factor=grid.coarsen_factor,
-        times=times,
-        mean_square_norms=msq,
-        sigma_min_gramians=sig,
-    )
-
-    step = _DLR_STEPS.get(scheme)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n + 1):
-            if low_rank:
-                msq[i] = mean_square_norm(state.y)
-                node_gramian = gramian(state.y)
-                sig[i] = node_gramian.sigma_min
-            else:
-                msq[i] = mean_square_norm(x)
-            if i in record_set:
-                traj.node_indices.append(i)
-                traj.node_values.append(
-                    reconstruct(state) if low_rank else x.copy())
-                if keep_states and low_rank:
-                    traj.node_states.append(state)
-            if i == n:
-                break
-            dw = grid.increments[i]
-            try:
-                if low_rank:
-                    state, record = step(
-                        model, state, dt, dw, fast_linear=fast_linear,
-                        debug=debug, rank_policy=rank_policy,
-                        u_solve_perturbation=u_solve_perturbation,
-                        t_next=times[i + 1], node_gramian=node_gramian)
-                    traj.records.append(record)
-                else:
-                    x = em_step(model, x, times[i], dt, dw)
-            except (LowRankSdeError, np.linalg.LinAlgError) as exc:
-                traj.completed = False
-                traj.error = "%s at step %d (t=%.6g): %s" % (
-                    type(exc).__name__, i, times[i], exc)
-                break
-
-    traj.final_state = state if low_rank else x
-    return traj
+    stepper = Stepper(model, scheme, init, grid, record_nodes=record_nodes,
+                      keep_states=keep_states, debug=debug,
+                      fast_linear=fast_linear, rank_policy=rank_policy,
+                      u_solve_perturbation=u_solve_perturbation)
+    for dw in grid.increments:
+        if not stepper.advance(dw):
+            break
+    return stepper.traj

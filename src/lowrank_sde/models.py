@@ -541,6 +541,12 @@ def gbm_oracle(mu=0.05, sigma=0.2):
     return model, law
 
 
+def gbm_exact_value(mu, sigma, t, w):
+    """Exact GBM value exp((mu - sigma^2/2) t + sigma w) at time t on
+    paths whose Brownian motion is at w there."""
+    return np.exp((mu - 0.5 * sigma ** 2) * t + sigma * w)
+
+
 def gbm_exact_values(mu, sigma, grid, node_indices=None):
     """Pathwise exact GBM values exp((mu - sigma^2/2) t + sigma W_t).
 
@@ -560,7 +566,7 @@ def gbm_exact_values(mu, sigma, grid, node_indices=None):
     node_indices = np.asarray(node_indices, dtype=int)
     out = np.empty((node_indices.size, 1, grid.m_paths))
     for row, n in enumerate(node_indices):
-        out[row, 0] = np.exp((mu - 0.5 * sigma ** 2) * times[n] + sigma * w[n])
+        out[row, 0] = gbm_exact_value(mu, sigma, times[n], w[n])
     return out
 
 

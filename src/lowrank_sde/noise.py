@@ -2,10 +2,13 @@
 
 Increments are produced by a counter-based generator (Philox) keyed per
 step block, so any (step, component, path) entry is reproducible in
-isolation and path blocks can be generated in parallel. Coarse grids are
-built by summing fine increments; every coarse increment is computed as
-a flat left-to-right sum over the original finest grid's blocks, which
-makes repeated coarsening exactly associative.
+isolation.  ``increment_blocks`` streams a grid's increments one step
+block at a time, and ``generate`` stores the same blocks as one array.
+Coarse increments are flat left-to-right sums of the finest grid's
+blocks (``BlockSum``), which makes repeated coarsening exactly
+associative; ``coarsen`` applies that sum to a stored grid, and a caller
+that streams the blocks can feed them to a ``BlockSum`` as they come and
+keep no grid at all.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +27,8 @@ class BrownianGrid:
     """Brownian increments on a uniform grid over [t0, t1].
 
     increments[n, c, j] is the increment of component c for path j over
-    step n, distributed N(0, dt) with dt = (t1 - t0) / n_steps.
+    step n, distributed N(0, dt) with dt = (t1 - t0) / n_steps; it is
+    None for a grid whose increments are streamed, not stored.
     coarsen_factor records how many finest-grid steps one step here
     spans (1 for a freshly generated grid).
     """
@@ -35,7 +39,7 @@ class BrownianGrid:
     n_steps: int
     m: int
     m_paths: int
-    increments: np.ndarray
+    increments: np.ndarray = None
     coarsen_factor: int = 1
     # finest-grid increments this grid was derived from, kept so further
     # coarsening can always sum root blocks in one fixed order
@@ -58,12 +62,14 @@ def _standard_normal_block(seed, step, m, m_paths):
     return ndtri(uniforms + _OPEN_INTERVAL_SHIFT)
 
 
-def generate(seed, t0, t1, n_steps, m, m_paths):
-    """Generate a Brownian increment grid.
+def increment_blocks(seed, t0, t1, n_steps, m, m_paths):
+    """Stream the increments of a Brownian grid one step block at a time.
 
-    Each scalar increment is sqrt(dt) times an inverse-CDF standard
-    normal from a Philox stream keyed [seed, step]. Identical arguments
-    give bit-identical arrays.
+    Checks the arguments at once and returns an iterator over the
+    (m, m_paths) blocks of steps 0 .. n_steps - 1: sqrt(dt) times an
+    inverse-CDF standard normal block from a Philox stream keyed
+    [seed, step].  Block n equals ``generate(...).increments[n]`` bit
+    for bit, and only the block in hand is held in memory.
     """
     if n_steps < 1:
         raise GridMismatch("n_steps must be >= 1, got %d" % n_steps)
@@ -71,11 +77,21 @@ def generate(seed, t0, t1, n_steps, m, m_paths):
         raise GridMismatch("need t1 > t0, got [%r, %r]" % (t0, t1))
     if m < 1 or m_paths < 1:
         raise GridMismatch("need m >= 1 and m_paths >= 1")
-    dt = (t1 - t0) / n_steps
-    scale = np.sqrt(dt)
+    scale = np.sqrt((t1 - t0) / n_steps)
+    return (scale * _standard_normal_block(seed, step, m, m_paths)
+            for step in range(n_steps))
+
+
+def generate(seed, t0, t1, n_steps, m, m_paths):
+    """Generate a Brownian increment grid.
+
+    Stores the blocks of ``increment_blocks`` as one array. Identical
+    arguments give bit-identical arrays.
+    """
+    blocks = increment_blocks(seed, t0, t1, n_steps, m, m_paths)
     increments = np.empty((n_steps, m, m_paths))
-    for step in range(n_steps):
-        increments[step] = scale * _standard_normal_block(seed, step, m, m_paths)
+    for step, block in enumerate(blocks):
+        increments[step] = block
     grid = BrownianGrid(
         seed=int(seed),
         t0=float(t0),
@@ -89,11 +105,38 @@ def generate(seed, t0, t1, n_steps, m, m_paths):
     return grid
 
 
+class BlockSum:
+    """Left-to-right sum of each run of ``factor`` consecutive blocks.
+
+    ``push`` takes the next block and returns the finished sum after
+    every factor-th block, None before.  The first block of a run is
+    copied and the others are added to it in place, one at a time, so
+    the sum of a run never depends on how the blocks were delivered.
+    Each returned sum is a new array that later pushes leave alone.
+    """
+
+    def __init__(self, factor):
+        self.factor = factor
+        self._count = 0
+        self._acc = None
+
+    def push(self, block):
+        if self._count == 0:
+            self._acc = block.copy()
+        else:
+            self._acc += block
+        self._count += 1
+        if self._count < self.factor:
+            return None
+        self._count = 0
+        return self._acc
+
+
 def coarsen(fine, factor):
     """Sum consecutive increments into a coarser grid.
 
-    factor must divide fine.n_steps. Each coarse increment is the exact
-    left-to-right sum of the corresponding finest-grid blocks, so
+    factor must divide fine.n_steps. Each coarse increment is the
+    ``BlockSum`` of the corresponding finest-grid blocks, so
     coarsen(coarsen(g, a), b) equals coarsen(g, a*b) bit for bit.
     """
     factor = int(factor)
@@ -107,19 +150,17 @@ def coarsen(fine, factor):
         return fine
     root = fine.root_increments
     total = fine.coarsen_factor * factor
-    n_coarse = fine.n_steps // factor
-    out = np.empty((n_coarse, fine.m, fine.m_paths))
-    for i in range(n_coarse):
-        block = root[i * total]
-        acc = block.copy()
-        for j in range(i * total + 1, (i + 1) * total):
-            acc += root[j]
-        out[i] = acc
+    out = np.empty((fine.n_steps // factor, fine.m, fine.m_paths))
+    run = BlockSum(total)
+    for j, block in enumerate(root):
+        summed = run.push(block)
+        if summed is not None:
+            out[j // total] = summed
     grid = BrownianGrid(
         seed=fine.seed,
         t0=fine.t0,
         t1=fine.t1,
-        n_steps=n_coarse,
+        n_steps=out.shape[0],
         m=fine.m,
         m_paths=fine.m_paths,
         increments=out,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from lowrank_sde.cli import main as cli_main
 from lowrank_sde.ensemble import load_snapshot
-from lowrank_sde.errors import SpecError
+import lowrank_sde.integrators
+from lowrank_sde.errors import ModelBlowUp, SpecError, StepFailed
 from lowrank_sde.harness import (
     ExperimentSpec,
     classify_stability,
@@ -307,6 +309,66 @@ class TestRunConvergence:
         assert (tmp_path / "seq" / "errors_em_vs_exact.csv").read_bytes() == \
             (tmp_path / "par" / "errors_em_vs_exact.csv").read_bytes()
 
+    def test_full_order_scheme_alone_against_fine_references(self, tmp_path):
+        # the fine splitting reference starts from the rank-k samples
+        # even when no cell of the sweep is low-rank
+        spec = make_spec(tmp_path, model="toy_example_2", rank=2,
+                         dt_values=(0.1, 0.05), reference="em_fine",
+                         fine_factor=2)
+        out = run_convergence(spec)
+        assert not out["failures"]
+        assert out["reports"][("em", "dlr_ps_sde_fine")].dt_values.size == 2
+
+    @pytest.mark.parametrize("failing", ["em_fine", "dlr_ps_sde_fine"])
+    def test_failing_reference_raises_before_any_output(self, tmp_path,
+                                                        monkeypatch, failing):
+        if failing == "em_fine":
+            # no registered model makes the full-order run fail before
+            # the splitting one, so its step fails on purpose here
+            em_step = lowrank_sde.integrators.em_step
+
+            def failing_em_step(model, x, t, dt, dw):
+                if t >= 0.5:
+                    raise ModelBlowUp("injected at t=%g" % t, t=t, path=0)
+                return em_step(model, x, t, dt, dw)
+
+            monkeypatch.setattr(lowrank_sde.integrators, "em_step",
+                                failing_em_step)
+            spec = make_spec(tmp_path, model="toy_example_2", rank=2,
+                             schemes=("dlr_em",), dt_values=(0.1, 0.05),
+                             reference="em_fine", fine_factor=2)
+        else:
+            # the moved samples' second moments overflow at the second
+            # fine step, two steps before the full-order run overflows
+            spec = make_spec(tmp_path, model_overrides={"mu": 1e100},
+                             dt_values=(0.5, 0.25), reference="em_fine",
+                             fine_factor=2)
+        with pytest.raises(StepFailed, match="fine reference %s failed"
+                           % failing):
+            run_convergence(spec)
+        assert os.listdir(spec.output_dir) == []
+
+    def test_peak_memory_independent_of_horizon(self, tmp_path):
+        # the sweep streams its noise and folds its errors node by node,
+        # so four times the horizon on the same dt ladder may not take
+        # four times the memory (storing the noise grid and the node
+        # clouds did)
+        def peak_bytes(t_final):
+            spec = make_spec(
+                tmp_path, model="toy_example_2", rank=2, paths=1000,
+                schemes=("em", "dlr_em", "dlr_ps_sde"), t_final=t_final,
+                dt_values=(0.2, 0.1, 0.05), reference="em_fine",
+                fine_factor=2)
+            tracemalloc.start()
+            try:
+                run_convergence(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1.0)  # warm-up: lazy imports and caches
+        assert peak_bytes(4.0) < 1.25 * peak_bytes(1.0)
+
     def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOWRANK_SDE_THREADS", "zero")
         with pytest.raises(SpecError, match="LOWRANK_SDE_THREADS"):
@@ -391,6 +453,24 @@ class TestRunStability:
             data = np.loadtxt(path, delimiter=",", skiprows=1)
             assert data.ndim == 2 and data.shape[1] == 2
             assert np.all(np.isfinite(data))
+
+    def test_thread_count_does_not_change_outputs(self, tmp_path,
+                                                  monkeypatch):
+        # the cells of this kind run on the harness thread pool
+        outputs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("LOWRANK_SDE_THREADS", threads)
+            spec = ExperimentSpec(
+                name="stab", kind="stability", model="stability_model",
+                schemes=("dlr_em", "dlr_ps_sde"), rank=4, paths=100, seed=3,
+                t_final=1.0, dt_values=(0.1, 0.05),
+                output_dir=str(tmp_path / threads))
+            run_stability(spec)
+            outputs.append({name: (tmp_path / threads / name).read_bytes()
+                            for name in os.listdir(tmp_path / threads)
+                            if name.endswith(".csv")})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
 
 
 class TestRunSingle:
