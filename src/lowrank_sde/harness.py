@@ -446,7 +446,7 @@ class _ExactReference:
     def __init__(self, model, grid):
         self._mu = model.mu
         self._sigma = model.sigma
-        self._times = grid.times()
+        self._time = grid.time
         self._node = 0
         self._w = np.zeros((1, grid.m_paths))
 
@@ -457,7 +457,7 @@ class _ExactReference:
 
     def cloud(self):
         return gbm_exact_value(self._mu, self._sigma,
-                               self._times[self._node], self._w)
+                               self._time(self._node), self._w)
 
 
 @dataclass
@@ -493,8 +493,10 @@ def run_convergence(spec):
     is complete.  All runs thus share Brownian paths and initial
     samples.  At every coarse node the pathwise squared distance of each
     cell to each reference, and the reference's own squared norm, are
-    folded into running per-path maxima, so no noise grid and no node
-    cloud is stored.  The cells run in lockstep on one thread.
+    folded into running per-path maxima.  No noise grid, node cloud or
+    per-step record is stored (the steppers run with ``record_nodes=()``),
+    so memory is O((cells + 2) d M) whatever the horizon.  The cells run
+    in lockstep on one thread.
 
     Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv,
     status.csv (ok/failed per cell; failed cells are excluded from the
@@ -511,7 +513,7 @@ def run_convergence(spec):
     def lattice(n):
         return BrownianGrid(seed=spec.seed, t0=0.0, t1=spec.t_final,
                             n_steps=n, m=model.m, m_paths=spec.paths,
-                            coarsen_factor=n_fine // n)
+                            increments=None, coarsen_factor=n_fine // n)
 
     fine = lattice(n_fine)
     if spec.reference == "exact":

@@ -105,10 +105,12 @@ class Trajectory:
     """Result of integrating one scheme over one increment grid.
 
     Sample values are stored only at the requested node indices;
-    scalar diagnostics are kept at every grid node.  Lineage fields
-    (seed, endpoints, step counts, coarsening factor) let error metrics
-    verify that two trajectories were driven by the same root noise
-    before comparing them.
+    scalar diagnostics are kept at every grid node.  A run that records
+    no node keeps no diagnostics either: ``times``, ``mean_square_norms``
+    and ``sigma_min_gramians`` are None and ``records`` stays empty.
+    Lineage fields (seed, endpoints, step counts, coarsening factor) let
+    error metrics verify that two trajectories were driven by the same
+    root noise before comparing them.
     """
 
     scheme: str
@@ -340,6 +342,12 @@ def _dlr_step(model, state, dt, dw, *, moved_gramian, full_increment,
         g = (expectation_outer(y_ref, w) if full_increment
              else expectation_outer(y_ref, a) * dt)
         u_new, residual = _basis_solve(c_mat, u, _without_row_span(g, u))
+        if not np.isfinite(residual):
+            # the norms of the solve overflow once samples pass ~1e154
+            j = int(np.argmax(np.max(np.abs(y_ref), axis=0)))
+            raise ModelBlowUp(
+                "basis solve overflowed at t=%.6g; largest samples on "
+                "path %d" % (state.t, j), t=state.t, path=j)
     if u_solve_perturbation is not None:
         u_new = u_new + u_solve_perturbation(c_mat)
 
@@ -455,7 +463,9 @@ class Stepper:
     in turn.  The keyword arguments are those of ``integrate``, which
     drives a stepper over a stored grid.  The scalar diagnostics of a
     node, and its cloud if recorded, are taken when the loop reaches it;
-    ``traj.final_state`` is the state at the last node reached.
+    ``traj.final_state`` is the state at the last node reached.  With
+    ``record_nodes=()`` the stepper records nothing per node or step,
+    so its memory does not grow with the step count.
     """
 
     def __init__(self, model, scheme, init, grid, *, record_nodes=None,
@@ -492,8 +502,10 @@ class Stepper:
                 if i < 0 or i > n:
                     raise ValueError("record node %d outside grid [0, %d]"
                                      % (i, n))
+        self._diagnostics = keep = bool(self._record_set)
         self._model = model
         self._dt = grid.dt
+        self._time = grid.time
         self._keep_states = keep_states
         self._options = dict(fast_linear=fast_linear, debug=debug,
                              rank_policy=rank_policy,
@@ -507,10 +519,11 @@ class Stepper:
             n_steps=n,
             grid_seed=grid.seed,
             coarsen_factor=grid.coarsen_factor,
-            times=grid.times(),
-            mean_square_norms=np.full(n + 1, np.nan),
-            sigma_min_gramians=np.full(n + 1, np.nan),
+            times=grid.times() if keep else None,
+            mean_square_norms=np.full(n + 1, np.nan) if keep else None,
+            sigma_min_gramians=np.full(n + 1, np.nan) if keep else None,
         )
+        self._node_gramian = None
         self.node = 0
         with np.errstate(over="ignore", invalid="ignore"):
             self._reach_node()
@@ -523,6 +536,8 @@ class Stepper:
         i = self.node
         traj = self.traj
         traj.final_state = self.state
+        if not self._diagnostics:
+            return
         if self.low_rank:
             traj.mean_square_norms[i] = mean_square_norm(self.state.y)
             self._node_gramian = gramian(self.state.y)
@@ -547,22 +562,22 @@ class Stepper:
         """
         i = self.node
         traj = self.traj
-        times = traj.times
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if self.low_rank:
                     self.state, record = self._step(
                         self._model, self.state, self._dt, dw,
-                        t_next=times[i + 1], node_gramian=self._node_gramian,
-                        **self._options)
-                    traj.records.append(record)
+                        t_next=self._time(i + 1),
+                        node_gramian=self._node_gramian, **self._options)
+                    if self._diagnostics:
+                        traj.records.append(record)
                 else:
-                    self.state = em_step(self._model, self.state, times[i],
-                                         self._dt, dw)
+                    self.state = em_step(self._model, self.state,
+                                         self._time(i), self._dt, dw)
             except (LowRankSdeError, np.linalg.LinAlgError) as exc:
                 traj.completed = False
                 traj.error = "%s at step %d (t=%.6g): %s" % (
-                    type(exc).__name__, i, times[i], exc)
+                    type(exc).__name__, i, self._time(i), exc)
                 return False
             self.node = i + 1
             self._reach_node()
@@ -587,7 +602,8 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         count.
     record_nodes : iterable of int, optional
         Grid node indices at which the reconstructed cloud is stored.
-        Defaults to the first and last node.
+        Defaults to the first and last node.  An empty iterable records
+        nothing, not even the per-node scalar diagnostics.
     keep_states : bool
         Also store the factored states at the recorded nodes.
     debug : bool
@@ -609,6 +625,9 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         a LinAlgError; scalar diagnostics before the failure are kept
         and the error is annotated.  Other exceptions propagate.
     """
+    if grid.increments is None:
+        raise ValueError("integrate needs a grid that stores its "
+                         "increments; stream them through a Stepper")
     stepper = Stepper(model, scheme, init, grid, record_nodes=record_nodes,
                       keep_states=keep_states, debug=debug,
                       fast_linear=fast_linear, rank_policy=rank_policy,

@@ -27,8 +27,10 @@ class BrownianGrid:
     """Brownian increments on a uniform grid over [t0, t1].
 
     increments[n, c, j] is the increment of component c for path j over
-    step n, distributed N(0, dt) with dt = (t1 - t0) / n_steps; it is
-    None for a grid whose increments are streamed, not stored.
+    step n, distributed N(0, dt) with dt = (t1 - t0) / n_steps.  A
+    caller that streams the increments with ``increment_blocks`` passes
+    None: such a grid fixes only the time lattice and the lineage, and
+    ``coarsen`` and ``integrators.integrate`` refuse it.
     coarsen_factor records how many finest-grid steps one step here
     spans (1 for a freshly generated grid).
     """
@@ -39,7 +41,7 @@ class BrownianGrid:
     n_steps: int
     m: int
     m_paths: int
-    increments: np.ndarray = None
+    increments: np.ndarray
     coarsen_factor: int = 1
     # finest-grid increments this grid was derived from, kept so further
     # coarsening can always sum root blocks in one fixed order
@@ -52,6 +54,10 @@ class BrownianGrid:
     def times(self):
         """Grid nodes t_0 .. t_N, length n_steps + 1."""
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
+
+    def time(self, i):
+        """Grid node t_i, equal to ``times()[i]`` bit for bit."""
+        return self.t0 + self.dt * np.float64(i)
 
 
 def _standard_normal_block(seed, step, m, m_paths):
@@ -146,6 +152,8 @@ def coarsen(fine, factor):
         raise GridMismatch(
             "factor %d does not divide n_steps %d" % (factor, fine.n_steps)
         )
+    if fine.root_increments is None:
+        raise GridMismatch("cannot coarsen a grid that stores no increments")
     if factor == 1:
         return fine
     root = fine.root_increments

@@ -319,9 +319,15 @@ class TestRunConvergence:
         assert not out["failures"]
         assert out["reports"][("em", "dlr_ps_sde_fine")].dt_values.size == 2
 
-    @pytest.mark.parametrize("failing", ["em_fine", "dlr_ps_sde_fine"])
+    @pytest.mark.parametrize("failing, cause", [
+        pytest.param("em_fine", "injected", id="em_fine"),
+        pytest.param("dlr_ps_sde_fine", "second moments overflowed",
+                     id="dlr_ps_sde_fine"),
+        pytest.param("dlr_ps_sde_fine", "basis solve overflowed",
+                     id="dlr_ps_sde_fine-basis_solve")])
     def test_failing_reference_raises_before_any_output(self, tmp_path,
-                                                        monkeypatch, failing):
+                                                        monkeypatch, failing,
+                                                        cause):
         if failing == "em_fine":
             # no registered model makes the full-order run fail before
             # the splitting one, so its step fails on purpose here
@@ -337,14 +343,21 @@ class TestRunConvergence:
             spec = make_spec(tmp_path, model="toy_example_2", rank=2,
                              schemes=("dlr_em",), dt_values=(0.1, 0.05),
                              reference="em_fine", fine_factor=2)
-        else:
+        elif cause.startswith("second"):
             # the moved samples' second moments overflow at the second
             # fine step, two steps before the full-order run overflows
             spec = make_spec(tmp_path, model_overrides={"mu": 1e100},
                              dt_values=(0.5, 0.25), reference="em_fine",
                              fine_factor=2)
-        with pytest.raises(StepFailed, match="fine reference %s failed"
-                           % failing):
+        else:
+            # past ~1e154 the basis solve's norms overflow while the
+            # samples, and the full-order run, are still finite
+            spec = make_spec(tmp_path,
+                             model_overrides={"mu": 800.0, "sigma": 0.1},
+                             schemes=("dlr_em",), paths=50,
+                             reference="em_fine", fine_factor=4)
+        with pytest.raises(StepFailed, match="fine reference %s failed: "
+                           ".*%s" % (failing, cause)):
             run_convergence(spec)
         assert os.listdir(spec.output_dir) == []
 

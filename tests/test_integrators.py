@@ -16,6 +16,7 @@ from lowrank_sde.ensemble import (
 )
 from lowrank_sde.errors import ModelBlowUp, StepFailed
 from lowrank_sde.integrators import (
+    Stepper,
     StepRecord,
     dlr_em_step,
     dlr_ps_em_step,
@@ -33,7 +34,7 @@ from lowrank_sde.models import (
     toy_example_1,
     toy_example_2,
 )
-from lowrank_sde.noise import coarsen, generate
+from lowrank_sde.noise import BrownianGrid, coarsen, generate
 
 DLR_STEPS = (dlr_em_step, dlr_ps_em_step, dlr_ps_sde_step)
 
@@ -573,6 +574,19 @@ class TestIntegrate:
         assert not low.completed
         assert "ModelBlowUp" in low.error
 
+    def test_overflowing_basis_solve_fails_the_run(self):
+        # past ~1e154 the norms of the basis solve overflow while the
+        # samples are still finite; that is a blowup, not a bad record
+        model, law = gbm_oracle(mu=800.0, sigma=0.1)
+        samples = law(5, 50)
+        state = init_rank_k(samples, 1)
+        grid = generate(5, 0.0, 1.0, 100, model.m, 50)
+        for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde"):
+            traj = integrate(model, scheme, state, grid)
+            assert not traj.completed
+            assert "ModelBlowUp" in traj.error
+            assert "basis solve overflowed" in traj.error
+
     def test_programming_error_raises_instead_of_failing_the_run(self):
         # a drift of the wrong shape is a bug, not a numerical failure:
         # integrate must raise it rather than return completed=False
@@ -625,3 +639,26 @@ class TestIntegrate:
         bad_m = generate(68, 0.0, 0.1, 2, model.m + 1, 50)
         with pytest.raises(ValueError):
             integrate(model, "dlr_em", state, bad_m)
+        lattice = BrownianGrid(seed=68, t0=0.0, t1=0.1, n_steps=2,
+                               m=model.m, m_paths=50, increments=None)
+        with pytest.raises(ValueError, match="stores its increments"):
+            integrate(model, "dlr_em", state, lattice)
+
+    def test_stepper_recording_nothing_matches_integrate(self):
+        # record_nodes=() keeps no per-node or per-step diagnostics but
+        # steps exactly like the recording loop
+        model, state = toy_state(m_paths=80)
+        grid = generate(70, 0.0, 0.3, 6, model.m, 80)
+        for scheme in ("em", "dlr_em", "dlr_ps_em", "dlr_ps_sde"):
+            init = reconstruct(state) if scheme == "em" else state
+            full = integrate(model, scheme, init, grid)
+            stepper = Stepper(model, scheme, init, grid, record_nodes=())
+            for dw in grid.increments:
+                assert stepper.advance(dw)
+            bare = stepper.traj
+            assert bare.records == [] and bare.node_values == []
+            assert bare.times is None and bare.mean_square_norms is None
+            assert bare.sigma_min_gramians is None
+            assert np.array_equal(stepper.cloud(), full.node_values[-1])
+            if scheme != "em":
+                assert bare.final_state.t == full.final_state.t

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from lowrank_sde.errors import GridMismatch
 from lowrank_sde.noise import (
     BlockSum,
+    BrownianGrid,
     _standard_normal_block,
     coarsen,
     generate,
@@ -40,6 +41,12 @@ class TestGenerate:
         step = data.draw(st.integers(0, n - 1))
         alone = np.sqrt(g.dt) * _standard_normal_block(seed, step, m, m_paths)
         assert np.array_equal(alone, g.increments[step])
+
+    def test_node_time_equals_times_entry(self):
+        for t0, t1, n in ((0.0, 1.0, 10), (-0.3, 2.7, 7), (1e-3, 0.1, 33)):
+            g = generate(19, t0, t1, n, 1, 1)
+            times = g.times()
+            assert all(g.time(i) == times[i] for i in range(n + 1))
 
     def test_different_seeds_differ(self):
         g1 = generate(123, 0.0, 1.0, 4, 2, 5)
@@ -148,6 +155,13 @@ class TestCoarsen:
         g = generate(17, 0.0, 1.0, 10, 1, 2)
         with pytest.raises(GridMismatch):
             coarsen(g, 3)
+
+    def test_grid_without_increments_rejected(self):
+        lattice = BrownianGrid(seed=18, t0=0.0, t1=1.0, n_steps=4, m=1,
+                               m_paths=2, increments=None)
+        for factor in (1, 2):
+            with pytest.raises(GridMismatch, match="no increments"):
+                coarsen(lattice, factor)
 
 
 def test_grid_rederivable_from_tuple():
