@@ -6,13 +6,15 @@ Verbs:
     validate <spec-file>  parse and validate without running
 
 Exit codes: 0 on success, 2 when validation fails, 3 when a run fails
-at runtime.
+at runtime (a library, linear-algebra or I/O error); others propagate.
 """
 
 import argparse
 import sys
 
-from .errors import SpecError
+import numpy as np
+
+from .errors import LowRankSdeError, SpecError
 from .harness import load_specs, run_experiment
 from .models import MODEL_BUILDERS, build_model
 
@@ -68,7 +70,7 @@ def main(argv=None):
             print("spec error in [%s]: %s" % (spec.name, exc),
                   file=sys.stderr)
             return 2
-        except Exception as exc:
+        except (LowRankSdeError, np.linalg.LinAlgError, OSError) as exc:
             print("run failed in [%s]: %s" % (spec.name, exc),
                   file=sys.stderr)
             return 3

@@ -10,10 +10,8 @@ instead of being ignored.  Four experiment kinds exist:
     integrates the configured schemes, and reports L2-sup errors and
     fitted orders against the configured reference (pathwise exact
     values for the scalar oracle, otherwise a fine full-order run and
-    a fine splitting run on the same grid and initial samples).  One
-    walk over the fine grid streams the noise and advances the
-    references and all cells in lockstep, folding the errors node by
-    node, so memory does not grow with the horizon.
+    a fine splitting run on the same grid and initial samples), folding
+    the errors node by node.
 ``singular_values``
     Traces the smallest Gramian eigenvalue per step for each
     (scheme, dt) cell, next to the simple and accumulated lower
@@ -27,16 +25,16 @@ instead of being ignored.  Four experiment kinds exist:
     One scheme on one grid, serializing factored snapshots at
     configured times.
 
+Every kind runs as one walk on one thread over lanes, one time lattice
+each: the fine grid of a sweep, or the grid of one dt.  Each step's
+standard normal block is drawn once and scaled for every lane that has
+that step, and the cells step on it in lockstep, so they share Brownian
+paths and no noise grid is stored.  A cell's outputs do not depend on
+the other cells of its run (in a sweep, while the finest dt stays).
+
 Every run writes a ``manifest.json`` recording the resolved spec, the
 library version, wall time, and a SHA-256 digest of each output file;
 re-running a spec reproduces every CSV byte for byte.
-
-The LOWRANK_SDE_THREADS environment variable (default 1) sets how
-many (scheme, dt) cells of a ``singular_values`` or ``stability``
-experiment may run concurrently; each cell's step loop stays
-sequential, so results do not depend on the thread count.  The cells
-of a ``convergence`` sweep depend on one shared walk and run on one
-thread; the variable is still validated there.
 """
 
 import configparser
@@ -45,8 +43,7 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,13 +69,19 @@ from .ensemble import (
     save_snapshot,
 )
 from .errors import SpecError, StepFailed
-from .integrators import RANK_POLICIES, SCHEMES, Stepper, integrate
+from .integrators import RANK_POLICIES, SCHEMES, Stepper
 from .models import build_model, gbm_exact_value
-from .noise import BlockSum, BrownianGrid, generate, increment_blocks
+from .noise import BlockSum, BrownianGrid, lattice_blocks
 
 # unused here; perfbench/tracer.py wraps these names on this module
 from .diagnostics import l2_sup_error, relative_l2_sup_error  # noqa: F401
-from .noise import coarsen  # noqa: F401
+from .integrators import integrate  # noqa: F401
+from .noise import coarsen, generate  # noqa: F401
+
+
+def _map_cells(fn, cells):
+    return [fn(cell) for cell in cells]
+
 
 KINDS = ("convergence", "singular_values", "stability", "single_run")
 REFERENCES = ("exact", "em_fine", "dlr_ps_sde_fine")
@@ -217,8 +220,7 @@ class ExperimentSpec:
                 if _off_node(n * dt, self.t_final, self.t_final):
                     raise SpecError("%s dt=%g does not divide t_final=%g"
                                     % (where, dt, self.t_final))
-            n_fine = self.fine_factor * _steps_for(
-                self.dt_values[-1], self.t_final, where)
+            n_fine = self.fine_steps()
             for dt in self.dt_values:
                 if n_fine % _steps_for(dt, self.t_final, where):
                     raise SpecError(
@@ -242,27 +244,6 @@ class ExperimentSpec:
         """Number of steps of the shared fine grid (convergence only)."""
         return self.fine_factor * _steps_for(
             self.dt_values[-1], self.t_final, self.name)
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "model": self.model,
-            "model_overrides": dict(self.model_overrides),
-            "schemes": list(self.schemes),
-            "rank": self.rank,
-            "paths": self.paths,
-            "seed": self.seed,
-            "t_final": self.t_final,
-            "dt_values": list(self.dt_values),
-            "reference": self.reference,
-            "fine_factor": self.fine_factor,
-            "output_dir": self.output_dir,
-            "debug_identities": self.debug_identities,
-            "linear_fast_path": self.linear_fast_path,
-            "rank_policy": self.rank_policy,
-            "snapshot_times": list(self.snapshot_times),
-        }
 
 
 def load_specs(path):
@@ -346,27 +327,6 @@ def load_specs(path):
     return specs
 
 
-def _thread_count():
-    raw = os.environ.get("LOWRANK_SDE_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise SpecError("LOWRANK_SDE_THREADS must be an integer, got %r"
-                        % raw)
-    if count < 1:
-        raise SpecError("LOWRANK_SDE_THREADS must be >= 1, got %d" % count)
-    return count
-
-
-def _map_cells(fn, cells):
-    """Evaluate fn over independent cells, possibly on worker threads."""
-    threads = _thread_count()
-    if threads == 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -377,7 +337,7 @@ def _sha256(path):
 
 def _write_manifest(spec, out_dir, outputs, wall_seconds, summary):
     manifest = {
-        "spec": spec.as_dict(),
+        "spec": asdict(spec),
         "version": __version__,
         "wall_time_seconds": wall_seconds,
         "seed": spec.seed,
@@ -416,27 +376,21 @@ def _prepare(spec):
     return model, samples, state0
 
 
-def _run_from(run, spec, model, samples, state0, scheme, grid, **recording):
-    """Call run (``integrate`` or ``Stepper``) for one scheme with the
-    spec's step options from its initial ensemble: the samples for "em",
-    their rank-k factorization else."""
+def _stepper(spec, model, samples, state0, scheme, grid, **recording):
+    """Stepper of one scheme with the spec's step options, from the
+    samples for "em" and from their rank-k factorization else."""
     init = samples if scheme == "em" else state0
-    return run(model, scheme, init, grid,
-               debug=spec.debug_identities,
-               fast_linear=spec.linear_fast_path,
-               rank_policy=spec.rank_policy, **recording)
+    return Stepper(model, scheme, init, grid,
+                   debug=spec.debug_identities,
+                   fast_linear=spec.linear_fast_path,
+                   rank_policy=spec.rank_policy, **recording)
 
 
-def _fixed_grid(spec, model, dt):
-    """Brownian grid of n = round(t_final / dt) steps of size dt, which
-    ends at n * dt; warns when that horizon is not t_final."""
-    n = _steps_for(dt, spec.t_final, spec.name)
-    horizon = n * dt
-    if _off_node(horizon, spec.t_final, spec.t_final):
-        warnings.warn("[%s] dt=%g does not divide t_final=%g; the run "
-                      "ends at t=%.17g" % (spec.name, dt, spec.t_final,
-                                           horizon))
-    return generate(spec.seed, 0.0, horizon, n, model.m, spec.paths)
+def _lattice(spec, model, n, t1, coarsen_factor=1):
+    """Lattice of n steps over [0, t1]; the walk streams its increments."""
+    return BrownianGrid(seed=spec.seed, t0=0.0, t1=t1, n_steps=n,
+                        m=model.m, m_paths=spec.paths, increments=None,
+                        coarsen_factor=coarsen_factor)
 
 
 class _ExactReference:
@@ -461,15 +415,24 @@ class _ExactReference:
 
 
 @dataclass
-class _SweepLevel:
-    """The cells of one coarse dt, the block sum that builds their
-    increments, and the running per-path sups of the references at
-    their nodes and of each cell's distance to each reference."""
+class _Level:
+    """Cells, keyed by scheme, stepping on each sum of ``block_sum.factor``
+    lane blocks; in a sweep also the running per-path sups of errors."""
 
     block_sum: BlockSum
     cells: dict
-    ref_sup_sq: dict
-    cell_sup_sq: dict
+    ref_sup_sq: dict = field(default_factory=dict)
+    cell_sup_sq: dict = field(default_factory=dict)
+
+    def step(self, block):
+        """Push one lane block; True when the cells took a step on it."""
+        dw = self.block_sum.push(block)
+        if dw is None:
+            return False
+        for stepper in self.cells.values():
+            if not stepper.traj.error:
+                stepper.advance(dw)
+        return True
 
     def fold(self, ref_clouds):
         for name, ref in ref_clouds.items():
@@ -483,20 +446,74 @@ class _SweepLevel:
                 sups[name] = fold_sup_sq(sups[name], cloud - ref)
 
 
+@dataclass
+class _Lane:
+    """One time lattice of the walk: its references, which step on
+    every block and must not fail, and its levels."""
+
+    grid: BrownianGrid
+    levels: list
+    references: dict = field(default_factory=dict)
+
+    def fold(self, levels):
+        """Fold the references' current clouds into the given levels."""
+        ref_clouds = {name: ref.cloud()
+                      for name, ref in self.references.items()}
+        for level in levels:
+            level.fold(ref_clouds)
+
+    def step(self, block):
+        for name, ref in self.references.items():
+            if not ref.advance(block):
+                raise StepFailed("fine reference %s failed: %s"
+                                 % (name, ref.traj.error))
+        stepped = [level for level in self.levels if level.step(block)]
+        if stepped and self.references:
+            self.fold(stepped)
+
+
+def _walk(lanes):
+    """Step every lane on its blocks of ``lattice_blocks``, in lockstep."""
+    for blocks in lattice_blocks([lane.grid for lane in lanes]):
+        for lane, block in zip(lanes, blocks):
+            if block is not None:
+                lane.step(block)
+
+
+def _run_fixed_dt(spec, model, samples, state0, **recording):
+    """Walk one lane per dt, of n = round(t_final / dt) steps ending at
+    n * dt (with a warning when that is not t_final), whose one level
+    holds a stepper per scheme.  Returns (scheme, dt, trajectory) of
+    every cell, scheme-major."""
+    lanes = []
+    for dt in spec.dt_values:
+        n = _steps_for(dt, spec.t_final, spec.name)
+        horizon = n * dt
+        if _off_node(horizon, spec.t_final, spec.t_final):
+            warnings.warn("[%s] dt=%g does not divide t_final=%g; the run "
+                          "ends at t=%.17g" % (spec.name, dt, spec.t_final,
+                                               horizon))
+        grid = _lattice(spec, model, n, horizon)
+        cells = {scheme: _stepper(spec, model, samples, state0, scheme,
+                                  grid, **recording)
+                 for scheme in spec.schemes}
+        lanes.append(_Lane(grid, [_Level(BlockSum(1), cells)]))
+    _walk(lanes)
+    return [(scheme, dt, lane.levels[0].cells[scheme].traj)
+            for scheme in spec.schemes
+            for dt, lane in zip(spec.dt_values, lanes)]
+
+
 def run_convergence(spec):
     """Coupled step-size sweep with fitted convergence orders.
 
-    One walk over the fine grid drives everything.  Each fine Brownian
-    block is generated once; the fine references take one step on it,
-    and each coarse dt adds it to the running left-to-right sum that
-    becomes its next increment, stepping all of its cells when the sum
-    is complete.  All runs thus share Brownian paths and initial
-    samples.  At every coarse node the pathwise squared distance of each
-    cell to each reference, and the reference's own squared norm, are
-    folded into running per-path maxima.  No noise grid, node cloud or
-    per-step record is stored (the steppers run with ``record_nodes=()``),
-    so memory is O((cells + 2) d M) whatever the horizon.  The cells run
-    in lockstep on one thread.
+    The walk has one lane, the fine grid.  The fine references step on
+    each fine block, and each coarse dt sums the blocks left to right
+    into its cells' next increment.  At every coarse node the pathwise
+    squared distance of each cell to each reference, and the
+    reference's own squared norm, are folded into running per-path
+    maxima.  The steppers record nothing (``record_nodes=()``), so
+    memory is O((cells + 2) d M) whatever the horizon.
 
     Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv,
     status.csv (ok/failed per cell; failed cells are excluded from the
@@ -505,17 +522,10 @@ def run_convergence(spec):
     """
     started = time.monotonic()
     model, samples, state0 = _prepare(spec)
-    _thread_count()  # cells run in lockstep, but a bad value still fails
     n_values = [_steps_for(dt, spec.t_final, spec.name)
                 for dt in spec.dt_values]
     n_fine = spec.fine_factor * n_values[-1]
-
-    def lattice(n):
-        return BrownianGrid(seed=spec.seed, t0=0.0, t1=spec.t_final,
-                            n_steps=n, m=model.m, m_paths=spec.paths,
-                            increments=None, coarsen_factor=n_fine // n)
-
-    fine = lattice(n_fine)
+    fine = _lattice(spec, model, n_fine, spec.t_final)
     if spec.reference == "exact":
         references = {"exact": _ExactReference(model, fine)}
     else:
@@ -528,37 +538,18 @@ def run_convergence(spec):
 
     levels = []
     for n in n_values:
-        grid = lattice(n)
-        levels.append(_SweepLevel(
+        grid = _lattice(spec, model, n, spec.t_final, n_fine // n)
+        levels.append(_Level(
             block_sum=BlockSum(n_fine // n),
-            cells={scheme: _run_from(Stepper, spec, model, samples, state0,
-                                     scheme, grid, record_nodes=())
+            cells={scheme: _stepper(spec, model, samples, state0, scheme,
+                                    grid, record_nodes=())
                    for scheme in spec.schemes},
             ref_sup_sq=dict.fromkeys(references),
             cell_sup_sq={scheme: dict.fromkeys(references)
                          for scheme in spec.schemes}))
-
-    ref_clouds = {name: ref.cloud() for name, ref in references.items()}
-    for level in levels:
-        level.fold(ref_clouds)
-    for block in increment_blocks(spec.seed, 0.0, spec.t_final, n_fine,
-                                  model.m, spec.paths):
-        for name, ref in references.items():
-            if not ref.advance(block):
-                raise StepFailed("fine reference %s failed: %s"
-                                 % (name, ref.traj.error))
-        ref_clouds = None
-        for level in levels:
-            dw = level.block_sum.push(block)
-            if dw is None:
-                continue
-            for stepper in level.cells.values():
-                if not stepper.traj.error:
-                    stepper.advance(dw)
-            if ref_clouds is None:
-                ref_clouds = {name: ref.cloud()
-                              for name, ref in references.items()}
-            level.fold(ref_clouds)
+    lane = _Lane(fine, levels, references)
+    lane.fold(levels)
+    _walk([lane])
 
     by_scheme = {scheme: [] for scheme in spec.schemes}
     failures = []
@@ -637,25 +628,17 @@ def run_singular_values(spec):
     e0 = mean_square_norm(samples)
     sigma_b = model.sigma_b_lower or 0.0
 
-    def run_cell(cell):
-        scheme, dt = cell
-        grid = _fixed_grid(spec, model, dt)
-        traj = _run_from(integrate, spec, model, samples, state0, scheme, grid)
-        if scheme == "dlr_em":
-            k_bound = k1_bound(grid.t1, e0, c_lgb)
-        else:
-            k_bound = k4_bound(grid.t1, e0, c_lgb, grid.t1)
-        return scheme, dt, traj, k_bound
-
-    cells = [(scheme, dt) for scheme in spec.schemes
-             for dt in spec.dt_values]
-    results = _map_cells(run_cell, cells)
+    results = _run_fixed_dt(spec, model, samples, state0)
 
     outputs = []
     violation_rows = []
     failures = []
     traces = {}
-    for scheme, dt, traj, k_bound in results:
+    for scheme, dt, traj in results:
+        if scheme == "dlr_em":
+            k_bound = k1_bound(traj.t1, e0, c_lgb)
+        else:
+            k_bound = k4_bound(traj.t1, e0, c_lgb, traj.t1)
         if traj.error:
             failures.append({"scheme": scheme, "dt": dt,
                              "error": traj.error})
@@ -702,7 +685,7 @@ def run_singular_values(spec):
 
     summary = {"violations": len(violation_rows), "failures": failures,
                "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1
-                            for scheme, dt, traj, _ in results}}
+                            for scheme, dt, traj in results}}
     _write_manifest(spec, spec.output_dir, outputs,
                     time.monotonic() - started, summary)
     return {"traces": traces, "violations": violation_rows,
@@ -736,15 +719,7 @@ def run_stability(spec):
     started = time.monotonic()
     model, samples, state0 = _prepare(spec)
 
-    def run_cell(cell):
-        scheme, dt = cell
-        grid = _fixed_grid(spec, model, dt)
-        return scheme, dt, _run_from(integrate, spec, model, samples,
-                                     state0, scheme, grid)
-
-    cells = [(scheme, dt) for scheme in spec.schemes
-             for dt in spec.dt_values]
-    results = _map_cells(run_cell, cells)
+    results = _run_fixed_dt(spec, model, samples, state0)
 
     outputs = []
     class_rows = []
@@ -791,13 +766,12 @@ def run_single(spec):
     model, samples, state0 = _prepare(spec)
     scheme = spec.schemes[0]
     dt = spec.dt_values[0]
-    grid = _fixed_grid(spec, model, dt)
-    n = grid.n_steps
+    n = _steps_for(dt, spec.t_final, spec.name)
     snapshot_nodes = [int(round(t / dt)) for t in spec.snapshot_times]
     record = sorted({0, n, *snapshot_nodes})
 
-    traj = _run_from(integrate, spec, model, samples, state0, scheme, grid,
-                           record_nodes=record, keep_states=True)
+    [(_, _, traj)] = _run_fixed_dt(spec, model, samples, state0,
+                                   record_nodes=record, keep_states=True)
     if traj.error:
         raise StepFailed("single run failed: %s" % traj.error)
 

@@ -2,8 +2,11 @@
 
 Increments are produced by a counter-based generator (Philox) keyed per
 step block, so any (step, component, path) entry is reproducible in
-isolation.  ``increment_blocks`` streams a grid's increments one step
-block at a time, and ``generate`` stores the same blocks as one array.
+isolation.  A step's block is the same standard normal block on every
+lattice, scaled by that lattice's sqrt(dt).  ``increment_blocks`` streams
+a grid's increments one step block at a time, ``lattice_blocks`` streams
+those of several lattices at once and draws each step's block once for
+all of them, and ``generate`` stores the blocks of one grid as one array.
 Coarse increments are flat left-to-right sums of the finest grid's
 blocks (``BlockSum``), which makes repeated coarsening exactly
 associative; ``coarsen`` applies that sum to a stored grid, and a caller
@@ -28,9 +31,10 @@ class BrownianGrid:
 
     increments[n, c, j] is the increment of component c for path j over
     step n, distributed N(0, dt) with dt = (t1 - t0) / n_steps.  A
-    caller that streams the increments with ``increment_blocks`` passes
-    None: such a grid fixes only the time lattice and the lineage, and
-    ``coarsen`` and ``integrators.integrate`` refuse it.
+    caller that streams the increments (``increment_blocks``,
+    ``lattice_blocks``) passes None: such a grid fixes only the time
+    lattice and the lineage, and ``coarsen`` and
+    ``integrators.integrate`` refuse it.
     coarsen_factor records how many finest-grid steps one step here
     spans (1 for a freshly generated grid).
     """
@@ -74,8 +78,9 @@ def increment_blocks(seed, t0, t1, n_steps, m, m_paths):
     Checks the arguments at once and returns an iterator over the
     (m, m_paths) blocks of steps 0 .. n_steps - 1: sqrt(dt) times an
     inverse-CDF standard normal block from a Philox stream keyed
-    [seed, step].  Block n equals ``generate(...).increments[n]`` bit
-    for bit, and only the block in hand is held in memory.
+    [seed, step].  Block n equals ``generate(...).increments[n]``, and
+    that of any lattice of ``lattice_blocks`` with these parameters, bit
+    for bit; only the block in hand is held in memory.
     """
     if n_steps < 1:
         raise GridMismatch("n_steps must be >= 1, got %d" % n_steps)
@@ -83,9 +88,26 @@ def increment_blocks(seed, t0, t1, n_steps, m, m_paths):
         raise GridMismatch("need t1 > t0, got [%r, %r]" % (t0, t1))
     if m < 1 or m_paths < 1:
         raise GridMismatch("need m >= 1 and m_paths >= 1")
-    scale = np.sqrt((t1 - t0) / n_steps)
-    return (scale * _standard_normal_block(seed, step, m, m_paths)
-            for step in range(n_steps))
+    grid = BrownianGrid(seed, t0, t1, n_steps, m, m_paths, None)
+    return (blocks[0] for blocks in lattice_blocks([grid]))
+
+
+def lattice_blocks(lattices):
+    """Stream the increments of several lattices on one seed together.
+
+    ``lattices`` are ``BrownianGrid``s sharing seed, m and m_paths.  For
+    each step below the largest step count, yields per lattice its block
+    of that step, or None once it has ended.  Each step's standard
+    normal block is drawn once and scaled by each lattice's sqrt(dt).
+    """
+    first = lattices[0]
+    if len({(grid.seed, grid.m, grid.m_paths) for grid in lattices}) > 1:
+        raise GridMismatch("lattices must share seed, m and m_paths")
+    scales = [np.sqrt(grid.dt) for grid in lattices]
+    for step in range(max(grid.n_steps for grid in lattices)):
+        z = _standard_normal_block(first.seed, step, first.m, first.m_paths)
+        yield [scale * z if step < grid.n_steps else None
+               for grid, scale in zip(lattices, scales)]
 
 
 def generate(seed, t0, t1, n_steps, m, m_paths):

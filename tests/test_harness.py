@@ -8,9 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+import lowrank_sde.cli
 from lowrank_sde.cli import main as cli_main
-from lowrank_sde.ensemble import load_snapshot
+from lowrank_sde.diagnostics import dt_condition
+from lowrank_sde.ensemble import init_rank_k, load_snapshot
 import lowrank_sde.integrators
+import lowrank_sde.noise
 from lowrank_sde.errors import ModelBlowUp, SpecError, StepFailed
 from lowrank_sde.harness import (
     ExperimentSpec,
@@ -22,6 +25,9 @@ from lowrank_sde.harness import (
     run_singular_values,
     run_stability,
 )
+from lowrank_sde.integrators import integrate
+from lowrank_sde.models import build_model
+from lowrank_sde.noise import generate
 
 
 def make_spec(tmp_path, **overrides):
@@ -38,6 +44,16 @@ def write_ini(tmp_path, body, name="spec.ini"):
     path = tmp_path / name
     path.write_text(body)
     return str(path)
+
+
+def stored_grid_run(spec, scheme, dt):
+    """The trajectory of one fixed-dt cell run alone by ``integrate``
+    over a stored ``generate`` grid."""
+    model, law = build_model(spec.model, spec.model_overrides)
+    state0 = init_rank_k(law(spec.seed, spec.paths), spec.rank)
+    n = round(spec.t_final / dt)
+    grid = generate(spec.seed, 0.0, n * dt, n, model.m, spec.paths)
+    return integrate(model, scheme, state0, grid)
 
 
 GBM_INI = """
@@ -299,15 +315,28 @@ class TestRunConvergence:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path,
-                                                  monkeypatch):
-        spec_a = make_spec(tmp_path, output_dir=str(tmp_path / "seq"))
-        run_convergence(spec_a)
-        monkeypatch.setenv("LOWRANK_SDE_THREADS", "3")
-        spec_b = make_spec(tmp_path, output_dir=str(tmp_path / "par"))
-        run_convergence(spec_b)
-        assert (tmp_path / "seq" / "errors_em_vs_exact.csv").read_bytes() == \
-            (tmp_path / "par" / "errors_em_vs_exact.csv").read_bytes()
+    def test_cell_set_does_not_change_outputs(self, tmp_path):
+        # all cells step on the shared blocks of one fine walk, so a
+        # scheme's errors do not depend on the other schemes of the sweep
+        # nor, row by row, on its coarser dts
+        def error_csvs(name, schemes, dt_values):
+            spec = make_spec(tmp_path, model="toy_example_2", rank=2,
+                             paths=200, schemes=schemes, dt_values=dt_values,
+                             reference="em_fine", fine_factor=2,
+                             output_dir=str(tmp_path / name))
+            run_convergence(spec)
+            return {ref: (tmp_path / name / ("errors_dlr_ps_sde_vs_%s.csv"
+                                             % ref)).read_bytes()
+                    for ref in ("em_fine", "dlr_ps_sde_fine")}
+
+        ladder = (0.1, 0.05, 0.025)
+        together = error_csvs("together", ("em", "dlr_em", "dlr_ps_sde"),
+                               ladder)
+        assert error_csvs("alone", ("dlr_ps_sde",), ladder) == together
+        fewer = error_csvs("fewer", ("dlr_ps_sde",), ladder[1:])
+        for ref, data in together.items():
+            lines = data.splitlines()
+            assert fewer[ref].splitlines() == [lines[0]] + lines[2:]
 
     def test_full_order_scheme_alone_against_fine_references(self, tmp_path):
         # the fine splitting reference starts from the rank-k samples
@@ -382,14 +411,6 @@ class TestRunConvergence:
         peak_bytes(1.0)  # warm-up: lazy imports and caches
         assert peak_bytes(4.0) < 1.25 * peak_bytes(1.0)
 
-    def test_bad_thread_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LOWRANK_SDE_THREADS", "zero")
-        with pytest.raises(SpecError, match="LOWRANK_SDE_THREADS"):
-            run_convergence(make_spec(tmp_path))
-        monkeypatch.setenv("LOWRANK_SDE_THREADS", "0")
-        with pytest.raises(SpecError, match="LOWRANK_SDE_THREADS"):
-            run_convergence(make_spec(tmp_path))
-
 
 class TestRunSingularValues:
     def sv_spec(self, tmp_path, **overrides):
@@ -436,6 +457,37 @@ class TestRunSingularValues:
         assert np.all(trace.bound_refined == 0.0)
         assert out["violations"] == []
 
+    def test_cell_set_does_not_change_outputs(self, tmp_path):
+        # every lane scales the same per-step blocks, so a cell's trace
+        # is the same whichever other schemes and dts run with it
+        name = "singular_values_dlr_ps_em_dt0.1.csv"
+        run_singular_values(self.sv_spec(
+            tmp_path, dt_values=(0.1, 0.0625, 0.05)))
+        run_singular_values(self.sv_spec(
+            tmp_path, schemes=("dlr_ps_em",), dt_values=(0.1,),
+            output_dir=str(tmp_path / "alone")))
+        assert (tmp_path / "alone" / name).read_bytes() == \
+            (tmp_path / "sv" / name).read_bytes()
+
+    def test_cell_matches_integrate_over_generate(self, tmp_path):
+        # the trajectory enters the trace through its node times, its
+        # Gramian floors and the sup of its mean-square norms
+        spec = self.sv_spec(tmp_path)
+        run_singular_values(spec)
+        traj = stored_grid_run(spec, "dlr_ps_sde", 0.05)
+        rows = [line.split(",") for line in (
+            tmp_path / "sv" / "singular_values_dlr_ps_sde_dt0.05.csv"
+        ).read_text().splitlines()[1:]]
+        assert traj.completed and len(rows) == 21
+        c_lgb = build_model(spec.model, {})[0].c_lgb
+        sup_msq = float(np.max(traj.mean_square_norms))
+        for i, row in enumerate(rows):
+            sigma = traj.sigma_min_gramians[i]
+            assert row[0] == "%.17g" % traj.times[i]
+            assert row[1] == "%.17g" % sigma
+            assert row[4] == "%.17g" % dt_condition(max(sigma, 0.0), c_lgb,
+                                                    sup_msq)
+
 
 class TestClassifyStability:
     def test_labels(self):
@@ -467,23 +519,74 @@ class TestRunStability:
             assert data.ndim == 2 and data.shape[1] == 2
             assert np.all(np.isfinite(data))
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path,
-                                                  monkeypatch):
-        # the cells of this kind run on the harness thread pool
-        outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("LOWRANK_SDE_THREADS", threads)
-            spec = ExperimentSpec(
-                name="stab", kind="stability", model="stability_model",
-                schemes=("dlr_em", "dlr_ps_sde"), rank=4, paths=100, seed=3,
-                t_final=1.0, dt_values=(0.1, 0.05),
-                output_dir=str(tmp_path / threads))
-            run_stability(spec)
-            outputs.append({name: (tmp_path / threads / name).read_bytes()
-                            for name in os.listdir(tmp_path / threads)
-                            if name.endswith(".csv")})
-        assert len(outputs[0]) == 5
-        assert outputs[0] == outputs[1]
+    def stab_spec(self, tmp_path, name, **overrides):
+        fields = dict(
+            name="stab", kind="stability", model="stability_model",
+            schemes=("dlr_em", "dlr_ps_em", "dlr_ps_sde"), rank=4,
+            paths=100, seed=3, t_final=1.0, dt_values=(0.1, 0.0625, 0.05),
+            output_dir=str(tmp_path / name))
+        fields.update(overrides)
+        return ExperimentSpec(**fields)
+
+    def test_cell_set_does_not_change_outputs(self, tmp_path):
+        # the cells step in lockstep on shared blocks; a cell whose lane
+        # ends first reads the same bytes as when it runs alone
+        def lines(name, csv):
+            return (tmp_path / name / csv).read_text().splitlines()
+
+        run_stability(self.stab_spec(tmp_path, "together"))
+        for scheme, dt in (("dlr_ps_sde", 0.1), ("dlr_em", 0.0625)):
+            name = "alone_%s_%g" % (scheme, dt)
+            run_stability(self.stab_spec(tmp_path, name, schemes=(scheme,),
+                                         dt_values=(dt,)))
+            csv = "norms_%s_dt%g.csv" % (scheme, dt)
+            assert (tmp_path / name / csv).read_bytes() == \
+                (tmp_path / "together" / csv).read_bytes()
+            verdict = lines(name, "classification.csv")[1]
+            assert verdict in lines("together", "classification.csv")
+
+    def test_cell_matches_integrate_over_generate(self, tmp_path):
+        spec = self.stab_spec(tmp_path, "stab")
+        run_stability(spec)
+        traj = stored_grid_run(spec, "dlr_em", 0.0625)
+        assert traj.completed
+        expected = "t,mean_square_norm\n" + "".join(
+            "%.17g,%.17g\n" % pair
+            for pair in zip(traj.times, traj.mean_square_norms))
+        assert (tmp_path / "stab" / "norms_dlr_em_dt0.0625.csv") \
+            .read_text() == expected
+
+    def test_each_block_drawn_once(self, tmp_path, monkeypatch):
+        # nine cells on three lattices share one standard normal block
+        # per step
+        draws = []
+        block = lowrank_sde.noise._standard_normal_block
+
+        def counting_block(seed, step, m, m_paths):
+            draws.append((seed, step))
+            return block(seed, step, m, m_paths)
+
+        monkeypatch.setattr(lowrank_sde.noise, "_standard_normal_block",
+                            counting_block)
+        run_stability(self.stab_spec(tmp_path, "stab"))
+        assert draws == [(3, step) for step in range(20)]
+
+    def test_peak_memory_independent_of_horizon(self, tmp_path):
+        # the cells stream their noise, so four times the horizon may
+        # not take four times the memory (a stored grid per cell did)
+        def peak_bytes(t_final):
+            spec = self.stab_spec(tmp_path, "stab", model="toy_example_1",
+                                  rank=2, paths=1000, t_final=t_final,
+                                  dt_values=(0.05, 0.025))
+            tracemalloc.start()
+            try:
+                run_stability(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(1.0)  # warm-up: lazy imports and caches
+        assert peak_bytes(4.0) < 1.25 * peak_bytes(1.0)
 
 
 class TestRunSingle:
@@ -583,6 +686,17 @@ output_dir = {out}
         path = write_ini(tmp_path, body)
         assert cli_main(["run", path]) == 3
         assert "run failed" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only library, linear-algebra and I/O errors count as a failed
+        # run; anything else is a bug and keeps its traceback
+        def broken_runner(spec):
+            raise TypeError("broken runner")
+
+        monkeypatch.setattr(lowrank_sde.cli, "run_experiment", broken_runner)
+        path = write_ini(tmp_path, GBM_INI.format(out=tmp_path / "cli_out"))
+        with pytest.raises(TypeError, match="broken runner"):
+            cli_main(["run", path])
 
     def test_list_models_prints_registry(self, capsys):
         assert cli_main(["list-models"]) == 0

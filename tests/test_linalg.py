@@ -1,9 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lowrank_sde.errors import DimensionMismatch, NotPSD, RankDeficient
 from lowrank_sde.linalg import reduced_qr, solve_spsd_minnorm, sym_eig
+
+# derandomized so every tier-1 run checks the same examples
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def minnorm_problems(draw):
+    """(C, X0, Q): C = G G^T of size k <= 6 and rank r <= k, a right-hand
+    side block X0, and an orthonormal basis Q of range(C)."""
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(1, k))
+    cols = draw(st.integers(1, 4))
+    scale = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = scale * rng.standard_normal((k, r))
+    x0 = rng.standard_normal((k, cols))
+    q, _ = np.linalg.qr(g)
+    return g @ g.T, x0, q
+
+
+def range_condition(c, rank):
+    """lambda_max / lambda_rank, which bounds the solve's forward error."""
+    lam = np.linalg.eigvalsh(c)
+    return lam[-1] / lam[-rank]
 
 
 class TestReducedQR:
@@ -109,15 +135,18 @@ class TestSolveSpsdMinnorm:
         expected = np.array([[1.0, 1.0], [0.0, 0.0]])
         assert_allclose(solve_spsd_minnorm(c, b), expected, atol=1e-15)
 
-    def test_forward_multiply_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            k = 4
-            g = rng.standard_normal((k, k))
-            c = g @ g.T + 0.5 * np.eye(k)
-            x0 = rng.standard_normal((k, 6))
-            x = solve_spsd_minnorm(c, c @ x0)
-            assert np.linalg.norm(x - x0) <= 1e-8 * np.linalg.norm(x0)
+    @PROPERTY
+    @given(minnorm_problems())
+    def test_forward_multiply_oracle(self, problem):
+        # X = solve(C, C X0) reproduces C X0, and X0 itself when C is
+        # nonsingular
+        c, x0, q = problem
+        x = solve_spsd_minnorm(c, c @ x0)
+        scale = np.linalg.norm(c) * np.linalg.norm(x0)
+        assert np.linalg.norm(c @ x - c @ x0) <= 1e-10 * scale
+        if q.shape[1] == c.shape[0]:
+            assert np.linalg.norm(x - x0) \
+                <= 1e-13 * range_condition(c, q.shape[1]) * np.linalg.norm(x0)
 
     def test_agrees_with_direct_solve_when_spd(self):
         rng = np.random.default_rng(17)
@@ -132,15 +161,18 @@ class TestSolveSpsdMinnorm:
             assert resid <= 1e-10
             assert_allclose(x, direct, rtol=1e-8, atol=1e-12)
 
-    def test_minimal_norm_among_solutions(self):
-        # C = v v^T has null space orthogonal to v; the min-norm solution of
-        # C X = C B must have rows orthogonal to the null space
-        v = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        c = v @ v.T
-        b = np.array([[2.0, 0.0], [0.0, 0.0]])
-        x = solve_spsd_minnorm(c, c @ b)
-        null = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert np.linalg.norm(null @ x) <= 1e-12
+    @PROPERTY
+    @given(minnorm_problems())
+    def test_minimal_norm_among_solutions(self, problem):
+        # every X0 + N with C N = 0 solves C X = C X0; the minimal-norm
+        # solution has no null-space part, so it lies in range(C) and is
+        # no longer than X0
+        c, x0, q = problem
+        x = solve_spsd_minnorm(c, c @ x0)
+        assert np.linalg.norm(x - q @ (q.T @ x)) \
+            <= 1e-8 * np.linalg.norm(x0)
+        slack = 1e-13 * range_condition(c, q.shape[1])
+        assert np.linalg.norm(x) <= np.linalg.norm(x0) * (1.0 + slack)
 
     def test_negative_eigenvalue_raises(self):
         c = np.diag([1.0, -1e-3])

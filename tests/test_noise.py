@@ -12,6 +12,7 @@ from lowrank_sde.noise import (
     coarsen,
     generate,
     increment_blocks,
+    lattice_blocks,
 )
 
 # derandomized so every tier-1 run checks the same examples
@@ -89,6 +90,38 @@ class TestGenerate:
             generate(1, 0.0, 1.0, 0, 1, 1)
         with pytest.raises(GridMismatch):
             generate(1, 1.0, 1.0, 3, 1, 1)
+
+
+def lattice(seed, t1, n, m, m_paths):
+    return BrownianGrid(seed=seed, t0=0.0, t1=t1, n_steps=n, m=m,
+                        m_paths=m_paths, increments=None)
+
+
+class TestLatticeBlocks:
+    @PROPERTY
+    @given(seeds, noise_dims, path_counts,
+           st.lists(st.tuples(st.floats(0.01, 10.0), st.integers(1, 12)),
+                    min_size=1, max_size=4))
+    def test_each_lattice_streams_its_own_blocks(self, seed, m, m_paths,
+                                                 shapes):
+        # one shared standard normal block per step, scaled per lattice,
+        # gives each lattice exactly the blocks it streams alone
+        grids = [lattice(seed, t1, n, m, m_paths) for t1, n in shapes]
+        steps = list(lattice_blocks(grids))
+        assert len(steps) == max(n for _, n in shapes)
+        for j, (t1, n) in enumerate(shapes):
+            alone = list(increment_blocks(seed, 0.0, t1, n, m, m_paths))
+            for step, blocks in enumerate(steps):
+                if step < n:
+                    assert np.array_equal(blocks[j], alone[step])
+                else:
+                    assert blocks[j] is None
+
+    def test_lattices_must_share_the_stream(self):
+        for other in (lattice(5, 1.0, 4, 2, 3), lattice(4, 1.0, 4, 1, 3),
+                      lattice(4, 1.0, 4, 2, 6)):
+            with pytest.raises(GridMismatch, match="share"):
+                list(lattice_blocks([lattice(4, 1.0, 4, 2, 3), other]))
 
 
 class TestCoarsen:
