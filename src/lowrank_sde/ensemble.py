@@ -111,11 +111,6 @@ def gramian(y):
     return Gramian(c=0.5 * (c + c.T))
 
 
-def gramian_sigma_min(y):
-    """Smallest eigenvalue of the sample Gramian of y (see Gramian)."""
-    return gramian(y).sigma_min
-
-
 def init_rank_k(samples, k):
     """Best rank-k factorization of initial samples, as an EnsembleState.
 

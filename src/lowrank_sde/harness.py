@@ -189,6 +189,9 @@ class ExperimentSpec:
             raise SpecError("%s rank must be >= 1" % where)
         if self.paths < 1:
             raise SpecError("%s paths must be >= 1" % where)
+        if not 0 <= self.seed < 2 ** 64:
+            raise SpecError("%s seed must lie in [0, 2^64), the range of "
+                            "a Philox key" % where)
         if not np.isfinite(self.t_final) or self.t_final <= 0.0:
             raise SpecError("%s t_final must be positive" % where)
         if not self.dt_values:

@@ -19,8 +19,13 @@ scheme          Gramian of      basis right-hand side
 ``dlr_ps_sde``  moved samples   ``expectation_outer(y_moved, a) * dt``
 ==============  ==============  ======================================
 
+Each step entry returns the new ``EnsembleState``.  Outside debug mode
+it factors only what the map needs: one eigendecomposition of the solve
+Gramian and one QR, with an SVD only when QR finds the basis rank
+deficient.  Finiteness checks turn an overflow into ``ModelBlowUp``.
+
 ``Stepper`` is the step loop of one scheme, fed one Brownian increment
-at a time and collecting per-step diagnostics into a ``Trajectory``;
+at a time and collecting per-node diagnostics into a ``Trajectory``;
 ``integrate`` drives it over a stored increment grid.
 """
 
@@ -44,13 +49,6 @@ from .linalg import (DEFAULT_PINV_RELATIVE_THRESHOLD, reduced_qr,
 
 SCHEMES = ("em", "dlr_em", "dlr_ps_em", "dlr_ps_sde")
 
-# relative residual of the basis solve above which the step is flagged
-SOLVER_WARNING_THRESHOLD = 1e-6
-
-# relative cutoff used when the SVD fallback reports an effective
-# condition number over the retained spectrum
-_SVD_RANK_RELATIVE_TOL = 1e-14
-
 _FACTORIZATION_TOL = 1e-10
 _IDENTITY_TOL = 1e-8
 # the projected-update identities hold exactly only when the Gramian
@@ -61,45 +59,6 @@ _IDENTITY_TOL_TRUNCATED = 1e-5
 RANK_POLICIES = ("abort", "svd")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step diagnostics emitted by the low-rank steppers.
-
-    Attributes
-    ----------
-    t_next : float
-        Time reached by the step.
-    sigma_min_gramian : float
-        Smallest eigenvalue of the Gramian that weighted the basis
-        solve, clamped at zero (tiny negative rounding is possible).
-    qr_r_condition : float
-        Condition number lambda_max / lambda_min of R^T R from the
-        refactorization.  When the SVD fallback replaced QR this is
-        taken over the retained part of the spectrum so it stays finite.
-    solver_residual : float
-        Relative residual of the basis solve, zero for the exact
-        linear-drift shortcut.
-    solver_warning : bool
-        True when solver_residual exceeded SOLVER_WARNING_THRESHOLD,
-        which happens when the right-hand side has a component in the
-        numerical null space of the Gramian.
-    """
-
-    t_next: float
-    sigma_min_gramian: float
-    qr_r_condition: float
-    solver_residual: float
-    solver_warning: bool = False
-
-    def __post_init__(self):
-        vals = (self.t_next, self.sigma_min_gramian, self.qr_r_condition,
-                self.solver_residual)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("StepRecord fields must be finite")
-        if self.sigma_min_gramian < 0.0:
-            raise ValueError("sigma_min_gramian must be non-negative")
-
-
 @dataclass
 class Trajectory:
     """Result of integrating one scheme over one increment grid.
@@ -107,7 +66,7 @@ class Trajectory:
     Sample values are stored only at the requested node indices;
     scalar diagnostics are kept at every grid node.  A run that records
     no node keeps no diagnostics either: ``times``, ``mean_square_norms``
-    and ``sigma_min_gramians`` are None and ``records`` stays empty.
+    and ``sigma_min_gramians`` are None.
     Lineage fields (seed, endpoints, step counts, coarsening factor) let
     error metrics verify that two trajectories were driven by the same
     root noise before comparing them.
@@ -123,7 +82,6 @@ class Trajectory:
     times: np.ndarray
     mean_square_norms: np.ndarray
     sigma_min_gramians: np.ndarray
-    records: list = field(default_factory=list)
     node_indices: list = field(default_factory=list)
     node_values: list = field(default_factory=list)
     node_states: list = field(default_factory=list)
@@ -217,7 +175,8 @@ def _basis_solve(c_mat, u, g_orth):
     """Solve C * u_new = C * u + g_orth for the unnormalized basis.
 
     The minimal-norm solution is used so a singular Gramian cannot
-    abort the step.  Returns (u_new, relative_residual).
+    abort the step.  Returns (u_new, relative_residual); the residual is
+    not finite once the norms of the solve overflow.
     """
     rhs = c_mat @ u + g_orth
     u_new = solve_spsd_minnorm(c_mat, rhs)
@@ -246,7 +205,7 @@ def _refactor(u_new, y_moved, rank_policy):
     which keeps the sample product u^T y exact while zeroing the
     coefficient rows of the dead directions.
 
-    Returns (u_plus, y_plus, qr_r_condition).
+    Returns (u_plus, y_plus).
     """
     if rank_policy not in RANK_POLICIES:
         raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
@@ -254,8 +213,6 @@ def _refactor(u_new, y_moved, rank_policy):
         q, r = reduced_qr(u_new.T)
         u_plus = q.T
         y_plus = r @ y_moved
-        s = np.linalg.svd(r, compute_uv=False)
-        condition = float((s[0] / s[-1]) ** 2)
     except RankDeficient as exc:
         if rank_policy == "abort":
             raise StepFailed(
@@ -270,10 +227,6 @@ def _refactor(u_new, y_moved, rank_policy):
         signs = np.where(u_plus[np.arange(u_plus.shape[0]), lead] < 0.0, -1.0, 1.0)
         u_plus = signs[:, np.newaxis] * u_plus
         y_plus = signs[:, np.newaxis] * y_plus
-        cutoff = _SVD_RANK_RELATIVE_TOL * np.linalg.norm(u_new)
-        kept = s[s > cutoff]
-        floor = kept[-1] if kept.size else s[0] if s[0] > 0.0 else 1.0
-        condition = float((s[0] / floor) ** 2)
 
     defect = np.linalg.norm(u_plus @ u_plus.T - np.eye(u_plus.shape[0]))
     if defect > ORTHONORMALITY_TOL:
@@ -283,7 +236,7 @@ def _refactor(u_new, y_moved, rank_policy):
         q2, r2 = reduced_qr(u_plus.T)
         u_plus = q2.T
         y_plus = r2 @ y_plus
-    return u_plus, y_plus, condition
+    return u_plus, y_plus
 
 
 def _tangent_apply(u, y_ref, c_ref, z):
@@ -328,16 +281,15 @@ def _dlr_step(model, state, dt, dw, *, moved_gramian, full_increment,
     gram = node_gramian
     if moved_gramian or gram is None:
         gram = gramian(y_ref)
-    if np.isnan(gram.sigma_min):
+    c_mat = gram.c
+    if not np.all(np.isfinite(c_mat)):
         sq = np.sum(y_ref * y_ref, axis=0)
         j = int(np.argmax(~np.isfinite(sq)))
         raise ModelBlowUp(
             "sample second moments overflowed at t=%.6g on path %d"
             % (state.t, j), t=state.t, path=j)
-    c_mat = gram.c
     if fast_linear and not moved_gramian and model.is_linear_drift:
         u_new = u + _without_row_span(u @ model.a_mat(state.t).T, u) * dt
-        residual = 0.0
     else:
         g = (expectation_outer(y_ref, w) if full_increment
              else expectation_outer(y_ref, a) * dt)
@@ -353,7 +305,7 @@ def _dlr_step(model, state, dt, dw, *, moved_gramian, full_increment,
 
     if t_next is None:
         t_next = state.t + dt
-    u_plus, y_plus, condition = _refactor(u_new, y_moved, rank_policy)
+    u_plus, y_plus = _refactor(u_new, y_moved, rank_policy)
     _check_finite(y_plus, t_next, "coefficient samples")
     new_state = EnsembleState(t=t_next, u=u_plus, y=y_plus)
     if debug:
@@ -370,14 +322,7 @@ def _dlr_step(model, state, dt, dw, *, moved_gramian, full_increment,
             _check_identity(reconstruct(new_state), rhs,
                             "projected-update identity",
                             _identity_tolerance(c_mat))
-    record = StepRecord(
-        t_next=t_next,
-        sigma_min_gramian=gram.sigma_min,
-        qr_r_condition=condition,
-        solver_residual=float(residual),
-        solver_warning=bool(residual > SOLVER_WARNING_THRESHOLD),
-    )
-    return new_state, record
+    return new_state
 
 
 def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
@@ -392,7 +337,7 @@ def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
 
     Returns
     -------
-    (EnsembleState, StepRecord)
+    EnsembleState
     """
     return _dlr_step(model, state, dt, dw, moved_gramian=False,
                      full_increment=False, fast_linear=fast_linear,
@@ -416,7 +361,7 @@ def dlr_ps_em_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
 
     Returns
     -------
-    (EnsembleState, StepRecord)
+    EnsembleState
     """
     return _dlr_step(model, state, dt, dw, moved_gramian=True,
                      full_increment=True, debug=debug,
@@ -437,7 +382,7 @@ def dlr_ps_sde_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
 
     Returns
     -------
-    (EnsembleState, StepRecord)
+    EnsembleState
     """
     return _dlr_step(model, state, dt, dw, moved_gramian=True,
                      full_increment=False, debug=debug,
@@ -464,8 +409,8 @@ class Stepper:
     drives a stepper over a stored grid.  The scalar diagnostics of a
     node, and its cloud if recorded, are taken when the loop reaches it;
     ``traj.final_state`` is the state at the last node reached.  With
-    ``record_nodes=()`` the stepper records nothing per node or step,
-    so its memory does not grow with the step count.
+    ``record_nodes=()`` the stepper records nothing per node, so its
+    memory does not grow with the step count.
     """
 
     def __init__(self, model, scheme, init, grid, *, record_nodes=None,
@@ -494,15 +439,14 @@ class Stepper:
                              % (grid.m_paths, m_paths))
 
         n = grid.n_steps
-        if record_nodes is None:
-            self._record_set = {0, n}
-        else:
-            self._record_set = {int(i) for i in record_nodes}
-            for i in self._record_set:
-                if i < 0 or i > n:
-                    raise ValueError("record node %d outside grid [0, %d]"
-                                     % (i, n))
-        self._diagnostics = keep = bool(self._record_set)
+        self._record_set = set() if record_nodes is None else {
+            int(i) for i in record_nodes}
+        for i in self._record_set:
+            if i < 0 or i > n:
+                raise ValueError("record node %d outside grid [0, %d]"
+                                 % (i, n))
+        self._diagnostics = keep = (record_nodes is None
+                                    or bool(self._record_set))
         self._model = model
         self._dt = grid.dt
         self._time = grid.time
@@ -565,12 +509,10 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if self.low_rank:
-                    self.state, record = self._step(
+                    self.state = self._step(
                         self._model, self.state, self._dt, dw,
                         t_next=self._time(i + 1),
                         node_gramian=self._node_gramian, **self._options)
-                    if self._diagnostics:
-                        traj.records.append(record)
                 else:
                     self.state = em_step(self._model, self.state,
                                          self._time(i), self._dt, dw)
@@ -602,8 +544,8 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         count.
     record_nodes : iterable of int, optional
         Grid node indices at which the reconstructed cloud is stored.
-        Defaults to the first and last node.  An empty iterable records
-        nothing, not even the per-node scalar diagnostics.
+        The default, None, stores no cloud but keeps the per-node scalar
+        diagnostics.  An empty iterable records nothing, not even those.
     keep_states : bool
         Also store the factored states at the recorded nodes.
     debug : bool

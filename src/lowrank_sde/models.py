@@ -595,5 +595,9 @@ def build_model(name, overrides=None):
     for key, value in (overrides or {}).items():
         if key not in schema:
             raise SpecError("model %s does not accept override %r" % (name, key))
-        kwargs[key] = schema[key](value)
+        try:
+            kwargs[key] = schema[key](value)
+        except (TypeError, ValueError):
+            raise SpecError("model %s override %s: expected %s, got %r"
+                            % (name, key, schema[key].__name__, value))
     return builder(**kwargs)

@@ -60,7 +60,7 @@ def test_01_orthonormality_and_factorization_invariants():
                             t_final=10.0, n_steps=500, seed=SEED,
                             keep_states=True, debug=True)
         assert traj.completed, "%s: %s" % (scheme, traj.error)
-        assert len(traj.records) == 500
+        assert len(traj.node_states) == 501
         worst = max(frobenius(s.u @ s.u.T - np.eye(2))
                     for s in traj.node_states)
         assert worst <= 1e-10, \
@@ -352,9 +352,9 @@ def test_10_minimal_norm_solve_independence():
             (dlr_ps_em_step, 1e-10, "at most"),
             (dlr_ps_sde_step, 1e-10, "at most"),
             (dlr_em_step, 1e-6, "more than")):
-        base, _ = step(model, state0, 0.02, dw, rank_policy="svd")
-        bumped, _ = step(model, state0, 0.02, dw, rank_policy="svd",
-                         u_solve_perturbation=null_space_offset)
+        base = step(model, state0, 0.02, dw, rank_policy="svd")
+        bumped = step(model, state0, 0.02, dw, rank_policy="svd",
+                      u_solve_perturbation=null_space_offset)
         base_x = base.u.T @ base.y
         change = frobenius(bumped.u.T @ bumped.y - base_x) \
             / frobenius(base_x)

@@ -6,7 +6,6 @@ from lowrank_sde.ensemble import (
     EnsembleState,
     expectation_outer,
     gramian,
-    gramian_sigma_min,
     init_rank_k,
     load_snapshot,
     mean_square_norm,
@@ -193,7 +192,7 @@ def test_gramian_sigma_min_on_seeded_cloud():
         ]
     )
     state = init_rank_k(samples, 2)
-    sigma = gramian_sigma_min(state.y)
+    sigma = gramian(state.y).sigma_min
     assert sigma > 0.0
     # fluctuation scale: variance of U(-1e-4, 1e-4) is (2e-4)^2 / 12
     assert 1e-10 < sigma < 1e-8

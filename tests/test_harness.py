@@ -667,6 +667,33 @@ class TestCli:
         assert "spec error" in capsys.readouterr().err
         assert cli_main(["run", path]) == 2
 
+    @pytest.mark.parametrize("model, seed, extra", [
+        ("toy_example_1", "3", "model.sigma_b = abc"),
+        ("sadr_model", "3", "model.d = 2.5"),
+        ("toy_example_1", "-1", ""),
+        ("toy_example_1", str(2 ** 70), ""),
+    ])
+    def test_uncastable_override_or_seed_exits_two(self, tmp_path, capsys,
+                                                   model, seed, extra):
+        body = """
+[bad]
+kind = stability
+model = {model}
+schemes = dlr_em
+rank = 1
+paths = 10
+seed = {seed}
+t_final = 0.2
+dt = 0.1
+output_dir = {out}
+{extra}
+""".format(model=model, seed=seed, out=tmp_path / "bad_out", extra=extra)
+        path = write_ini(tmp_path, body)
+        assert cli_main(["validate", path]) == 2
+        assert "spec error" in capsys.readouterr().err
+        assert cli_main(["run", path]) == 2
+        assert not (tmp_path / "bad_out").exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.ini")]) == 2
 

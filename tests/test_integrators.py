@@ -17,7 +17,6 @@ from lowrank_sde.ensemble import (
 from lowrank_sde.errors import ModelBlowUp, StepFailed
 from lowrank_sde.integrators import (
     Stepper,
-    StepRecord,
     dlr_em_step,
     dlr_ps_em_step,
     dlr_ps_sde_step,
@@ -164,11 +163,9 @@ class TestDlrStepsShared:
         x = reconstruct(state)
         dw = rng.normal(size=(2, m_paths))
         for step in DLR_STEPS:
-            new_state, record = step(model, state, dt, dw)
+            new_state = step(model, state, dt, dw)
             err = np.linalg.norm(reconstruct(new_state) - x)
             assert err <= 1e-12 * max(np.linalg.norm(x), 1.0)
-            assert record.solver_residual <= 1e-12
-            assert not record.solver_warning
 
     @PROPERTY
     @given(step_setups())
@@ -180,7 +177,7 @@ class TestDlrStepsShared:
             current = state
             for _ in range(3):
                 dw = np.sqrt(dt) * rng.normal(size=(d, m_paths))
-                current, _ = step(model, current, dt, dw)
+                current = step(model, current, dt, dw)
                 defect = current.u @ current.u.T - np.eye(k)
                 assert np.linalg.norm(defect) <= 1e-10
 
@@ -211,7 +208,7 @@ class TestDlrStepsShared:
         reference = em_step(model, x, 0.0, 0.02, dw)
         scale = np.linalg.norm(reference)
         for step in (dlr_ps_em_step, dlr_ps_sde_step):
-            new_state, _ = step(model, state, 0.02, dw)
+            new_state = step(model, state, 0.02, dw)
             err = np.linalg.norm(reconstruct(new_state) - reference)
             assert err <= 1e-10 * scale
 
@@ -248,7 +245,7 @@ class TestDlrStepsShared:
         for step in DLR_STEPS:
             current = state
             for i in range(3):
-                current, _ = step(model, current, dt, grid.increments[i])
+                current = step(model, current, dt, grid.increments[i])
                 lam = np.linalg.eigvalsh(gramian(current.y).c)
                 assert lam[0] >= floor
 
@@ -258,14 +255,6 @@ class TestDlrStepsShared:
         state = init_rank_k(samples, 2)
         with pytest.raises(ModelBlowUp):
             dlr_ps_em_step(model, state, 0.5, np.zeros((1, 3)))
-
-    def test_step_record_validation(self):
-        with pytest.raises(ValueError):
-            StepRecord(t_next=0.1, sigma_min_gramian=-1.0,
-                       qr_r_condition=1.0, solver_residual=0.0)
-        with pytest.raises(ValueError):
-            StepRecord(t_next=np.inf, sigma_min_gramian=0.0,
-                       qr_r_condition=1.0, solver_residual=0.0)
 
 
 class TestDlrEmStep:
@@ -277,9 +266,8 @@ class TestDlrEmStep:
         samples[2] += 0.05 * np.random.default_rng(88).standard_normal(500)
         state = init_rank_k(samples, 3)
         dw = generate(16, 0.0, 0.01, 1, model.m, 500).increments[0]
-        slow, _ = dlr_em_step(model, state, 0.01, dw, fast_linear=False)
-        fast, rec = dlr_em_step(model, state, 0.01, dw, fast_linear=True)
-        assert rec.solver_residual == 0.0
+        slow = dlr_em_step(model, state, 0.01, dw, fast_linear=False)
+        fast = dlr_em_step(model, state, 0.01, dw, fast_linear=True)
         scale = np.linalg.norm(reconstruct(slow))
         assert np.linalg.norm(reconstruct(fast) - reconstruct(slow)) \
             <= 1e-9 * scale
@@ -289,8 +277,8 @@ class TestDlrEmStep:
         # code paths may differ only through the minimal-norm truncation
         model, state = toy_state(m_paths=500, seed=8)
         dw = generate(17, 0.0, 0.01, 1, model.m, 500).increments[0]
-        slow, _ = dlr_em_step(model, state, 0.01, dw, fast_linear=False)
-        fast, _ = dlr_em_step(model, state, 0.01, dw, fast_linear=True)
+        slow = dlr_em_step(model, state, 0.01, dw, fast_linear=False)
+        fast = dlr_em_step(model, state, 0.01, dw, fast_linear=True)
         scale = np.linalg.norm(reconstruct(slow))
         assert np.linalg.norm(reconstruct(fast) - reconstruct(slow)) \
             <= 1e-6 * scale
@@ -306,7 +294,7 @@ class TestProjectorSplittingIdentities:
         bdw = model.diffusion_dw(0.0, x, dw)
         w = a * dt + bdw
         y_moved = state.y + state.u @ w
-        new_state, _ = dlr_ps_em_step(model, state, dt, dw, debug=True)
+        new_state = dlr_ps_em_step(model, state, dt, dw, debug=True)
         rhs = x + sample_tangent_apply(state.u, y_moved, w)
         scale = max(np.linalg.norm(rhs), 1.0)
         assert np.linalg.norm(reconstruct(new_state) - rhs) <= 1e-8 * scale
@@ -319,7 +307,7 @@ class TestProjectorSplittingIdentities:
         a = model.drift_many(0.0, x)
         bdw = model.diffusion_dw(0.0, x, dw)
         y_moved = state.y + state.u @ (a * dt + bdw)
-        new_state, _ = dlr_ps_sde_step(model, state, dt, dw, debug=True)
+        new_state = dlr_ps_sde_step(model, state, dt, dw, debug=True)
         rhs = (x + sample_tangent_apply(state.u, y_moved, a) * dt
                + state.u.T @ (state.u @ bdw))
         scale = max(np.linalg.norm(rhs), 1.0)
@@ -332,8 +320,8 @@ class TestProjectorSplittingIdentities:
         model = linear_model(rng, d, sigma=0.0)
         state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
         dw = rng.normal(size=(d, m_paths))
-        a_state, _ = dlr_ps_em_step(model, state, dt, dw)
-        b_state, _ = dlr_ps_sde_step(model, state, dt, dw)
+        a_state = dlr_ps_em_step(model, state, dt, dw)
+        b_state = dlr_ps_sde_step(model, state, dt, dw)
         scale = np.linalg.norm(reconstruct(a_state))
         assert np.linalg.norm(reconstruct(a_state) - reconstruct(b_state)) \
             <= 1e-12 * scale
@@ -345,8 +333,8 @@ class TestProjectorSplittingIdentities:
         state = init_rank_k(law(9, 400), 2)
         dt = 1e-4
         dw = np.zeros((model.m, 400))
-        a_state, _ = dlr_ps_em_step(model, state, dt, dw)
-        b_state, _ = dlr_em_step(model, state, dt, dw)
+        a_state = dlr_ps_em_step(model, state, dt, dw)
+        b_state = dlr_em_step(model, state, dt, dw)
         scale = np.linalg.norm(reconstruct(a_state))
         assert np.linalg.norm(reconstruct(a_state) - reconstruct(b_state)) \
             <= 1e-6 * scale
@@ -362,7 +350,7 @@ class TestProjectorSplittingIdentities:
         a = model.drift_many(0.0, x)
         bdw = model.diffusion_dw(0.0, x, dw)
         w = a * dt + bdw
-        new_state, _ = dlr_ps_em_step(model, state, dt, dw)
+        new_state = dlr_ps_em_step(model, state, dt, dw)
         x_new = reconstruct(new_state)
         lhs = mean_square_norm(x_new - x)
         rhs = mean_square_norm(w)
@@ -392,9 +380,9 @@ class TestProjectorSplittingIdentities:
             return vec[:, 0:1] @ row
 
         for step in (dlr_ps_em_step, dlr_ps_sde_step):
-            plain, _ = step(model, state, 0.1, dw, rank_policy="svd")
-            bumped, _ = step(model, state, 0.1, dw, rank_policy="svd",
-                             u_solve_perturbation=add_null_component)
+            plain = step(model, state, 0.1, dw, rank_policy="svd")
+            bumped = step(model, state, 0.1, dw, rank_policy="svd",
+                          u_solve_perturbation=add_null_component)
             scale = max(np.linalg.norm(reconstruct(plain)), 1.0)
             assert np.linalg.norm(reconstruct(plain) - reconstruct(bumped)) \
                 <= 1e-10 * scale
@@ -411,9 +399,9 @@ class TestProjectorSplittingIdentities:
             lam, vec = np.linalg.eigh(0.5 * (c_mat + c_mat.T))
             return vec[:, 0:1] @ row
 
-        plain, _ = dlr_ps_sde_step(model, state, dt, dw, rank_policy="svd")
-        bumped, _ = dlr_ps_sde_step(model, state, dt, dw, rank_policy="svd",
-                                    u_solve_perturbation=add_null_component)
+        plain = dlr_ps_sde_step(model, state, dt, dw, rank_policy="svd")
+        bumped = dlr_ps_sde_step(model, state, dt, dw, rank_policy="svd",
+                                 u_solve_perturbation=add_null_component)
         scale = max(np.linalg.norm(reconstruct(plain)), 1.0)
         assert np.linalg.norm(reconstruct(plain) - reconstruct(bumped)) \
             <= 1e-8 * scale
@@ -433,12 +421,11 @@ class TestRankPolicy:
         grid = generate(24, 0.0, 0.03, 3, model.m, 300)
         current = state
         for i in range(3):
-            current, record = dlr_ps_sde_step(
+            current = dlr_ps_sde_step(
                 model, current, grid.dt, grid.increments[i],
                 rank_policy="svd", debug=True)
             defect = current.u @ current.u.T - np.eye(14)
             assert np.linalg.norm(defect) <= 1e-10
-            assert np.isfinite(record.qr_r_condition)
 
     def test_unknown_policy_rejected(self):
         model, state = toy_state(m_paths=100)
@@ -504,11 +491,12 @@ class TestIntegrate:
     def test_records_and_times(self):
         model, state = toy_state(m_paths=200)
         grid = generate(61, 0.0, 0.5, 10, model.m, 200)
-        traj = integrate(model, "dlr_ps_em", state, grid)
+        traj = integrate(model, "dlr_ps_em", state, grid,
+                         record_nodes=range(11), keep_states=True)
         assert traj.completed
-        assert len(traj.records) == 10
-        assert_allclose([r.t_next for r in traj.records],
-                        grid.times()[1:], atol=1e-12)
+        assert len(traj.node_states) == 11
+        assert_allclose([s.t for s in traj.node_states],
+                        grid.times(), atol=1e-12)
         assert np.all(np.isfinite(traj.sigma_min_gramians))
         assert np.all(np.isfinite(traj.mean_square_norms))
         assert traj.root_n_steps == 10
@@ -560,7 +548,8 @@ class TestIntegrate:
         model = cubic_blowup_model()
         samples = np.array([[2.0, 2.1, 1.9, 2.0], [1.0, 1.1, 0.9, 1.0]])
         grid = generate(65, 0.0, 10.0, 20, 1, 4)
-        traj = integrate(model, "em", samples, grid)
+        traj = integrate(model, "em", samples, grid,
+                         record_nodes=(0, grid.n_steps))
         assert not traj.completed
         assert "ModelBlowUp" in traj.error
         assert len(traj.node_values) == 1
@@ -624,7 +613,7 @@ class TestIntegrate:
         continued = integrate(model, "dlr_ps_sde", state, grid,
                               rank_policy="svd")
         assert continued.completed
-        assert len(continued.records) == 5
+        assert continued.final_state.t == grid.times()[-1]
 
     def test_input_validation(self):
         model, state = toy_state(m_paths=50)
@@ -645,20 +634,45 @@ class TestIntegrate:
             integrate(model, "dlr_em", state, lattice)
 
     def test_stepper_recording_nothing_matches_integrate(self):
-        # record_nodes=() keeps no per-node or per-step diagnostics but
-        # steps exactly like the recording loop
+        # record_nodes=() keeps no per-node diagnostics but steps
+        # exactly like the recording loop
         model, state = toy_state(m_paths=80)
         grid = generate(70, 0.0, 0.3, 6, model.m, 80)
         for scheme in ("em", "dlr_em", "dlr_ps_em", "dlr_ps_sde"):
             init = reconstruct(state) if scheme == "em" else state
-            full = integrate(model, scheme, init, grid)
+            full = integrate(model, scheme, init, grid,
+                             record_nodes=(0, grid.n_steps))
             stepper = Stepper(model, scheme, init, grid, record_nodes=())
             for dw in grid.increments:
                 assert stepper.advance(dw)
             bare = stepper.traj
-            assert bare.records == [] and bare.node_values == []
+            assert bare.node_values == []
             assert bare.times is None and bare.mean_square_norms is None
             assert bare.sigma_min_gramians is None
             assert np.array_equal(stepper.cloud(), full.node_values[-1])
             if scheme != "em":
                 assert bare.final_state.t == full.final_state.t
+
+    @pytest.mark.parametrize("scheme", ("dlr_em", "dlr_ps_em", "dlr_ps_sde"))
+    def test_one_eigh_and_one_qr_per_low_rank_step(self, scheme, monkeypatch):
+        # the basis solve's eigendecomposition and the refactorization's
+        # QR are the only factorizations of a step that records nothing
+        model, law = toy_example_2()
+        state = init_rank_k(law(71, 200), 2)
+        n = 20
+        grid = generate(71, 0.0, 0.2, n, model.m, 200)
+        stepper = Stepper(model, scheme, state, grid, record_nodes=())
+        calls = dict.fromkeys(("eigh", "eigvalsh", "svd", "qr"), 0)
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        for dw in grid.increments:
+            assert stepper.advance(dw)
+        assert calls == {"eigh": n, "eigvalsh": 0, "svd": 0, "qr": n}
