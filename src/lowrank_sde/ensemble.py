@@ -68,6 +68,13 @@ class EnsembleState:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def checked(cls, t, u, y):
+        """A state of arrays the caller has checked, built unchecked."""
+        state = object.__new__(cls)
+        state.__dict__.update(t=t, u=u, y=y)
+        return state
+
     @property
     def k(self):
         return self.u.shape[0]

@@ -20,11 +20,14 @@ class RankDeficient(LowRankSdeError):
     ----------
     column : int
         Index of the offending column (first one detected).
+    index : int or None
+        Stack index of the offending matrix for a stacked input.
     """
 
-    def __init__(self, message, column):
+    def __init__(self, message, column, index=None):
         super().__init__(message)
         self.column = column
+        self.index = index
 
 
 class NotPSD(LowRankSdeError):

@@ -28,9 +28,9 @@ instead of being ignored.  Four experiment kinds exist:
 Every kind runs as one walk on one thread over lanes, one time lattice
 each: the fine grid of a sweep, or the grid of one dt.  Each step's
 standard normal block is drawn once and scaled for every lane that has
-that step, and the cells step on it in lockstep, so they share Brownian
-paths and no noise grid is stored.  A cell's outputs do not depend on
-the other cells of its run (in a sweep, while the finest dt stays).
+that step, and one ``advance_all`` call steps all cells due on it, the
+low-rank ones as one stack.  No noise grid is stored; a cell's bytes do
+not depend on the other cells (in a sweep, while the finest dt stays).
 
 Every run writes a ``manifest.json`` recording the resolved spec, the
 library version, wall time, and a SHA-256 digest of each output file;
@@ -69,7 +69,7 @@ from .ensemble import (
     save_snapshot,
 )
 from .errors import SpecError, StepFailed
-from .integrators import RANK_POLICIES, SCHEMES, Stepper
+from .integrators import RANK_POLICIES, SCHEMES, Stepper, advance_all
 from .models import build_model, gbm_exact_value
 from .noise import BlockSum, BrownianGrid, lattice_blocks
 
@@ -135,7 +135,10 @@ def _parse_int(section, key, raw):
 
 
 def _steps_for(dt, t_final, where):
-    n = int(round(t_final / dt))
+    n = t_final / dt
+    if not np.isfinite(n):
+        raise SpecError("%s: t_final / dt overflows at dt=%g" % (where, dt))
+    n = int(round(n))
     if n < 1:
         raise SpecError("%s: dt=%g exceeds t_final=%g" % (where, dt, t_final))
     return n
@@ -206,6 +209,9 @@ class ExperimentSpec:
         if self.rank_policy not in RANK_POLICIES:
             raise SpecError("%s rank_policy must be one of %s"
                             % (where, "/".join(RANK_POLICIES)))
+        # every kind steps each dt, so validation fails where a run would
+        n_values = [_steps_for(dt, self.t_final, where)
+                    for dt in self.dt_values]
         if self.kind == "convergence":
             if self.reference not in REFERENCES:
                 raise SpecError("%s convergence needs reference one of %s"
@@ -218,14 +224,13 @@ class ExperimentSpec:
             if self.reference != "exact" and self.fine_factor < 2:
                 raise SpecError("%s fine references need fine_factor >= 2"
                                 % where)
-            for dt in self.dt_values:
-                n = _steps_for(dt, self.t_final, where)
+            for dt, n in zip(self.dt_values, n_values):
                 if _off_node(n * dt, self.t_final, self.t_final):
                     raise SpecError("%s dt=%g does not divide t_final=%g"
                                     % (where, dt, self.t_final))
             n_fine = self.fine_steps()
-            for dt in self.dt_values:
-                if n_fine % _steps_for(dt, self.t_final, where):
+            for dt, n in zip(self.dt_values, n_values):
+                if n_fine % n:
                     raise SpecError(
                         "%s fine grid of %d steps is not a multiple of the "
                         "dt=%g grid" % (where, n_fine, dt))
@@ -235,10 +240,9 @@ class ExperimentSpec:
                                 % where)
             if len(self.dt_values) != 1:
                 raise SpecError("%s single_run takes exactly one dt" % where)
-            dt = self.dt_values[0]
-            n = _steps_for(dt, self.t_final, where)
+            dt, n = self.dt_values[0], n_values[0]
             for t in self.snapshot_times:
-                i = int(round(t / dt))
+                i = round(t / dt) if np.isfinite(t / dt) else -1
                 if i < 0 or i > n or _off_node(i * dt, t, self.t_final):
                     raise SpecError("%s snapshot time %g is not a grid node"
                                     % (where, t))
@@ -400,6 +404,8 @@ class _ExactReference:
     """Pathwise exact oracle values on the fine grid, from a running
     Brownian sum of the streamed increments."""
 
+    low_rank = failed = False  # advance_all calls its advance; never fails
+
     def __init__(self, model, grid):
         self._mu = model.mu
         self._sigma = model.sigma
@@ -427,21 +433,19 @@ class _Level:
     ref_sup_sq: dict = field(default_factory=dict)
     cell_sup_sq: dict = field(default_factory=dict)
 
-    def step(self, block):
-        """Push one lane block; True when the cells took a step on it."""
+    def step(self, block, due):
+        """Push a lane block; queue the cells on ``due`` if they step."""
         dw = self.block_sum.push(block)
-        if dw is None:
-            return False
-        for stepper in self.cells.values():
-            if not stepper.traj.error:
-                stepper.advance(dw)
-        return True
+        if dw is not None:
+            due += [(stepper, dw) for stepper in self.cells.values()
+                    if not stepper.failed]
+        return dw is not None
 
     def fold(self, ref_clouds):
         for name, ref in ref_clouds.items():
             self.ref_sup_sq[name] = fold_sup_sq(self.ref_sup_sq[name], ref)
         for scheme, stepper in self.cells.items():
-            if stepper.traj.error:
+            if stepper.failed:
                 continue
             cloud = stepper.cloud()
             sups = self.cell_sup_sq[scheme]
@@ -465,22 +469,31 @@ class _Lane:
         for level in levels:
             level.fold(ref_clouds)
 
-    def step(self, block):
+    def step(self, block, due):
+        """Queue the steps due on a block; returns the levels it steps."""
+        due += [(ref, block) for ref in self.references.values()]
+        return [level for level in self.levels if level.step(block, due)]
+
+    def settle(self, stepped):
+        """Raise if a reference failed, else fold them into ``stepped``."""
         for name, ref in self.references.items():
-            if not ref.advance(block):
+            if ref.failed:
                 raise StepFailed("fine reference %s failed: %s"
                                  % (name, ref.traj.error))
-        stepped = [level for level in self.levels if level.step(block)]
         if stepped and self.references:
             self.fold(stepped)
 
 
 def _walk(lanes):
-    """Step every lane on its blocks of ``lattice_blocks``, in lockstep."""
+    """Step every lane on its blocks of ``lattice_blocks``, in lockstep;
+    one ``advance_all`` call takes every step due on a block."""
     for blocks in lattice_blocks([lane.grid for lane in lanes]):
-        for lane, block in zip(lanes, blocks):
-            if block is not None:
-                lane.step(block)
+        due = []
+        stepped = [(lane, lane.step(block, due))
+                   for lane, block in zip(lanes, blocks) if block is not None]
+        advance_all(due)
+        for lane, levels in stepped:
+            lane.settle(levels)
 
 
 def _run_fixed_dt(spec, model, samples, state0, **recording):
@@ -722,7 +735,7 @@ def run_stability(spec):
     started = time.monotonic()
     model, samples, state0 = _prepare(spec)
 
-    results = _run_fixed_dt(spec, model, samples, state0)
+    results = _run_fixed_dt(spec, model, samples, state0, sigma_min=False)
 
     outputs = []
     class_rows = []

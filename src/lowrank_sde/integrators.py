@@ -19,17 +19,18 @@ scheme          Gramian of      basis right-hand side
 ``dlr_ps_sde``  moved samples   ``expectation_outer(y_moved, a) * dt``
 ==============  ==============  ======================================
 
-Each step entry returns the new ``EnsembleState``.  Outside debug mode
-it factors only what the map needs: one eigendecomposition of the solve
-Gramian and one QR, with an SVD only when QR finds the basis rank
-deficient.  Finiteness checks turn an overflow into ``ModelBlowUp``.
+A step moves each cell alone (``_move``, all its d x M work), then
+settles all cells that step together as one stack (``_settle``): one
+eigh and one QR outside debug mode, an SVD only for a basis QR finds
+rank deficient; a step entry is a stack of one.  Overflow is ``ModelBlowUp``.
 
 ``Stepper`` is the step loop of one scheme, fed one Brownian increment
-at a time and collecting per-node diagnostics into a ``Trajectory``;
-``integrate`` drives it over a stored increment grid.
+at a time; ``advance_all`` steps many at once, and ``integrate`` drives
+one over a stored increment grid.
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -57,6 +58,9 @@ _IDENTITY_TOL = 1e-8
 _IDENTITY_TOL_TRUNCATED = 1e-5
 
 RANK_POLICIES = ("abort", "svd")
+
+# what fails a step, and with it a cell, rather than the program
+_FAILURES = (LowRankSdeError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -95,15 +99,9 @@ class Trajectory:
         return self.n_steps * self.coarsen_factor
 
 
-def _first_bad_path(arr):
-    bad = ~np.isfinite(arr)
-    cols = bad.any(axis=0)
-    return int(np.argmax(cols))
-
-
 def _check_finite(arr, t, what):
-    if not np.all(np.isfinite(arr)):
-        j = _first_bad_path(np.atleast_2d(arr))
+    if not np.isfinite(arr).all():
+        j = int(np.argmax(~np.isfinite(np.atleast_2d(arr)).all(axis=0)))
         raise ModelBlowUp(
             "non-finite %s at t=%.6g on path %d" % (what, t, j), t=t, path=j)
 
@@ -140,52 +138,9 @@ def em_step(model, x, t, dt, dw):
     return out
 
 
-def _moved_samples(model, state, dt, dw):
-    """Common first stage of all low-rank steppers.
-
-    Evaluates the model on the reconstructed cloud x and moves every
-    sample by the basis-projected Euler-Maruyama increment.  Returns
-    (x, a, w, y_moved): the cloud, the drift, the increment w = a dt +
-    b dW, all (d, M), and the moved coefficients (k, M).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dw.shape != (model.m, state.m_paths):
-        raise ValueError("dw must have shape (m, M)")
-    if state.d != model.d:
-        raise ValueError("state dimension does not match model")
-    t = state.t
-    x = reconstruct(state)
-    a = model.drift_many(t, x)
-    _check_finite(a, t, "drift")
-    bdw = model.diffusion_dw(t, x, dw)
-    _check_finite(bdw, t, "diffusion increment")
-    w = a * dt + bdw
-    y_moved = state.y + state.u @ w
-    _check_finite(y_moved, t, "coefficient samples")
-    return x, a, w, y_moved
-
-
 def _without_row_span(g, u):
     """Right-multiply a (k, d) block by (I - u^T u)."""
     return g - (g @ u.T) @ u
-
-
-def _basis_solve(c_mat, u, g_orth):
-    """Solve C * u_new = C * u + g_orth for the unnormalized basis.
-
-    The minimal-norm solution is used so a singular Gramian cannot
-    abort the step.  Returns (u_new, relative_residual); the residual is
-    not finite once the norms of the solve overflow.
-    """
-    rhs = c_mat @ u + g_orth
-    u_new = solve_spsd_minnorm(c_mat, rhs)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm > 0.0:
-        residual = np.linalg.norm(c_mat @ u_new - rhs) / rhs_norm
-    else:
-        residual = 0.0
-    return u_new, residual
 
 
 def _identity_tolerance(c_mat):
@@ -194,49 +149,6 @@ def _identity_tolerance(c_mat):
     if lam[0] <= DEFAULT_PINV_RELATIVE_THRESHOLD * max(lam[-1], 0.0):
         return _IDENTITY_TOL_TRUNCATED
     return _IDENTITY_TOL
-
-
-def _refactor(u_new, y_moved, rank_policy):
-    """Restore row orthonormality of the basis after the solve.
-
-    QR of the transposed basis is the default.  If QR reports rank
-    deficiency the behavior follows rank_policy: "abort" re-raises as
-    StepFailed, "svd" refactors through a singular value decomposition,
-    which keeps the sample product u^T y exact while zeroing the
-    coefficient rows of the dead directions.
-
-    Returns (u_plus, y_plus).
-    """
-    if rank_policy not in RANK_POLICIES:
-        raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
-    try:
-        q, r = reduced_qr(u_new.T)
-        u_plus = q.T
-        y_plus = r @ y_moved
-    except RankDeficient as exc:
-        if rank_policy == "abort":
-            raise StepFailed(
-                "basis refactorization found a rank-deficient basis "
-                "(column %s); rerun with rank_policy='svd' to continue "
-                "with dead directions zeroed" % exc.column) from exc
-        w, s, vt = np.linalg.svd(u_new.T, full_matrices=False)
-        u_plus = w.T
-        y_plus = (s[:, np.newaxis] * vt) @ y_moved
-        # canonical signs: largest-magnitude entry of each basis row positive
-        lead = np.argmax(np.abs(u_plus), axis=1)
-        signs = np.where(u_plus[np.arange(u_plus.shape[0]), lead] < 0.0, -1.0, 1.0)
-        u_plus = signs[:, np.newaxis] * u_plus
-        y_plus = signs[:, np.newaxis] * y_plus
-
-    defect = np.linalg.norm(u_plus @ u_plus.T - np.eye(u_plus.shape[0]))
-    if defect > ORTHONORMALITY_TOL:
-        warnings.warn(
-            "basis lost orthonormality (defect %.3e), re-orthonormalizing"
-            % defect)
-        q2, r2 = reduced_qr(u_plus.T)
-        u_plus = q2.T
-        y_plus = r2 @ y_plus
-    return u_plus, y_plus
 
 
 def _tangent_apply(u, y_ref, c_ref, z):
@@ -266,63 +178,162 @@ def _check_identity(lhs, rhs, what, tol):
             "%s violated (relative error %.3e)" % (what, err / scale))
 
 
-def _dlr_step(model, state, dt, dw, *, moved_gramian, full_increment,
-              fast_linear=False, debug=False, rank_policy="abort",
-              u_solve_perturbation=None, t_next=None, node_gramian=None):
-    """One low-rank step; the two flags pick the scheme (module table).
+# A low-rank cell after the move phase of its step: the basis solve C u_new
+# = rhs (rhs None if the linear shortcut gave u_new), the offset from the
+# solve's perturbation, and in debug mode the identity's (cloud, tol).
+_Move = namedtuple("_Move", "t t_next y_moved y_ref c_mat rhs u_new offset "
+                   "rank_policy debug predicted")
 
-    The linear-drift shortcut applies to the old-samples Gramian only.
-    ``t_next`` (default state.t + dt) labels the new state, and
-    ``node_gramian`` is the Gramian of state.y if the caller has it.
-    """
-    x, a, w, y_moved = _moved_samples(model, state, dt, dw)
-    u = state.u
+
+def _move(model, state, dt, dw, *, moved_gramian, full_increment,
+          fast_linear=False, debug=False, rank_policy="abort",
+          u_solve_perturbation=None, t_next=None, node_gramian=None):
+    """Move phase of one low-rank step, all of its d x M work: evaluate
+    the model, move the samples by w = a dt + b dW, form the basis solve.
+    The flags pick the scheme (module table); the linear shortcut needs
+    the old-samples Gramian.  ``t_next`` (default state.t + dt) labels
+    the new state; ``node_gramian`` is state.y's, if the caller has it."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if dw.shape != (model.m, state.m_paths):
+        raise ValueError("dw must have shape (m, M)")
+    if state.d != model.d:
+        raise ValueError("state dimension does not match model")
+    t, u = state.t, state.u
+    x = reconstruct(state)
+    a = model.drift_many(t, x)
+    bdw = model.diffusion_dw(t, x, dw)
+    w = a * dt + bdw
+    if not np.isfinite(w).all():
+        # a non-finite a or b dW makes w non-finite: one scan clears both
+        _check_finite(a, t, "drift")
+        _check_finite(bdw, t, "diffusion increment")
+    y_moved = state.y + u @ w
+    _check_finite(y_moved, t, "coefficient samples")
     y_ref = y_moved if moved_gramian else state.y
     gram = node_gramian
     if moved_gramian or gram is None:
         gram = gramian(y_ref)
     c_mat = gram.c
-    if not np.all(np.isfinite(c_mat)):
+    if not np.isfinite(c_mat).all():
         sq = np.sum(y_ref * y_ref, axis=0)
         j = int(np.argmax(~np.isfinite(sq)))
         raise ModelBlowUp(
             "sample second moments overflowed at t=%.6g on path %d"
-            % (state.t, j), t=state.t, path=j)
+            % (t, j), t=t, path=j)
+    rhs = u_new = None
     if fast_linear and not moved_gramian and model.is_linear_drift:
-        u_new = u + _without_row_span(u @ model.a_mat(state.t).T, u) * dt
+        u_new = u + _without_row_span(u @ model.a_mat(t).T, u) * dt
     else:
         g = (expectation_outer(y_ref, w) if full_increment
              else expectation_outer(y_ref, a) * dt)
-        u_new, residual = _basis_solve(c_mat, u, _without_row_span(g, u))
-        if not np.isfinite(residual):
-            # the norms of the solve overflow once samples pass ~1e154
-            j = int(np.argmax(np.max(np.abs(y_ref), axis=0)))
-            raise ModelBlowUp(
-                "basis solve overflowed at t=%.6g; largest samples on "
-                "path %d" % (state.t, j), t=state.t, path=j)
-    if u_solve_perturbation is not None:
-        u_new = u_new + u_solve_perturbation(c_mat)
+        rhs = c_mat @ u + _without_row_span(g, u)
+    predicted = None
+    if debug and moved_gramian:
+        # new cloud = old cloud + tangent projection of the part of the
+        # increment that enters the solve + row projection of the rest
+        g_inc = w if full_increment else a * dt
+        predicted = (x + _tangent_apply(u, y_moved, c_mat, g_inc)
+                     + u.T @ (u @ (w - g_inc)), _identity_tolerance(c_mat))
+    return _Move(t, t + dt if t_next is None else t_next, y_moved, y_ref,
+                 c_mat, rhs, u_new, u_solve_perturbation and
+                 u_solve_perturbation(c_mat), rank_policy, debug, predicted)
 
-    if t_next is None:
-        t_next = state.t + dt
-    u_plus, y_plus = _refactor(u_new, y_moved, rank_policy)
-    _check_finite(y_plus, t_next, "coefficient samples")
-    new_state = EnsembleState(t=t_next, u=u_plus, y=y_plus)
-    if debug:
-        _check_identity(u_new.T @ y_moved, u_plus.T @ y_plus,
-                        "sample product of the refactorization",
-                        _FACTORIZATION_TOL)
-        if moved_gramian:
-            # new cloud = old cloud + tangent projection of the part of
-            # the increment that enters the solve + row projection of
-            # the rest
-            g_inc = w if full_increment else a * dt
-            rhs = (x + _tangent_apply(u, y_moved, c_mat, g_inc)
-                   + u.T @ (u @ (w - g_inc)))
-            _check_identity(reconstruct(new_state), rhs,
-                            "projected-update identity",
-                            _identity_tolerance(c_mat))
-    return new_state
+
+def _svd_refactor(u_new, move, exc):
+    """Refactor a basis that QR found rank deficient: fail under "abort";
+    under "svd" keep u^T y exact and zero the dead directions' rows."""
+    if move.rank_policy == "abort":
+        raise StepFailed(
+            "basis refactorization found a rank-deficient basis "
+            "(column %s); rerun with rank_policy='svd' to continue "
+            "with dead directions zeroed" % exc.column) from exc
+    w, s, vt = np.linalg.svd(u_new.T, full_matrices=False)
+    u_plus = w.T
+    y_plus = (s[:, np.newaxis] * vt) @ move.y_moved
+    # canonical signs: largest-magnitude entry of each basis row positive
+    lead = np.argmax(np.abs(u_plus), axis=1)
+    signs = np.where(u_plus[np.arange(u_plus.shape[0]), lead] < 0.0, -1.0, 1.0)
+    return signs[:, np.newaxis] * u_plus, signs[:, np.newaxis] * y_plus
+
+
+def _settle(moves):
+    """Stacked k x k phase of the steps of ``moves``, which share k and d.
+
+    One eigh-based solve and one QR serve all cells; a basis that lost
+    rank leaves the QR stack for ``_svd_refactor``.  The rest runs per
+    cell, and each new state is validated once, here.  Returns the new
+    states or raises the first failing cell's error."""
+    u_new = [move.u_new for move in moves]
+    solving = [j for j, move in enumerate(moves) if move.rhs is not None]
+    if solving:
+        c_mat = np.array([moves[j].c_mat for j in solving])
+        rhs = np.array([moves[j].rhs for j in solving])
+        solved = solve_spsd_minnorm(c_mat, rhs)
+        residuals = np.linalg.norm(c_mat @ solved - rhs, axis=(1, 2))
+        for j, u_j, res, scale in zip(solving, solved, residuals,
+                                      np.linalg.norm(rhs, axis=(1, 2))):
+            move = moves[j]
+            if scale > 0.0 and not np.isfinite(res / scale):
+                # the norms of the solve overflow once samples pass ~1e154
+                p = int(np.argmax(np.max(np.abs(move.y_ref), axis=0)))
+                raise ModelBlowUp(
+                    "basis solve overflowed at t=%.6g; largest samples on "
+                    "path %d" % (move.t, p), t=move.t, path=p)
+            u_new[j] = u_j
+    u_new = [u if move.offset is None else u + move.offset
+             for u, move in zip(u_new, moves)]
+
+    new, live, q, r = [None] * len(moves), list(range(len(moves))), (), ()
+    while live:
+        try:
+            q, r = reduced_qr(np.array([u_new[j].T for j in live]))
+            break
+        except RankDeficient as exc:
+            j = live.pop(exc.index)
+            new[j] = _svd_refactor(u_new[j], moves[j], exc)
+    for j, q_j, r_j in zip(live, q, r):
+        new[j] = q_j.T, r_j @ moves[j].y_moved
+    u_plus = np.array([u for u, _ in new])
+    defects = np.linalg.norm(u_plus @ np.swapaxes(u_plus, 1, 2)
+                             - np.eye(u_plus.shape[1]), axis=(1, 2))
+    states = []
+    for move, u_n, (u_p, y_p), defect in zip(moves, u_new, new, defects):
+        if defect > ORTHONORMALITY_TOL:
+            warnings.warn("basis lost orthonormality (defect %.3e), "
+                          "re-orthonormalizing" % defect)
+            q2, r2 = reduced_qr(u_p.T)
+            u_p, y_p = q2.T, r2 @ y_p
+        _check_finite(y_p, move.t_next, "coefficient samples")
+        if np.isnan(defect):  # a non-finite basis passes the test above
+            raise ValueError("ensemble state contains non-finite entries")
+        states.append(EnsembleState.checked(move.t_next, u_p, y_p))
+        if move.debug:
+            _check_identity(u_n.T @ move.y_moved, u_p.T @ y_p,
+                            "sample product of the refactorization",
+                            _FACTORIZATION_TOL)
+        if move.predicted is not None:
+            _check_identity(reconstruct(states[-1]), move.predicted[0],
+                            "projected-update identity", move.predicted[1])
+    return states
+
+
+def _settle_each(moves):
+    """``_settle`` the moves as one stack or, if a cell fails, each alone,
+    so it gets its own error and the others keep their bytes."""
+    try:
+        return _settle(moves)
+    except _FAILURES as exc:
+        if len(moves) == 1:
+            return [exc]
+    return [result for move in moves for result in _settle_each([move])]
+
+
+def _dlr_step(model, state, dt, dw, **options):
+    """One low-rank step: ``_move`` and ``_settle`` on a stack of one."""
+    if options.get("rank_policy", "abort") not in RANK_POLICIES:
+        raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
+    return _settle([_move(model, state, dt, dw, **options)])[0]
 
 
 def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
@@ -339,9 +350,9 @@ def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
     -------
     EnsembleState
     """
-    return _dlr_step(model, state, dt, dw, moved_gramian=False,
-                     full_increment=False, fast_linear=fast_linear,
-                     debug=debug, rank_policy=rank_policy,
+    return _dlr_step(model, state, dt, dw, **_FLAGS["dlr_em"],
+                     fast_linear=fast_linear, debug=debug,
+                     rank_policy=rank_policy,
                      u_solve_perturbation=u_solve_perturbation)
 
 
@@ -363,9 +374,8 @@ def dlr_ps_em_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
     -------
     EnsembleState
     """
-    return _dlr_step(model, state, dt, dw, moved_gramian=True,
-                     full_increment=True, debug=debug,
-                     rank_policy=rank_policy,
+    return _dlr_step(model, state, dt, dw, **_FLAGS["dlr_ps_em"],
+                     debug=debug, rank_policy=rank_policy,
                      u_solve_perturbation=u_solve_perturbation)
 
 
@@ -384,19 +394,20 @@ def dlr_ps_sde_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
     -------
     EnsembleState
     """
-    return _dlr_step(model, state, dt, dw, moved_gramian=True,
-                     full_increment=False, debug=debug,
-                     rank_policy=rank_policy,
+    return _dlr_step(model, state, dt, dw, **_FLAGS["dlr_ps_sde"],
+                     debug=debug, rank_policy=rank_policy,
                      u_solve_perturbation=u_solve_perturbation)
 
 
-# integrate looks each scheme's step up here and passes all the same keywords
-_DLR_STEPS = {
-    "dlr_em": partial(_dlr_step, moved_gramian=False, full_increment=False),
-    "dlr_ps_em": partial(_dlr_step, moved_gramian=True, full_increment=True),
-    "dlr_ps_sde": partial(_dlr_step, moved_gramian=True,
-                          full_increment=False),
+# the two flags of each low-rank scheme (module table)
+_FLAGS = {
+    "dlr_em": dict(moved_gramian=False, full_increment=False),
+    "dlr_ps_em": dict(moved_gramian=True, full_increment=True),
+    "dlr_ps_sde": dict(moved_gramian=True, full_increment=False),
 }
+# the step of each scheme alone; perfbench/tracer.py wraps these entries
+_DLR_STEPS = {scheme: partial(_dlr_step, **flags)
+              for scheme, flags in _FLAGS.items()}
 
 
 class Stepper:
@@ -405,20 +416,25 @@ class Stepper:
     ``grid`` fixes the time lattice and the trajectory's lineage; its
     increments are not read, so a caller that streams the increments
     passes a grid that stores none and calls ``advance`` with each one
-    in turn.  The keyword arguments are those of ``integrate``, which
-    drives a stepper over a stored grid.  The scalar diagnostics of a
-    node, and its cloud if recorded, are taken when the loop reaches it;
-    ``traj.final_state`` is the state at the last node reached.  With
-    ``record_nodes=()`` the stepper records nothing per node, so its
-    memory does not grow with the step count.
+    in turn, or ``advance_all`` to step many steppers at once.  The
+    keyword arguments are those of ``integrate``, which drives a stepper
+    over a stored grid, plus ``sigma_min=False``, which keeps no smallest
+    Gramian eigenvalue per node and so forms no node Gramian.  The scalar
+    diagnostics of a node, and its cloud if recorded, are taken when the
+    loop reaches it; ``traj.final_state`` is the state at the last node
+    reached.  With ``record_nodes=()`` the stepper records nothing per
+    node, so its memory does not grow with the step count.
     """
 
     def __init__(self, model, scheme, init, grid, *, record_nodes=None,
                  keep_states=False, debug=False, fast_linear=False,
-                 rank_policy="abort", u_solve_perturbation=None):
+                 rank_policy="abort", u_solve_perturbation=None,
+                 sigma_min=True):
         if scheme not in SCHEMES:
             raise ValueError("unknown scheme %r, expected one of %r"
                              % (scheme, SCHEMES))
+        if rank_policy not in RANK_POLICIES:
+            raise ValueError("unknown rank_policy %r" % (rank_policy,))
         if grid.m != model.m:
             raise ValueError("grid carries %d noise components, model "
                              "needs %d" % (grid.m, model.m))
@@ -451,10 +467,9 @@ class Stepper:
         self._dt = grid.dt
         self._time = grid.time
         self._keep_states = keep_states
-        self._options = dict(fast_linear=fast_linear, debug=debug,
-                             rank_policy=rank_policy,
+        self._options = dict(_FLAGS.get(scheme, {}), fast_linear=fast_linear,
+                             debug=debug, rank_policy=rank_policy,
                              u_solve_perturbation=u_solve_perturbation)
-        self._step = _DLR_STEPS.get(scheme)
         self.traj = Trajectory(
             scheme=scheme,
             model_name=model.name,
@@ -465,12 +480,17 @@ class Stepper:
             coarsen_factor=grid.coarsen_factor,
             times=grid.times() if keep else None,
             mean_square_norms=np.full(n + 1, np.nan) if keep else None,
-            sigma_min_gramians=np.full(n + 1, np.nan) if keep else None,
+            sigma_min_gramians=(np.full(n + 1, np.nan)
+                                if keep and sigma_min else None),
         )
         self._node_gramian = None
         self.node = 0
         with np.errstate(over="ignore", invalid="ignore"):
             self._reach_node()
+
+    @property
+    def failed(self):
+        return self.traj.error is not None
 
     def cloud(self):
         """The (d, M) sample cloud at the current node."""
@@ -484,8 +504,9 @@ class Stepper:
             return
         if self.low_rank:
             traj.mean_square_norms[i] = mean_square_norm(self.state.y)
-            self._node_gramian = gramian(self.state.y)
-            traj.sigma_min_gramians[i] = self._node_gramian.sigma_min
+            if traj.sigma_min_gramians is not None:
+                self._node_gramian = gramian(self.state.y)
+                traj.sigma_min_gramians[i] = self._node_gramian.sigma_min
         else:
             traj.mean_square_norms[i] = mean_square_norm(self.state)
         if i in self._record_set:
@@ -496,34 +517,65 @@ class Stepper:
             if self._keep_states and self.low_rank:
                 traj.node_states.append(self.state)
 
+    def _reach(self, state):
+        self.state, self.node = state, self.node + 1
+        self._reach_node()
+
+    def _fail(self, exc):
+        self.traj.completed = False
+        self.traj.error = "%s at step %d (t=%.6g): %s" % (
+            type(exc).__name__, self.node, self._time(self.node), exc)
+
     def advance(self, dw):
         """Step from the current node to the next one on increment dw.
 
         Returns True on success.  A step that raises a LowRankSdeError
         or a LinAlgError marks the trajectory failed and returns False;
         the stepper must not be advanced after that, nor past the last
-        node of its grid.
+        node of its grid.  A low-rank step is ``advance_all`` on this
+        stepper alone.
         """
-        i = self.node
-        traj = self.traj
-        with np.errstate(over="ignore", invalid="ignore"):
+        if self.low_rank:
+            advance_all([(self, dw)])
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    self._reach(em_step(self._model, self.state,
+                                        self._time(self.node), self._dt, dw))
+                except _FAILURES as exc:
+                    self._fail(exc)
+        return not self.failed
+
+
+def advance_all(pairs):
+    """Advance the stepper of each (stepper, increment) pair one step.
+
+    Low-rank steppers move one by one and settle as one stack per basis
+    shape (``_settle``); the others call their own ``advance``.  Each
+    ends exactly as if advanced alone, failures included."""
+    stacks = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stepper, dw in pairs:
+            if not stepper.low_rank:
+                stepper.advance(dw)
+                continue
             try:
-                if self.low_rank:
-                    self.state = self._step(
-                        self._model, self.state, self._dt, dw,
-                        t_next=self._time(i + 1),
-                        node_gramian=self._node_gramian, **self._options)
+                move = _move(stepper._model, stepper.state, stepper._dt, dw,
+                             t_next=stepper._time(stepper.node + 1),
+                             node_gramian=stepper._node_gramian,
+                             **stepper._options)
+            except _FAILURES as exc:
+                stepper._fail(exc)
+            else:
+                stacks.setdefault(stepper.state.u.shape, []).append(
+                    (stepper, move))
+        for stack in stacks.values():
+            results = _settle_each([move for _, move in stack])
+            for (stepper, _), result in zip(stack, results):
+                if isinstance(result, Exception):
+                    stepper._fail(result)
                 else:
-                    self.state = em_step(self._model, self.state,
-                                         self._time(i), self._dt, dw)
-            except (LowRankSdeError, np.linalg.LinAlgError) as exc:
-                traj.completed = False
-                traj.error = "%s at step %d (t=%.6g): %s" % (
-                    type(exc).__name__, i, self._time(i), exc)
-                return False
-            self.node = i + 1
-            self._reach_node()
-        return True
+                    stepper._reach(result)
 
 
 def integrate(model, scheme, init, grid, *, record_nodes=None,

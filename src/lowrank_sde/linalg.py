@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels for the mode-update solves.
 
-Three operations: reduced QR with a deterministic sign convention,
-symmetric eigendecomposition with descending eigenvalues, and a
-minimal-norm solve for (near-)singular symmetric positive-semidefinite
-systems. All of them are thin, contract-enforcing layers over LAPACK.
+Three operations, on one matrix or a stack: reduced QR with a
+deterministic sign convention, symmetric eigendecomposition with
+descending eigenvalues, and a minimal-norm solve for (near-)singular
+symmetric PSD systems. All are thin, contract-enforcing LAPACK layers.
 """
 
 from dataclasses import dataclass
@@ -32,58 +32,62 @@ def reduced_qr(a):
 
     Parameters
     ----------
-    a : (n, k) array with n >= k, numerically full column rank.
+    a : (n, k) array with n >= k, numerically full column rank, or an
+        (S, n, k) stack of them.
 
     Returns
     -------
     q : (n, k) array with orthonormal columns.
     r : (k, k) upper triangular with positive diagonal.
+    Both carry the leading stack axis of a stacked input.
 
     Raises
     ------
     DimensionMismatch
         If a has fewer rows than columns.
     RankDeficient
-        If some |r[i, i]| <= 1e-14 * ||a||_F (carrying the column index i).
+        If some |r[i, i]| <= 1e-14 * ||a||_F (carrying the column index i,
+        and for a stack the index of the first such matrix).
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch("expected a 2-d array, got shape %r" % (a.shape,))
-    n, k = a.shape
+    if a.ndim not in (2, 3):
+        raise DimensionMismatch("expected 2 or 3 dims, got shape %r" % (a.shape,))
+    n, k = a.shape[-2:]
     if n < k:
         raise DimensionMismatch("reduced_qr needs rows >= cols, got %d < %d" % (n, k))
     q, r = np.linalg.qr(a, mode="reduced")
-    scale = np.linalg.norm(a)
-    diag = np.diagonal(r)
-    small = np.abs(diag) <= 1e-14 * scale
-    if np.any(small):
-        col = int(np.nonzero(small)[0][0])
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    small = np.abs(diag) <= 1e-14 * scale[..., np.newaxis]
+    if small.any():
+        first = tuple(np.argwhere(small)[0])
+        col = int(first[-1])
         raise RankDeficient(
             "input is rank deficient at column %d (|r_ii| = %.3e, ||a|| = %.3e)"
-            % (col, abs(diag[col]), scale),
-            column=col,
+            % (col, abs(diag[first]), scale[first[:-1]]),
+            column=col, index=int(first[0]) if a.ndim == 3 else None,
         )
     signs = np.where(diag < 0.0, -1.0, 1.0)
     # flip column i of q and row i of r together, the product is unchanged
-    q = q * signs[np.newaxis, :]
-    r = r * signs[:, np.newaxis]
+    q = q * signs[..., np.newaxis, :]
+    r = r * signs[..., :, np.newaxis]
     return q, r
 
 
 def sym_eig(c):
-    """Eigendecomposition of a (nearly) symmetric matrix.
+    """Eigendecomposition of a (nearly) symmetric matrix, or of a stack.
 
     The input is symmetrized by averaging with its transpose before the
     solve, since sample Gramians accumulate asymmetric rounding.
     Eigenvalues come back sorted descending.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
         raise DimensionMismatch("sym_eig needs a square matrix, got shape %r" % (c.shape,))
-    sym = 0.5 * (c + c.T)
+    sym = 0.5 * (c + np.swapaxes(c, -1, -2))
     w, v = np.linalg.eigh(sym)
-    order = np.arange(w.shape[0] - 1, -1, -1)
-    return SymEig(eigenvalues=w[order], eigenvectors=v[:, order])
+    order = np.arange(w.shape[-1] - 1, -1, -1)
+    return SymEig(eigenvalues=w[..., order], eigenvectors=v[..., order])
 
 
 def solve_spsd_minnorm(c, b, rel_threshold=DEFAULT_PINV_RELATIVE_THRESHOLD):
@@ -96,41 +100,42 @@ def solve_spsd_minnorm(c, b, rel_threshold=DEFAULT_PINV_RELATIVE_THRESHOLD):
 
     Parameters
     ----------
-    c : (k, k) symmetric positive-semidefinite matrix.
-    b : (k, d) right-hand side.
+    c : (k, k) symmetric positive-semidefinite matrix, or an (S, k, k)
+        stack.
+    b : (k, d) right-hand side, with the same leading axis as c.
     rel_threshold : float in (0, 1), default 1e-12.
 
     Raises
     ------
     NotPSD
-        If C has an eigenvalue below -1e-10 * lambda_max.
+        If C (of a stack, the first) has an eigenvalue below -1e-10 *
+        lambda_max.
     DimensionMismatch
         If shapes are inconsistent.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b[:, np.newaxis]
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    if b.ndim == c.ndim - 1:
+        b = b[..., np.newaxis]
+    if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
         raise DimensionMismatch("c must be square, got shape %r" % (c.shape,))
-    if b.shape[0] != c.shape[0]:
+    if b.shape[:-1] != c.shape[:-1]:
         raise DimensionMismatch(
-            "rhs has %d rows, expected %d" % (b.shape[0], c.shape[0])
+            "rhs has shape %r, expected %d rows" % (b.shape, c.shape[-1])
         )
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in (0, 1)")
     eig = sym_eig(c)
     lam = eig.eigenvalues
-    lam_max = lam[0]
-    if lam_max < 0.0:
-        lam_max = 0.0
-    if lam[-1] < -1e-10 * lam_max:
+    lam_max = np.maximum(lam[..., :1], 0.0)
+    negative = lam[..., -1:] < -1e-10 * lam_max
+    if negative.any():
+        first = int(np.argmax(negative))
         raise NotPSD(
             "matrix has negative eigenvalue %.3e (lambda_max = %.3e)"
-            % (lam[-1], lam_max)
+            % (lam[..., -1].flat[first], lam_max.flat[first])
         )
     keep = lam > rel_threshold * lam_max
-    inv = np.zeros_like(lam)
-    inv[keep] = 1.0 / lam[keep]
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     v = eig.eigenvectors
-    return v @ (inv[:, np.newaxis] * (v.T @ b))
+    return v @ (inv[..., np.newaxis] * (np.swapaxes(v, -1, -2) @ b))

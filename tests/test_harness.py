@@ -7,8 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import lowrank_sde.cli
+import lowrank_sde.harness
 from lowrank_sde.cli import main as cli_main
 from lowrank_sde.diagnostics import dt_condition
 from lowrank_sde.ensemble import init_rank_k, load_snapshot
@@ -571,6 +574,31 @@ class TestRunStability:
         run_stability(self.stab_spec(tmp_path, "stab"))
         assert draws == [(3, step) for step in range(20)]
 
+    def test_one_eigh_and_one_qr_per_walk_step(self, tmp_path,
+                                               monkeypatch):
+        # the nine cells settle as one stack, and a stability run forms
+        # no node Gramian: the walk factors once per step, all cells
+        # together
+        calls = dict.fromkeys(("eigh", "eigvalsh", "svd", "qr"), 0)
+        walk = lowrank_sde.harness._walk
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        def counted_walk(lanes):
+            for name in calls:
+                monkeypatch.setattr(np.linalg, name,
+                                    counting(name, getattr(np.linalg, name)))
+            walk(lanes)
+
+        monkeypatch.setattr(lowrank_sde.harness, "_walk", counted_walk)
+        out = run_stability(self.stab_spec(tmp_path, "stab"))
+        assert len(out["classifications"]) == 9
+        assert calls == {"eigh": 20, "eigvalsh": 0, "svd": 0, "qr": 20}
+
     def test_peak_memory_independent_of_horizon(self, tmp_path):
         # the cells stream their noise, so four times the horizon may
         # not take four times the memory (a stored grid per cell did)
@@ -694,6 +722,33 @@ output_dir = {out}
         assert cli_main(["run", path]) == 2
         assert not (tmp_path / "bad_out").exists()
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("convergence", "reference = em_fine\nfine_factor = 2"),
+        ("stability", ""),
+    ])
+    def test_overflowing_step_count_exits_two(self, tmp_path, capsys, kind,
+                                              extra):
+        # t_final / dt is inf: validation must reject what a run would
+        # fail on, for every kind
+        body = """
+[huge]
+kind = {kind}
+model = toy_example_1
+schemes = dlr_em
+rank = 1
+paths = 10
+seed = 3
+t_final = 1e300
+dt = 1e-10
+output_dir = {out}
+{extra}
+""".format(kind=kind, out=tmp_path / "huge_out", extra=extra)
+        path = write_ini(tmp_path, body)
+        assert cli_main(["validate", path]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert cli_main(["run", path]) == 2
+        assert not (tmp_path / "huge_out").exists()
+
     def test_missing_file_exits_two(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.ini")]) == 2
 
@@ -732,3 +787,65 @@ output_dir = {out}
                       "toy_example_3", "stability_model", "sadr_model",
                       "laplacian_model"):
             assert name in out
+
+
+FUZZ_BASE = {"kind": "stability", "model": "toy_example_1",
+             "schemes": "dlr_em", "rank": "1", "paths": "10", "seed": "3",
+             "t_final": "1", "dt": "0.1", "output_dir": "out"}
+FUZZ_KIND_KEYS = {"convergence": {"reference": "em_fine",
+                                  "fine_factor": "2"},
+                  "single_run": {"snapshot_times": "0.5"}}
+FUZZ_NUMBER_KEYS = ("t_final", "dt", "snapshot_times", "rank", "paths",
+                    "seed", "fine_factor", "model.sigma_b", "model.mu",
+                    "model.d")
+FUZZ_WORD_KEYS = ("kind", "model", "schemes", "reference", "rank_policy",
+                  "debug_identities", "linear_fast_path", "output_dir",
+                  "model.noise_profile", "verbosity")
+# no large integers: a model.d of that size would allocate its matrices;
+# 1e308 / dt overflows for every dt below 1
+FUZZ_NUMBERS = ("0", "1", "2", "3", "7", "-1", "-0.5", "0.1", "0.05, 0.1",
+                "0.1, 0.05", "2.5", "1e-10", "1e-300", "1e300", "1e308",
+                "-1e300", "1e400", "inf", "-inf", "nan", "0.1, nan")
+FUZZ_WORDS = ("", "abc", "yes", "em", "dlr_em, dlr_ps_sde", "exact",
+              "em_fine", "svd", "gbm_oracle", "sadr_model", "stability_model",
+              "single_run", "convergence", "singular_values")
+
+
+@st.composite
+def fuzzed_sections(draw):
+    """A valid section of a random kind with one to three keys replaced
+    by edge-case values, mostly of the key's own type, or removed."""
+    kind = draw(st.sampled_from(("convergence", "singular_values",
+                                 "stability", "single_run")))
+    section = dict(FUZZ_BASE, kind=kind, **FUZZ_KIND_KEYS.get(kind, {}))
+    keys = st.sampled_from(FUZZ_NUMBER_KEYS + FUZZ_WORD_KEYS)
+    for key in draw(st.lists(keys, min_size=1, max_size=3)):
+        own, other = ((FUZZ_NUMBERS, FUZZ_WORDS) if key in FUZZ_NUMBER_KEYS
+                      else (FUZZ_WORDS, FUZZ_NUMBERS))
+        value = draw(st.one_of(st.sampled_from(own), st.sampled_from(own),
+                               st.sampled_from(own), st.sampled_from(other),
+                               st.floats().map(repr), st.none()))
+        if value is None:
+            section.pop(key, None)
+        else:
+            section[key] = value
+    return section
+
+
+class TestLoadSpecsProperty:
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed_sections())
+    # a t_final / dt and a snapshot index that are not finite once
+    # escaped as OverflowError and ValueError
+    @example(dict(FUZZ_BASE, kind="convergence", t_final="1e300",
+                  dt="1e-10", **FUZZ_KIND_KEYS["convergence"]))
+    @example(dict(FUZZ_BASE, kind="single_run", snapshot_times="nan"))
+    def test_returns_specs_or_raises_spec_error(self, tmp_path, section):
+        body = "[fuzz]\n" + "".join("%s = %s\n" % item
+                                    for item in section.items())
+        try:
+            specs = load_specs(write_ini(tmp_path, body))
+        except SpecError:
+            return
+        assert [type(spec) for spec in specs] == [ExperimentSpec]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -15,8 +15,10 @@ from lowrank_sde.ensemble import (
     reconstruct,
 )
 from lowrank_sde.errors import ModelBlowUp, StepFailed
+import lowrank_sde.integrators
 from lowrank_sde.integrators import (
     Stepper,
+    advance_all,
     dlr_em_step,
     dlr_ps_em_step,
     dlr_ps_sde_step,
@@ -432,6 +434,11 @@ class TestRankPolicy:
         dw = np.zeros((model.m, 100))
         with pytest.raises(ValueError):
             dlr_ps_em_step(model, state, 0.01, dw, rank_policy="drop")
+        # a stepper checks its policy once, when it is built
+        grid = BrownianGrid(seed=1, t0=0.0, t1=0.1, n_steps=1, m=model.m,
+                            m_paths=100, increments=None)
+        with pytest.raises(ValueError, match="rank_policy"):
+            Stepper(model, "dlr_em", state, grid, rank_policy="drop")
 
 
 class TestSampleTangentProjector:
@@ -676,3 +683,101 @@ class TestIntegrate:
         for dw in grid.increments:
             assert stepper.advance(dw)
         assert calls == {"eigh": n, "eigvalsh": 0, "svd": 0, "qr": n}
+
+
+@st.composite
+def stacked_cells(draw):
+    """Up to six low-rank cells on one d <= 6, each with its own rank
+    (from at most two), path count M <= 64, scheme, dt, rank policy and
+    linear shortcut.  When ``failure`` is set, cell ``victim`` is made
+    to fail in the stacked phase of its first step, or, if its basis
+    goes rank deficient under rank_policy "svd", to take the SVD
+    fallback there."""
+    d = draw(st.integers(1, 6))
+    ranks = draw(st.lists(st.integers(1, d), min_size=1, max_size=2))
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.sampled_from(ranks))
+        cells.append(dict(
+            k=k, m_paths=draw(st.integers(k, 64)),
+            scheme=draw(st.sampled_from(("dlr_em", "dlr_ps_em",
+                                         "dlr_ps_sde"))),
+            dt=draw(st.floats(1e-3, 0.2)),
+            rank_policy=draw(st.sampled_from(("abort", "svd"))),
+            fast_linear=draw(st.booleans())))
+    failure = draw(st.sampled_from((None, "rank", "non-finite")))
+    victim = draw(st.integers(0, len(cells) - 1))
+    return d, cells, failure, victim, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestStackedStep:
+    @staticmethod
+    def twin_steppers(rng, d, cell, failure):
+        """Two equal two-step steppers of one cell and their increments.
+
+        "rank" zeroes the samples of a model without dynamics, so the
+        solve returns a zero basis that QR finds rank deficient;
+        "non-finite" adds an infinite offset to the solved basis, so the
+        new samples are not finite."""
+        k, m_paths, dt = cell["k"], cell["m_paths"], cell["dt"]
+        options = dict(rank_policy=cell["rank_policy"],
+                       fast_linear=cell["fast_linear"])
+        if failure == "rank":
+            model, samples = zero_model(d, d), np.zeros((d, m_paths))
+        else:
+            model = linear_model(rng, d, 0.3)
+            samples = rng.normal(size=(d, m_paths))
+        if failure == "non-finite":
+            options["fast_linear"] = False
+            options["u_solve_perturbation"] = lambda c: np.full((k, d),
+                                                                np.inf)
+        state = init_rank_k(samples, k)
+        grid = BrownianGrid(seed=1, t0=0.0, t1=2 * dt, n_steps=2, m=d,
+                            m_paths=m_paths, increments=None)
+        dws = rng.normal(size=(2, d, m_paths)) * np.sqrt(dt)
+        return [Stepper(model, cell["scheme"], state, grid, **options)
+                for _ in range(2)] + [dws]
+
+    @PROPERTY
+    @given(stacked_cells())
+    # the middle cell leaves the QR stack for the SVD fallback
+    @example((3, [dict(k=2, m_paths=20, scheme=scheme, dt=0.05,
+                       rank_policy="svd", fast_linear=False)
+                  for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde")],
+              "rank", 1, 7))
+    def test_stacked_advance_equals_each_cell_alone(self, setup):
+        # the stack of a walk step changes no byte of any cell, and a
+        # cell that fails in it fails alone with its own error
+        d, cells, failure, victim, seed = setup
+        rng = np.random.default_rng(seed)
+        runs = [self.twin_steppers(rng, d, cell,
+                                   failure if i == victim else None)
+                for i, cell in enumerate(cells)]
+        for step in range(2):
+            advance_all([(stacked, dws[step]) for stacked, _, dws in runs
+                         if not stacked.failed])
+            for _, alone, dws in runs:
+                if not alone.failed:
+                    alone.advance(dws[step])
+        for stacked, alone, _ in runs:
+            assert stacked.traj.error == alone.traj.error
+            assert stacked.state.t == alone.state.t
+            assert np.array_equal(stacked.state.u, alone.state.u)
+            assert np.array_equal(stacked.state.y, alone.state.y)
+        if failure == "non-finite" or (
+                failure == "rank" and cells[victim]["rank_policy"] == "abort"):
+            assert runs[victim][0].node == 0 and runs[victim][0].failed
+        elif failure:
+            assert runs[victim][0].node == 2
+
+    def test_non_finite_basis_rejected(self, monkeypatch):
+        # the refactorization's orthonormality defect is the only check
+        # of the new basis, so a NaN defect must fail too
+        def nan_qr(a):
+            q, r = reduced_qr(a)
+            return np.full_like(q, np.nan), r
+
+        monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr", nan_qr)
+        model, state = toy_state(m_paths=50)
+        with pytest.raises(ValueError, match="non-finite"):
+            dlr_ps_sde_step(model, state, 0.01, np.zeros((model.m, 50)))

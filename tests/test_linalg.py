@@ -87,6 +87,23 @@ class TestReducedQR:
         with pytest.raises(DimensionMismatch):
             reduced_qr(np.ones((2, 3)))
 
+    def test_stack_factors_each_matrix_alone(self):
+        # a stack gives each matrix's own bits, and a rank-deficient
+        # matrix in it is named by its stack index and column
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((5, 6, 3))
+        q, r = reduced_qr(a)
+        for s in range(5):
+            q_s, r_s = reduced_qr(a[s])
+            assert np.array_equal(q[s], q_s) and np.array_equal(r[s], r_s)
+        a[3, :, 2] = a[3, :, 0]
+        with pytest.raises(RankDeficient) as exc:
+            reduced_qr(a)
+        assert (exc.value.index, exc.value.column) == (3, 2)
+        with pytest.raises(RankDeficient) as exc:
+            reduced_qr(a[3])
+        assert (exc.value.index, exc.value.column) == (None, 2)
+
 
 class TestSymEig:
     def test_diagonal(self):
@@ -194,6 +211,26 @@ class TestSolveSpsdMinnorm:
         x = solve_spsd_minnorm(c, b, rel_threshold=1e-12)
         # the 1e-15 mode sits below 1e-12 * 1 and must be zeroed, not amplified
         assert_allclose(x, np.array([[1.0], [0.0]]), atol=1e-14)
+
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1))
+    def test_stack_solves_each_matrix_alone(self, k, cols, n, seed):
+        # Gramians of random rank and scale: each solution of the stack
+        # keeps the bits of its matrix solved alone
+        rng = np.random.default_rng(seed)
+        c = np.stack([g @ g.T for g in (
+            rng.uniform(1e-3, 1e3) * rng.standard_normal(
+                (k, rng.integers(1, k + 1))) for _ in range(n))])
+        b = rng.standard_normal((n, k, cols))
+        x = solve_spsd_minnorm(c, b)
+        for s in range(n):
+            assert np.array_equal(x[s], solve_spsd_minnorm(c[s], b[s]))
+
+    def test_stack_with_a_negative_matrix_raises(self):
+        c = np.stack([np.eye(2), np.diag([1.0, -1e-3])])
+        with pytest.raises(NotPSD):
+            solve_spsd_minnorm(c, np.ones((2, 2, 1)))
 
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
