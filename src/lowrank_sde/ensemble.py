@@ -5,31 +5,17 @@ k x d matrix of orthonormal rows (the deterministic modes) and Y a k x M
 sample matrix (the stochastic modes). Expectations are plain (1/M)
 sample averages; every expectation in the package goes through
 :func:`expectation_outer`, whose reduction is the single BLAS
-matrix-product code path, fixed once for reproducibility.
+matrix-product code path, fixed once for reproducibility.  The k x k
+Gramian E[Y Y^T] is a plain array; :func:`sigma_min` reads its floor.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, RankTooLarge
 
 ORTHONORMALITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Gramian:
-    """Sample second-moment matrix E[Y Y^T], symmetric PSD, k x k."""
-
-    c: np.ndarray
-
-    @cached_property
-    def sigma_min(self):
-        """Smallest eigenvalue clamped at 0; nan if c is not finite."""
-        if not np.all(np.isfinite(self.c)):
-            return np.nan
-        return max(float(np.linalg.eigvalsh(self.c)[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -113,9 +99,16 @@ def expectation_outer(a, b):
 
 
 def gramian(y):
-    """Assemble the Gramian E[Y Y^T] from samples, symmetrized."""
+    """The k x k Gramian E[Y Y^T] of samples y, symmetrized."""
     c = expectation_outer(y, y)
-    return Gramian(c=0.5 * (c + c.T))
+    return 0.5 * (c + c.T)
+
+
+def sigma_min(c):
+    """Smallest eigenvalue of a Gramian, clamped at 0; nan if not finite."""
+    if not np.all(np.isfinite(c)):
+        return np.nan
+    return max(float(np.linalg.eigvalsh(c)[0]), 0.0)
 
 
 def init_rank_k(samples, k):

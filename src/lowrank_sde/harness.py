@@ -117,21 +117,18 @@ def _parse_bool(section, key, raw):
 
 def _parse_floats(section, key, raw):
     try:
-        values = tuple(float(part) for part in raw.split(","))
+        return tuple(float(part) for part in raw.split(","))
     except ValueError:
         raise SpecError("[%s] %s: expected comma-separated numbers, got %r"
                         % (section, key, raw))
-    if not values:
-        raise SpecError("[%s] %s: empty list" % (section, key))
-    return values
 
 
-def _parse_int(section, key, raw):
+def _parse_one(section, key, raw, cast=int):
     try:
-        return int(raw)
+        return cast(raw)
     except ValueError:
-        raise SpecError("[%s] %s: expected an integer, got %r"
-                        % (section, key, raw))
+        raise SpecError("[%s] %s: expected one %s, got %r"
+                        % (section, key, cast.__name__, raw))
 
 
 def _steps_for(dt, t_final, where):
@@ -209,6 +206,8 @@ class ExperimentSpec:
         if self.rank_policy not in RANK_POLICIES:
             raise SpecError("%s rank_policy must be one of %s"
                             % (where, "/".join(RANK_POLICIES)))
+        if not self.output_dir:
+            raise SpecError("%s output_dir must not be empty" % where)
         # every kind steps each dt, so validation fails where a run would
         n_values = [_steps_for(dt, self.t_final, where)
                     for dt in self.dt_values]
@@ -257,8 +256,8 @@ def load_specs(path):
     """Parse an INI experiment file into a list of ExperimentSpec.
 
     Raises SpecError for unreadable files, unknown keys, malformed
-    values, unknown models or model overrides, and combinations the
-    runners cannot honor.
+    values, unknown models or model overrides, combinations the runners
+    cannot honor, and two sections that share an output directory.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -272,6 +271,7 @@ def load_specs(path):
         raise SpecError("spec file %s defines no experiment sections" % path)
 
     specs = []
+    owners = {}
     for section in parser.sections():
         raw = dict(parser.items(section))
         fields = {"name": section}
@@ -298,17 +298,16 @@ def load_specs(path):
         fields["model_overrides"] = overrides
         fields["schemes"] = tuple(
             s.strip() for s in raw["schemes"].split(",") if s.strip())
-        fields["rank"] = _parse_int(section, "rank", raw["rank"])
-        fields["paths"] = _parse_int(section, "paths", raw["paths"])
-        fields["seed"] = _parse_int(section, "seed", raw["seed"])
-        fields["t_final"] = _parse_floats(section, "t_final",
-                                          raw["t_final"])[0]
+        for key in ("rank", "paths", "seed"):
+            fields[key] = _parse_one(section, key, raw[key])
+        fields["t_final"] = _parse_one(section, "t_final", raw["t_final"],
+                                       float)
         fields["dt_values"] = _parse_floats(section, "dt", raw["dt"])
         fields["output_dir"] = raw["output_dir"].strip()
         if "reference" in raw:
             fields["reference"] = raw["reference"].strip()
         if "fine_factor" in raw:
-            fields["fine_factor"] = _parse_int(section, "fine_factor",
+            fields["fine_factor"] = _parse_one(section, "fine_factor",
                                                raw["fine_factor"])
         if "debug_identities" in raw:
             fields["debug_identities"] = _parse_bool(
@@ -330,6 +329,11 @@ def load_specs(path):
         if spec.linear_fast_path and not model.is_linear_drift:
             raise SpecError("[%s] linear_fast_path needs a model with "
                             "linear drift" % section)
+        owner = owners.setdefault(os.path.abspath(spec.output_dir), section)
+        if owner != section:
+            raise SpecError("[%s] and [%s] share output_dir %s; each would "
+                            "overwrite the other's outputs"
+                            % (owner, section, spec.output_dir))
         specs.append(spec)
     return specs
 
@@ -787,7 +791,7 @@ def run_single(spec):
     record = sorted({0, n, *snapshot_nodes})
 
     [(_, _, traj)] = _run_fixed_dt(spec, model, samples, state0,
-                                   record_nodes=record, keep_states=True)
+                                   record_nodes=record)
     if traj.error:
         raise StepFailed("single run failed: %s" % traj.error)
 

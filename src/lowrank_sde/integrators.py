@@ -26,7 +26,8 @@ rank deficient; a step entry is a stack of one.  Overflow is ``ModelBlowUp``.
 
 ``Stepper`` is the step loop of one scheme, fed one Brownian increment
 at a time; ``advance_all`` steps many at once, and ``integrate`` drives
-one over a stored increment grid.
+one over a stored increment grid.  Both record the cloud, and a
+low-rank state by reference, at the nodes of ``record_nodes``.
 """
 
 import warnings
@@ -43,6 +44,7 @@ from .ensemble import (
     gramian,
     mean_square_norm,
     reconstruct,
+    sigma_min,
 )
 from .errors import LowRankSdeError, ModelBlowUp, RankDeficient, StepFailed
 from .linalg import (DEFAULT_PINV_RELATIVE_THRESHOLD, reduced_qr,
@@ -67,17 +69,15 @@ _FAILURES = (LowRankSdeError, np.linalg.LinAlgError)
 class Trajectory:
     """Result of integrating one scheme over one increment grid.
 
-    Sample values are stored only at the requested node indices;
-    scalar diagnostics are kept at every grid node.  A run that records
-    no node keeps no diagnostics either: ``times``, ``mean_square_norms``
-    and ``sigma_min_gramians`` are None.
-    Lineage fields (seed, endpoints, step counts, coarsening factor) let
-    error metrics verify that two trajectories were driven by the same
-    root noise before comparing them.
+    Clouds, and a low-rank scheme's states, are kept only at the
+    requested node indices; scalar diagnostics at every grid node, unless
+    the run records no node: then ``times``, ``mean_square_norms`` and
+    ``sigma_min_gramians`` are None.  Lineage fields (seed, endpoints,
+    step counts, coarsening factor) let error metrics verify that two
+    trajectories were driven by the same root noise.  ``error`` is None
+    unless a step failed.
     """
 
-    scheme: str
-    model_name: str
     t0: float
     t1: float
     n_steps: int
@@ -90,8 +90,11 @@ class Trajectory:
     node_values: list = field(default_factory=list)
     node_states: list = field(default_factory=list)
     final_state: object = None
-    completed: bool = True
     error: str = None
+
+    @property
+    def completed(self):
+        return self.error is None
 
     @property
     def root_n_steps(self):
@@ -192,7 +195,8 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
     the model, move the samples by w = a dt + b dW, form the basis solve.
     The flags pick the scheme (module table); the linear shortcut needs
     the old-samples Gramian.  ``t_next`` (default state.t + dt) labels
-    the new state; ``node_gramian`` is state.y's, if the caller has it."""
+    the new state; ``node_gramian`` is ``gramian(state.y)``, if the
+    caller has it."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if dw.shape != (model.m, state.m_paths):
@@ -211,10 +215,9 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
     y_moved = state.y + u @ w
     _check_finite(y_moved, t, "coefficient samples")
     y_ref = y_moved if moved_gramian else state.y
-    gram = node_gramian
-    if moved_gramian or gram is None:
-        gram = gramian(y_ref)
-    c_mat = gram.c
+    c_mat = node_gramian
+    if moved_gramian or c_mat is None:
+        c_mat = gramian(y_ref)
     if not np.isfinite(c_mat).all():
         sq = np.sum(y_ref * y_ref, axis=0)
         j = int(np.argmax(~np.isfinite(sq)))
@@ -427,9 +430,8 @@ class Stepper:
     """
 
     def __init__(self, model, scheme, init, grid, *, record_nodes=None,
-                 keep_states=False, debug=False, fast_linear=False,
-                 rank_policy="abort", u_solve_perturbation=None,
-                 sigma_min=True):
+                 debug=False, fast_linear=False, rank_policy="abort",
+                 u_solve_perturbation=None, sigma_min=True):
         if scheme not in SCHEMES:
             raise ValueError("unknown scheme %r, expected one of %r"
                              % (scheme, SCHEMES))
@@ -466,13 +468,10 @@ class Stepper:
         self._model = model
         self._dt = grid.dt
         self._time = grid.time
-        self._keep_states = keep_states
         self._options = dict(_FLAGS.get(scheme, {}), fast_linear=fast_linear,
                              debug=debug, rank_policy=rank_policy,
                              u_solve_perturbation=u_solve_perturbation)
         self.traj = Trajectory(
-            scheme=scheme,
-            model_name=model.name,
             t0=grid.t0,
             t1=grid.t1,
             n_steps=n,
@@ -506,23 +505,22 @@ class Stepper:
             traj.mean_square_norms[i] = mean_square_norm(self.state.y)
             if traj.sigma_min_gramians is not None:
                 self._node_gramian = gramian(self.state.y)
-                traj.sigma_min_gramians[i] = self._node_gramian.sigma_min
+                traj.sigma_min_gramians[i] = sigma_min(self._node_gramian)
         else:
             traj.mean_square_norms[i] = mean_square_norm(self.state)
         if i in self._record_set:
             traj.node_indices.append(i)
-            traj.node_values.append(
-                reconstruct(self.state) if self.low_rank
-                else self.state.copy())
-            if self._keep_states and self.low_rank:
+            if self.low_rank:
+                traj.node_values.append(reconstruct(self.state))
                 traj.node_states.append(self.state)
+            else:
+                traj.node_values.append(self.state.copy())
 
     def _reach(self, state):
         self.state, self.node = state, self.node + 1
         self._reach_node()
 
     def _fail(self, exc):
-        self.traj.completed = False
         self.traj.error = "%s at step %d (t=%.6g): %s" % (
             type(exc).__name__, self.node, self._time(self.node), exc)
 
@@ -578,9 +576,9 @@ def advance_all(pairs):
                     stepper._reach(result)
 
 
-def integrate(model, scheme, init, grid, *, record_nodes=None,
-              keep_states=False, debug=False, fast_linear=False,
-              rank_policy="abort", u_solve_perturbation=None):
+def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
+              fast_linear=False, rank_policy="abort",
+              u_solve_perturbation=None):
     """Run one scheme over a Brownian increment grid.
 
     Parameters
@@ -595,11 +593,10 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         Must match the model's noise dimension and the ensemble's path
         count.
     record_nodes : iterable of int, optional
-        Grid node indices at which the reconstructed cloud is stored.
-        The default, None, stores no cloud but keeps the per-node scalar
-        diagnostics.  An empty iterable records nothing, not even those.
-    keep_states : bool
-        Also store the factored states at the recorded nodes.
+        Grid node indices at which the reconstructed cloud, and for a
+        low-rank scheme the factored state, is stored.  The default,
+        None, stores no cloud but keeps the per-node scalar diagnostics.
+        An empty iterable records nothing, not even those.
     debug : bool
         Enable the per-step identity checks (roughly doubles cost).
     fast_linear : bool
@@ -623,8 +620,8 @@ def integrate(model, scheme, init, grid, *, record_nodes=None,
         raise ValueError("integrate needs a grid that stores its "
                          "increments; stream them through a Stepper")
     stepper = Stepper(model, scheme, init, grid, record_nodes=record_nodes,
-                      keep_states=keep_states, debug=debug,
-                      fast_linear=fast_linear, rank_policy=rank_policy,
+                      debug=debug, fast_linear=fast_linear,
+                      rank_policy=rank_policy,
                       u_solve_perturbation=u_solve_perturbation)
     for dw in grid.increments:
         if not stepper.advance(dw):

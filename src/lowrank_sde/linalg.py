@@ -1,30 +1,17 @@
 """Dense linear-algebra kernels for the mode-update solves.
 
 Three operations, on one matrix or a stack: reduced QR with a
-deterministic sign convention, symmetric eigendecomposition with
-descending eigenvalues, and a minimal-norm solve for (near-)singular
-symmetric PSD systems. All are thin, contract-enforcing LAPACK layers.
+deterministic sign convention, symmetric eigendecomposition returned as
+an (eigenvalues descending, eigenvectors) pair, and a minimal-norm solve
+for (near-)singular symmetric PSD systems with one fixed truncation
+threshold. All are thin, contract-enforcing LAPACK layers.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, RankDeficient
 
 DEFAULT_PINV_RELATIVE_THRESHOLD = 1e-12
-
-
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are sorted descending; eigenvectors[:, i] is the unit
-    eigenvector for eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def reduced_qr(a):
@@ -79,7 +66,8 @@ def sym_eig(c):
 
     The input is symmetrized by averaging with its transpose before the
     solve, since sample Gramians accumulate asymmetric rounding.
-    Eigenvalues come back sorted descending.
+    Returns (eigenvalues, eigenvectors): eigenvalues sorted descending,
+    and eigenvectors[..., :, i] the unit eigenvector of eigenvalues[..., i].
     """
     c = np.asarray(c, dtype=float)
     if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
@@ -87,23 +75,22 @@ def sym_eig(c):
     sym = 0.5 * (c + np.swapaxes(c, -1, -2))
     w, v = np.linalg.eigh(sym)
     order = np.arange(w.shape[-1] - 1, -1, -1)
-    return SymEig(eigenvalues=w[..., order], eigenvectors=v[..., order])
+    return w[..., order], v[..., order]
 
 
-def solve_spsd_minnorm(c, b, rel_threshold=DEFAULT_PINV_RELATIVE_THRESHOLD):
+def solve_spsd_minnorm(c, b):
     """Minimal-norm solution X of C X = B for symmetric PSD C.
 
-    Uses the eigendecomposition pseudo-inverse: eigenvalues below
-    rel_threshold * lambda_max are treated as exactly zero, which makes
-    the solve well defined for singular Gramians. For well-conditioned C
-    this coincides with the direct solve.
+    Uses the eigendecomposition pseudo-inverse: eigenvalues at or below
+    DEFAULT_PINV_RELATIVE_THRESHOLD * lambda_max are treated as exactly
+    zero, which makes the solve well defined for singular Gramians. For
+    well-conditioned C this coincides with the direct solve.
 
     Parameters
     ----------
     c : (k, k) symmetric positive-semidefinite matrix, or an (S, k, k)
         stack.
     b : (k, d) right-hand side, with the same leading axis as c.
-    rel_threshold : float in (0, 1), default 1e-12.
 
     Raises
     ------
@@ -123,10 +110,7 @@ def solve_spsd_minnorm(c, b, rel_threshold=DEFAULT_PINV_RELATIVE_THRESHOLD):
         raise DimensionMismatch(
             "rhs has shape %r, expected %d rows" % (b.shape, c.shape[-1])
         )
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError("rel_threshold must lie in (0, 1)")
-    eig = sym_eig(c)
-    lam = eig.eigenvalues
+    lam, v = sym_eig(c)
     lam_max = np.maximum(lam[..., :1], 0.0)
     negative = lam[..., -1:] < -1e-10 * lam_max
     if negative.any():
@@ -135,7 +119,6 @@ def solve_spsd_minnorm(c, b, rel_threshold=DEFAULT_PINV_RELATIVE_THRESHOLD):
             "matrix has negative eigenvalue %.3e (lambda_max = %.3e)"
             % (lam[..., -1].flat[first], lam_max.flat[first])
         )
-    keep = lam > rel_threshold * lam_max
+    keep = lam > DEFAULT_PINV_RELATIVE_THRESHOLD * lam_max
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
-    v = eig.eigenvectors
     return v @ (inv[..., np.newaxis] * (np.swapaxes(v, -1, -2) @ b))

@@ -4,7 +4,9 @@ A model provides drift a(t, x) and diffusion b(t, x) for the Ito SDE
 dX = a(t, X) dt + b(t, X) dW. The integrators consume the vectorized
 hooks (drift_many, diffusion_dw) which evaluate whole sample clouds;
 the per-path contract methods (drift, diffusion) are thin wrappers so
-both views are arithmetically identical.
+both views are arithmetically identical.  Each builder returns
+(model, law), the law a plain sampler (seed, M) -> (d, M) of initial
+states.
 
 Six systems plus a closed-form geometric Brownian motion oracle:
 
@@ -17,24 +19,17 @@ Six systems plus a closed-form geometric Brownian motion oracle:
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import SpecError
+from .noise import standard_normals
 
 # Philox stream key used for initial-condition sampling; step blocks use
 # key=[seed, step] with step far below this, so streams cannot collide.
 INIT_STREAM_KEY = 2 ** 63
 
-_OPEN_INTERVAL_SHIFT = 2.0 ** -54
-
 
 def _init_generator(seed):
     return np.random.Generator(np.random.Philox(key=[int(seed), INIT_STREAM_KEY]))
-
-
-def _standard_normals(gen, shape):
-    # inverse-CDF sampling, branch free, like the noise module
-    return ndtri(gen.random(shape) + _OPEN_INTERVAL_SHIFT)
 
 
 class SdeModel:
@@ -84,17 +79,6 @@ class SdeModel:
         return self.diffusion_mat(t, np.asarray(x, dtype=float).reshape(self.d))
 
 
-class InitialLaw:
-    """Seeded sampler of initial states: sampler(seed, M) -> (d, M)."""
-
-    def __init__(self, sampler, description=""):
-        self.sampler = sampler
-        self.description = description
-
-    def __call__(self, seed, m_paths):
-        return self.sampler(seed, m_paths)
-
-
 # ---------------------------------------------------------------------------
 # toy systems
 
@@ -118,6 +102,8 @@ def _toy_linear_growth_constant(sigma_b, multiplicative):
 
 def _toy_initial_law(width1, width2):
     def sampler(seed, m_paths):
+        """X_i(0) = 0.1 - Uniform(-width_i, width_i) for i = 1, 2; third
+        component 0."""
         gen = _init_generator(seed)
         un = np.vstack(
             [
@@ -130,11 +116,7 @@ def _toy_initial_law(width1, width2):
         samples[1] = 0.1 - un[1]
         return samples
 
-    return InitialLaw(
-        sampler,
-        "X_i(0) = 0.1 - Uniform(-%g, %g) for i = 1, 2; third component 0"
-        % (width1, width2),
-    )
+    return sampler
 
 
 def toy_example_1(sigma_b=1e-8):
@@ -287,8 +269,10 @@ def stability_model(d=10):
         return a, bs
 
     def sampler(seed, m_paths):
+        """X_i(0) = 1 + 0.005 sum_j sin(j pi i / d) N_j, three shared
+        normals."""
         gen = _init_generator(seed)
-        normals = _standard_normals(gen, (3, m_paths))
+        normals = standard_normals(gen, (3, m_paths))
         i = np.arange(1, d + 1)[:, np.newaxis]
         modes = 0.005 * np.sin(np.pi * i * np.arange(1, 4)[np.newaxis, :] / d)
         return 1.0 + modes @ normals
@@ -307,11 +291,7 @@ def stability_model(d=10):
         ams_matrices=ams_matrices,
         description="diagonal linear test SDE for mean-square stability",
     )
-    law = InitialLaw(
-        sampler,
-        "X_i(0) = 1 + 0.005 sum_j sin(j pi i / d) N_j, three shared normals",
-    )
-    return model, law
+    return model, sampler
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +351,7 @@ def sadr_model(d=25):
     c_lgb = max(2.0 * lin_norm_sq, 2.0 * coef_r ** 2 * d + np.sum(phi * phi))
 
     def sampler(seed, m_paths):
+        """sum_i sin(pi (i+1) x) / (2 pi i)^2 * (0.5 - Uniform(-1e-4, 1e-4))"""
         gen = _init_generator(seed)
         un = gen.uniform(-1e-4, 1e-4, size=(m, m_paths))
         profiles = np.zeros((d, m))
@@ -391,11 +372,7 @@ def sadr_model(d=25):
         description="advection-diffusion-reaction finite differences, "
         "Neumann boundaries, additive rank-5 noise",
     )
-    law = InitialLaw(
-        sampler,
-        "sum_i sin(pi (i+1) x) / (2 pi i)^2 * (0.5 - Uniform(-1e-4, 1e-4))",
-    )
-    return model, law
+    return model, sampler
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +455,9 @@ def laplacian_model(d=26, noise_profile="constant"):
     c_lgb = max(2.0 * lap_norm_sq + load_sq * q_norm_sq * m, 2.0 * 9.0 * d)
 
     def sampler(seed, m_paths):
+        """sum_{l=1}^{13} sin(pi l x) N_l + 8e-7 sin(8 pi x) N_14"""
         gen = _init_generator(seed)
-        normals = _standard_normals(gen, (14, m_paths))
+        normals = standard_normals(gen, (14, m_paths))
         modes = np.zeros((d, 14))
         for k in range(1, 14):
             modes[:, k - 1] = np.sin(np.pi * k * x)
@@ -499,13 +477,9 @@ def laplacian_model(d=26, noise_profile="constant"):
         description="heat equation with sliding forcing and colored "
         "multiplicative noise, Dirichlet boundaries",
     )
-    law = InitialLaw(
-        sampler,
-        "sum_{l=1}^{13} sin(pi l x) N_l + 8e-7 sin(8 pi x) N_14",
-    )
     model.forcing = forcing
     model.noise_profile = noise_profile
-    return model, law
+    return model, sampler
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +509,13 @@ def gbm_oracle(mu=0.05, sigma=0.2):
         ams_matrices=lambda t: (np.array([[mu]]), [np.array([[sigma]])]),
         description="scalar geometric Brownian motion, exact solution known",
     )
-    law = InitialLaw(lambda seed, m_paths: np.ones((1, m_paths)), "X(0) = 1")
+    def sampler(seed, m_paths):
+        """X(0) = 1"""
+        return np.ones((1, m_paths))
+
     model.mu = mu
     model.sigma = sigma
-    return model, law
+    return model, sampler
 
 
 def gbm_exact_value(mu, sigma, t, w):
@@ -585,7 +562,7 @@ MODEL_BUILDERS = {
 
 
 def build_model(name, overrides=None):
-    """Construct a registered model by name with parameter overrides."""
+    """(model, law) of a registered model by name, with overrides."""
     if name not in MODEL_BUILDERS:
         raise SpecError(
             "unknown model %r (known: %s)" % (name, ", ".join(sorted(MODEL_BUILDERS)))

@@ -64,12 +64,17 @@ class BrownianGrid:
         return self.t0 + self.dt * np.float64(i)
 
 
+def standard_normals(gen, shape):
+    """Standard normals by the inverse CDF of ``gen``'s uniforms, branch
+    free; shared by the step blocks and the initial laws."""
+    return ndtri(gen.random(shape) + _OPEN_INTERVAL_SHIFT)
+
+
 def _standard_normal_block(seed, step, m, m_paths):
     # fresh Philox stream per step block; (component, path) indexes the
     # counter positions of that stream in row-major order
     gen = np.random.Generator(np.random.Philox(key=[seed, step]))
-    uniforms = gen.random((m, m_paths))
-    return ndtri(uniforms + _OPEN_INTERVAL_SHIFT)
+    return standard_normals(gen, (m, m_paths))
 
 
 def increment_blocks(seed, t0, t1, n_steps, m, m_paths):

@@ -58,7 +58,7 @@ def test_01_orthonormality_and_factorization_invariants():
     for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde"):
         traj = low_rank_run(model, law, scheme, k=2, m_paths=2000,
                             t_final=10.0, n_steps=500, seed=SEED,
-                            keep_states=True, debug=True)
+                            debug=True)
         assert traj.completed, "%s: %s" % (scheme, traj.error)
         assert len(traj.node_states) == 501
         worst = max(frobenius(s.u @ s.u.T - np.eye(2))
@@ -272,7 +272,7 @@ def test_08_mean_square_stability_triptych(tmp_path):
 
 def sample_projector(u, y_ref, z):
     """Tangent projector onto span(rows of u) + span of y_ref modes."""
-    c = gramian(y_ref).c
+    c = gramian(y_ref)
     coeff = solve_spsd_minnorm(c, expectation_outer(y_ref, z))
     fitted = coeff.T @ y_ref
     in_span = u.T @ (u @ z)

@@ -37,9 +37,8 @@ def synthetic_trajectory(node_indices, node_values, n_steps,
                          seed=5, t0=0.0, t1=1.0, coarsen_factor=1):
     times = t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
     return Trajectory(
-        scheme="synthetic", model_name="none", t0=t0, t1=t1,
-        n_steps=n_steps, grid_seed=seed, coarsen_factor=coarsen_factor,
-        times=times,
+        t0=t0, t1=t1, n_steps=n_steps, grid_seed=seed,
+        coarsen_factor=coarsen_factor, times=times,
         mean_square_norms=np.zeros(n_steps + 1),
         sigma_min_gramians=np.zeros(n_steps + 1),
         node_indices=list(node_indices),

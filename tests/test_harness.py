@@ -2,8 +2,10 @@
 
 import json
 import os
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from hypothesis import strategies as st
 import lowrank_sde.cli
 import lowrank_sde.harness
 from lowrank_sde.cli import main as cli_main
-from lowrank_sde.diagnostics import dt_condition
+from lowrank_sde.diagnostics import (dt_condition, l2_sup_error,
+                                     relative_l2_sup_error)
 from lowrank_sde.ensemble import init_rank_k, load_snapshot
 import lowrank_sde.integrators
 import lowrank_sde.noise
 from lowrank_sde.errors import ModelBlowUp, SpecError, StepFailed
 from lowrank_sde.harness import (
+    KINDS,
     ExperimentSpec,
     classify_stability,
     load_specs,
@@ -28,9 +32,10 @@ from lowrank_sde.harness import (
     run_singular_values,
     run_stability,
 )
-from lowrank_sde.integrators import integrate
-from lowrank_sde.models import build_model
-from lowrank_sde.noise import generate
+from lowrank_sde.integrators import (RANK_POLICIES, SCHEMES, Trajectory,
+                                     integrate)
+from lowrank_sde.models import build_model, gbm_exact_values
+from lowrank_sde.noise import coarsen, generate
 
 
 def make_spec(tmp_path, **overrides):
@@ -49,14 +54,89 @@ def write_ini(tmp_path, body, name="spec.ini"):
     return str(path)
 
 
+def cell_options(spec):
+    return dict(debug=spec.debug_identities,
+                fast_linear=spec.linear_fast_path,
+                rank_policy=spec.rank_policy)
+
+
+def stored_run(spec, scheme, grid, **options):
+    """One scheme run alone by ``integrate`` over a stored grid, from the
+    spec's samples ("em") or their rank-k factorization, recording every
+    node."""
+    model, law = build_model(spec.model, spec.model_overrides)
+    samples = law(spec.seed, spec.paths)
+    init = samples if scheme == "em" else init_rank_k(samples, spec.rank)
+    return integrate(model, scheme, init, grid,
+                     record_nodes=range(grid.n_steps + 1), **options)
+
+
 def stored_grid_run(spec, scheme, dt):
     """The trajectory of one fixed-dt cell run alone by ``integrate``
     over a stored ``generate`` grid."""
-    model, law = build_model(spec.model, spec.model_overrides)
-    state0 = init_rank_k(law(spec.seed, spec.paths), spec.rank)
+    model, _ = build_model(spec.model, spec.model_overrides)
     n = round(spec.t_final / dt)
     grid = generate(spec.seed, 0.0, n * dt, n, model.m, spec.paths)
-    return integrate(model, scheme, state0, grid)
+    return stored_run(spec, scheme, grid, **cell_options(spec))
+
+
+def stored_sweep_rows(spec, scheme):
+    """The rows a sweep writes for one scheme, by the stored oracle:
+    ``integrate`` over ``coarsen``ed ``generate`` grids, with
+    ``l2_sup_error`` against fine references that record every node.
+
+    Returns the rows of each error file and of status.csv; raises
+    StepFailed if a fine reference fails."""
+    model, _ = build_model(spec.model, spec.model_overrides)
+    fine = generate(spec.seed, 0.0, spec.t_final, spec.fine_steps(),
+                    model.m, spec.paths)
+    if spec.reference == "exact":
+        refs = {"exact": Trajectory(
+            t0=fine.t0, t1=fine.t1, n_steps=fine.n_steps,
+            grid_seed=fine.seed, coarsen_factor=1, times=None,
+            mean_square_norms=None, sigma_min_gramians=None,
+            node_indices=list(range(fine.n_steps + 1)),
+            node_values=list(gbm_exact_values(model.mu, model.sigma,
+                                              fine)))}
+    else:
+        refs = {"em_fine": stored_run(spec, "em", fine),
+                "dlr_ps_sde_fine": stored_run(
+                    spec, "dlr_ps_sde", fine, rank_policy=spec.rank_policy)}
+    for name, ref in refs.items():
+        if not ref.completed:
+            raise StepFailed("fine reference %s failed" % name)
+    rows = {"errors_%s_vs_%s.csv" % (scheme, name): [] for name in refs}
+    rows["status.csv"] = []
+    for dt in spec.dt_values:
+        factor = fine.n_steps // round(spec.t_final / dt)
+        traj = stored_run(spec, scheme, coarsen(fine, factor),
+                          **cell_options(spec))
+        rows["status.csv"].append("%s,%g,%s" % (
+            scheme, dt, "ok" if traj.completed else "failed"))
+        for name, ref in refs.items():
+            if traj.completed:
+                rows["errors_%s_vs_%s.csv" % (scheme, name)].append(
+                    "%.17g,%.17g,%.17g" % (dt, l2_sup_error(traj, ref),
+                                           relative_l2_sup_error(traj, ref)))
+    return rows
+
+
+def scheme_rows(spec, scheme, dts):
+    """The rows of one sweep scheme at the given dts, of each error file
+    and of status.csv, as ``stored_sweep_rows`` returns them."""
+    def lines(name):
+        return (Path(spec.output_dir) / name).read_text().splitlines()[1:]
+
+    refs = (("exact",) if spec.reference == "exact"
+            else ("em_fine", "dlr_ps_sde_fine"))
+    mine = tuple("%.17g," % dt for dt in dts)
+    rows = {name: [line for line in lines(name) if line.startswith(mine)]
+            for name in ("errors_%s_vs_%s.csv" % (scheme, ref)
+                         for ref in refs)}
+    rows["status.csv"] = [line for line in lines("status.csv")
+                          if line.startswith(tuple("%s,%g," % (scheme, dt)
+                                                   for dt in dts))]
+    return rows
 
 
 GBM_INI = """
@@ -245,12 +325,40 @@ output_dir = {out}
             load_specs(write_ini(tmp_path, body))
 
     def test_malformed_values_rejected(self, tmp_path):
+        # t_final is one number: a list may not run to its first value
         for field, bad in (("paths = 300", "paths = many"),
                            ("dt = 0.1,0.05,0.025,0.0125", "dt = 0.1,fast"),
-                           ("seed = 11", "seed = 1.5")):
+                           ("seed = 11", "seed = 1.5"),
+                           ("t_final = 1.0", "t_final = 1, 5")):
             body = GBM_INI.format(out=tmp_path).replace(field, bad)
             with pytest.raises(SpecError, match="expected"):
                 load_specs(write_ini(tmp_path, body))
+
+    def test_sections_sharing_output_dir_rejected(self, tmp_path):
+        # the second section would overwrite classification.csv and the
+        # manifest, and leave the first one's norms files unlisted; paths
+        # are compared normalized
+        section = """
+[{name}]
+kind = stability
+model = toy_example_1
+schemes = dlr_em
+rank = 1
+paths = 10
+seed = 3
+t_final = 0.2
+dt = 0.1
+output_dir = {out}
+"""
+        first = section.format(name="first", out=tmp_path / "shared")
+        for out in ("shared", "shared/", "sub/../shared", "./shared"):
+            body = first + section.format(name="second",
+                                          out=tmp_path / "x" / ".." / out)
+            with pytest.raises(SpecError, match=r"\[first\] and \[second\]"):
+                load_specs(write_ini(tmp_path, body))
+        body = first + section.format(name="second", out=tmp_path / "other")
+        assert [spec.name for spec in load_specs(write_ini(tmp_path, body))] \
+            == ["first", "second"]
 
     def test_boolean_words(self, tmp_path):
         body = GBM_INI.format(out=tmp_path) + "debug_identities = on\n"
@@ -340,6 +448,29 @@ class TestRunConvergence:
         for ref, data in together.items():
             lines = data.splitlines()
             assert fewer[ref].splitlines() == [lines[0]] + lines[2:]
+        status = (tmp_path / "fewer" / "status.csv").read_text()
+        assert status.splitlines()[1:] == [
+            line for line in (tmp_path / "together" / "status.csv")
+            .read_text().splitlines()
+            if line.startswith(("dlr_ps_sde,0.05,", "dlr_ps_sde,0.025,"))]
+
+    @pytest.mark.parametrize("model, reference, fine_factor", [
+        ("toy_example_2", "em_fine", 2),
+        ("gbm_oracle", "exact", 1),
+    ])
+    def test_cells_match_integrate_over_coarsened_grids(
+            self, tmp_path, model, reference, fine_factor):
+        # every streamed row, errors and status, equals the stored
+        # oracle's: coarse grids summed from one stored fine grid and
+        # errors over recorded clouds
+        spec = make_spec(tmp_path, model=model, rank=1, paths=100,
+                         schemes=SCHEMES, dt_values=(0.1, 0.05, 0.025),
+                         reference=reference, fine_factor=fine_factor)
+        run_convergence(spec)
+        for scheme in spec.schemes:
+            rows = scheme_rows(spec, scheme, spec.dt_values)
+            assert len(rows["status.csv"]) == 3
+            assert rows == stored_sweep_rows(spec, scheme)
 
     def test_full_order_scheme_alone_against_fine_references(self, tmp_path):
         # the fine splitting reference starts from the rank-k samples
@@ -749,6 +880,15 @@ output_dir = {out}
         assert cli_main(["run", path]) == 2
         assert not (tmp_path / "huge_out").exists()
 
+    def test_empty_output_dir_exits_two(self, tmp_path, capsys):
+        # validation rejects it, so a run cannot fail on it with exit 3
+        body = GBM_INI.format(out="")
+        assert "output_dir = \n" in body
+        path = write_ini(tmp_path, body)
+        assert cli_main(["validate", path]) == 2
+        assert "output_dir must not be empty" in capsys.readouterr().err
+        assert cli_main(["run", path]) == 2
+
     def test_missing_file_exits_two(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.ini")]) == 2
 
@@ -849,3 +989,167 @@ class TestLoadSpecsProperty:
         except SpecError:
             return
         assert [type(spec) for spec in specs] == [ExperimentSpec]
+
+
+# name: (overrides, d) of every model, at a small d
+SMALL_MODELS = {
+    "toy_example_1": ({}, 3), "toy_example_2": ({}, 3),
+    "toy_example_3": ({}, 3), "stability_model": ({"d": "4"}, 4),
+    "sadr_model": ({"d": "5"}, 5), "laplacian_model": ({"d": "4"}, 4),
+    "gbm_oracle": ({}, 1),
+}
+
+
+def random_small_spec(seed):
+    """Fields of a random small spec (kind, model, scheme subset, dt
+    ladder, M <= 64, k <= d, step options) and one scheme of it with the
+    dts it runs at alone: one dt, or in a sweep the finest and a subset
+    of the others."""
+    rng = np.random.default_rng(seed)
+    kind = KINDS[rng.integers(len(KINDS))]
+    name = sorted(SMALL_MODELS)[rng.integers(len(SMALL_MODELS))]
+    overrides, d = SMALL_MODELS[name]
+    pool = SCHEMES if kind in ("convergence", "single_run") else SCHEMES[1:]
+    count = 1 if kind == "single_run" else rng.integers(1, len(pool) + 1)
+    schemes = tuple(str(s) for s in rng.permutation(pool)[:count])
+    if kind == "convergence":
+        steps = rng.integers(1, 4) * 2 ** np.arange(rng.integers(1, 4))
+    else:
+        steps = np.sort(rng.choice(np.arange(1, 9), replace=False, size=(
+            1 if kind == "single_run" else rng.integers(1, 4))))
+    t_final = float(rng.choice((0.25, 0.5, 1.0)))
+    paths = int(rng.integers(1, 65))
+    linear = build_model(name, overrides)[0].is_linear_drift
+    fields = dict(
+        name="prop", kind=kind, model=name, model_overrides=dict(overrides),
+        schemes=schemes, rank=int(rng.integers(1, min(d, paths) + 1)),
+        paths=paths, seed=int(rng.integers(2 ** 32)), t_final=t_final,
+        dt_values=tuple(t_final / int(n) for n in steps),
+        rank_policy=RANK_POLICIES[rng.integers(2)],
+        debug_identities=bool(rng.integers(2)),
+        linear_fast_path=linear and bool(rng.integers(2)))
+    dt_values = fields["dt_values"]
+    if kind == "convergence":
+        references = ("em_fine", "dlr_ps_sde_fine")
+        if name == "gbm_oracle":
+            references += ("exact",)
+        fields["reference"] = references[rng.integers(len(references))]
+        fields["fine_factor"] = int(rng.integers(
+            1 if fields["reference"] == "exact" else 2, 4))
+        dts = tuple(dt for dt in dt_values[:-1] if rng.integers(2)) \
+            + dt_values[-1:]
+    else:
+        dts = (dt_values[rng.integers(len(dt_values))],)
+    if kind == "single_run":
+        fields["snapshot_times"] = (t_final,)
+    return fields, schemes[rng.integers(len(schemes))], dts
+
+
+def fixed_dt_csvs(kind, scheme, dt):
+    """The CSV a fixed-dt cell writes alone, and the shared one it has
+    rows in (None for a single run)."""
+    return {
+        "stability": ("norms_%s_dt%g.csv" % (scheme, dt),
+                      "classification.csv"),
+        "singular_values": ("singular_values_%s_dt%g.csv" % (scheme, dt),
+                            "violations.csv"),
+        "single_run": ("trace.csv", None),
+    }[kind]
+
+
+def cell_outputs(spec, scheme, dts):
+    """Run ``spec`` and return what its outputs hold of one scheme at the
+    given dts: in a sweep its rows of each error file and of status.csv,
+    else the cell's own CSV and its rows of the shared one; "failed" if
+    the run raised StepFailed."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_experiment(spec)
+    except StepFailed:
+        return "failed"
+    if spec.kind == "convergence":
+        return scheme_rows(spec, scheme, dts)
+    (dt,) = dts
+    own, shared = fixed_dt_csvs(spec.kind, scheme, dt)
+    out = Path(spec.output_dir)
+    outputs = {own: (out / own).read_text()}
+    if shared:
+        outputs[shared] = [
+            line for line in (out / shared).read_text().splitlines()
+            if line.startswith("%s,%g," % (scheme, dt))]
+    return outputs
+
+
+def stored_cell_rows(spec, scheme, dt):
+    """The per-node columns of a fixed-dt cell's own CSV, by
+    ``integrate`` over ``generate``: (t, mean-square norm) of the
+    computed prefix for stability, (t, sigma_k) of the finite prefix
+    for singular_values, and every trace row of a completed single run
+    ("failed" else)."""
+    traj = stored_grid_run(spec, scheme, dt)
+    if spec.kind == "single_run":
+        if not traj.completed:
+            return "failed"
+        columns = (traj.times, traj.mean_square_norms,
+                   traj.sigma_min_gramians)
+        size = len(traj.times)
+    else:
+        tracked = (traj.mean_square_norms if spec.kind == "stability"
+                   else traj.sigma_min_gramians)
+        kept = (~np.isnan(tracked) if spec.kind == "stability"
+                else np.isfinite(tracked))
+        columns = (traj.times, tracked)
+        size = int(np.max(np.nonzero(kept))) + 1 if kept.any() else 0
+    return [",".join("%.17g" % column[i] for column in columns)
+            for i in range(size)]
+
+
+# rank 3 on toy_example_1 leaves dlr_em's first basis rank deficient,
+# and on toy_example_2 the fine splitting reference's too
+PINNED_SWEEP = dict(
+    name="prop", kind="convergence", model="toy_example_1",
+    model_overrides={}, schemes=SCHEMES, rank=3, paths=16, seed=1,
+    t_final=0.5, dt_values=(0.25, 0.125), reference="em_fine",
+    fine_factor=2)
+
+
+class TestCellProperty:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1).map(random_small_spec))
+    # stacks of Gramians whose scales differ by orders of magnitude, so
+    # a truncation threshold shared across the stack would change bytes
+    @example(random_small_spec(48))
+    @example(random_small_spec(464))
+    @example((PINNED_SWEEP, "dlr_em", (0.25, 0.125)))
+    @example((PINNED_SWEEP, "dlr_ps_em", (0.125,)))
+    @example((dict(PINNED_SWEEP, model="toy_example_2"), "em", (0.125,)))
+    @example((dict(PINNED_SWEEP, kind="single_run", schemes=("dlr_em",),
+                   dt_values=(0.125,), reference="", snapshot_times=(0.5,)),
+              "dlr_em", (0.125,)))
+    def test_cells_invariant_to_cell_set_and_equal_stored_runs(self, drawn):
+        # a cell writes the same bytes alone as among the spec's other
+        # cells, and the same values as the stored-grid oracle
+        fields, scheme, dts = drawn
+        with tempfile.TemporaryDirectory() as root:
+            spec = ExperimentSpec(output_dir=os.path.join(root, "all"),
+                                  **fields)
+            alone = ExperimentSpec(**dict(
+                fields, schemes=(scheme,), dt_values=dts,
+                output_dir=os.path.join(root, "alone")))
+            outputs = cell_outputs(spec, scheme, dts)
+            assert cell_outputs(alone, scheme, dts) == outputs
+            if spec.kind == "convergence":
+                try:
+                    stored = stored_sweep_rows(alone, scheme)
+                except StepFailed:
+                    stored = "failed"
+                assert outputs == stored
+            elif outputs == "failed":
+                assert stored_cell_rows(spec, scheme, dts[0]) == "failed"
+            else:
+                own, _ = fixed_dt_csvs(spec.kind, scheme, dts[0])
+                width = 3 if spec.kind == "single_run" else 2
+                rows = [",".join(line.split(",")[:width])
+                        for line in outputs[own].splitlines()[1:]]
+                assert rows == stored_cell_rows(spec, scheme, dts[0])

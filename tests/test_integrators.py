@@ -100,7 +100,7 @@ def toy_state(k=2, m_paths=400, seed=7, sigma_b=1e-8):
 
 def sample_tangent_apply(u, y_ref, z):
     """Reference tangent projector built from public pieces only."""
-    c_ref = gramian(y_ref).c
+    c_ref = gramian(y_ref)
     coeff = solve_spsd_minnorm(c_ref, expectation_outer(z, y_ref).T).T
     fluct = coeff @ y_ref
     fluct = fluct - u.T @ (u @ fluct)
@@ -226,9 +226,9 @@ class TestDlrStepsShared:
         bdw = model.diffusion_dw(0.0, x, dw)
         y_moved = state.y + state.u @ (a * dt + bdw)
         setups = [
-            (gramian(state.y).c, expectation_outer(state.y, a) * dt),
-            (gramian(y_moved).c, expectation_outer(y_moved, a * dt + bdw)),
-            (gramian(y_moved).c, expectation_outer(y_moved, a) * dt),
+            (gramian(state.y), expectation_outer(state.y, a) * dt),
+            (gramian(y_moved), expectation_outer(y_moved, a * dt + bdw)),
+            (gramian(y_moved), expectation_outer(y_moved, a) * dt),
         ]
         for c_mat, g in setups:
             g_orth = g - (g @ state.u.T) @ state.u
@@ -248,7 +248,7 @@ class TestDlrStepsShared:
             current = state
             for i in range(3):
                 current = step(model, current, dt, grid.increments[i])
-                lam = np.linalg.eigvalsh(gramian(current.y).c)
+                lam = np.linalg.eigvalsh(gramian(current.y))
                 assert lam[0] >= floor
 
     def test_blowup_in_low_rank_step(self):
@@ -499,7 +499,7 @@ class TestIntegrate:
         model, state = toy_state(m_paths=200)
         grid = generate(61, 0.0, 0.5, 10, model.m, 200)
         traj = integrate(model, "dlr_ps_em", state, grid,
-                         record_nodes=range(11), keep_states=True)
+                         record_nodes=range(11))
         assert traj.completed
         assert len(traj.node_states) == 11
         assert_allclose([s.t for s in traj.node_states],
@@ -600,15 +600,22 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="broadcast"):
                 integrate(model, scheme, init, grid)
 
-    def test_keep_states_round_trip(self):
+    def test_recorded_states_round_trip(self):
+        # a low-rank run keeps the factored state of each recorded node,
+        # the very object it stepped from; a full-order run has none
         model, state = toy_state(m_paths=120)
         grid = generate(66, 0.0, 0.2, 4, model.m, 120)
         traj = integrate(model, "dlr_ps_sde", state, grid,
-                         record_nodes=(0, 4), keep_states=True)
+                         record_nodes=(0, 4))
         assert len(traj.node_states) == 2
+        assert traj.node_states[0] is state
         last = traj.node_states[-1]
+        assert last is traj.final_state
         assert_allclose(reconstruct(last), traj.node_values[-1], atol=1e-12)
         assert last.t == grid.times()[-1]
+        full = integrate(model, "em", reconstruct(state), grid,
+                         record_nodes=(0, 4))
+        assert full.node_states == [] and len(full.node_values) == 2
 
     def test_rank_policy_threads_through(self):
         model, law = sadr_model()

@@ -5,6 +5,7 @@ runs it, so a renamed or deleted name would otherwise go unnoticed.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import lowrank_sde.cli
@@ -12,6 +13,7 @@ import lowrank_sde.ensemble
 import lowrank_sde.harness
 import lowrank_sde.integrators
 import lowrank_sde.models
+import lowrank_sde.noise
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = {
@@ -39,3 +41,9 @@ def test_every_patched_name_exists():
     assert "__post_init__" in vars(lowrank_sde.ensemble.EnsembleState)
     assert "__init__" in vars(lowrank_sde.models.SdeModel)
     assert callable(lowrank_sde.harness._map_cells)
+    # Tracer.__enter__ reads these two, and binds their arguments by
+    # name to count noise blocks
+    for name, params in (("generate", {"seed", "n_steps", "m", "m_paths"}),
+                         ("coarsen", {"fine", "factor"})):
+        fn = getattr(lowrank_sde.noise, name)
+        assert params <= set(inspect.signature(fn).parameters)
