@@ -32,9 +32,12 @@ that step, and one ``advance_all`` call steps all cells due on it, the
 low-rank ones as one stack.  No noise grid is stored; a cell's bytes do
 not depend on the other cells (in a sweep, while the finest dt stays).
 
-Every run writes a ``manifest.json`` recording the resolved spec, the
-library version, wall time, and a SHA-256 digest of each output file;
-re-running a spec reproduces every CSV byte for byte.
+``run_experiment`` runs every kind: it sets up, runs the kind's body and
+writes a ``manifest.json`` recording the resolved spec, the library
+version, wall time, the body's summary and a SHA-256 digest of each file
+written; re-running a spec reproduces every CSV byte for byte.  Outputs
+are named by the %g labels of dts and snapshot times, so values that
+share a label fail validation.
 """
 
 import configparser
@@ -44,6 +47,7 @@ import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -95,17 +99,6 @@ _BOOL_WORDS = {
     "false": False, "no": False, "off": False, "0": False,
 }
 
-_COMMON_KEYS = {
-    "kind", "model", "schemes", "rank", "paths", "seed", "t_final",
-    "dt", "output_dir", "debug_identities", "linear_fast_path",
-    "rank_policy",
-}
-_KIND_ONLY_KEYS = {
-    "reference": ("convergence",),
-    "fine_factor": ("convergence",),
-    "snapshot_times": ("single_run",),
-}
-
 
 def _parse_bool(section, key, raw):
     word = raw.strip().lower()
@@ -131,6 +124,36 @@ def _parse_one(section, key, raw, cast=int):
                         % (section, key, cast.__name__, raw))
 
 
+def _word(section, key, raw):
+    return raw.strip()
+
+
+def _words(section, key, raw):
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# INI key -> (ExperimentSpec field, parser, kinds): kinds None marks a
+# key every section must set, () an optional key of any kind, else the
+# kinds that may set it.  Keys are checked and parsed in this order.
+_KEYS = {
+    "kind": ("kind", _word, None),
+    "model": ("model", _word, None),
+    "schemes": ("schemes", _words, None),
+    "rank": ("rank", _parse_one, None),
+    "paths": ("paths", _parse_one, None),
+    "seed": ("seed", _parse_one, None),
+    "t_final": ("t_final", partial(_parse_one, cast=float), None),
+    "dt": ("dt_values", _parse_floats, None),
+    "output_dir": ("output_dir", _word, None),
+    "reference": ("reference", _word, ("convergence",)),
+    "fine_factor": ("fine_factor", _parse_one, ("convergence",)),
+    "debug_identities": ("debug_identities", _parse_bool, ()),
+    "linear_fast_path": ("linear_fast_path", _parse_bool, ()),
+    "rank_policy": ("rank_policy", _word, ()),
+    "snapshot_times": ("snapshot_times", _parse_floats, ("single_run",)),
+}
+
+
 def _steps_for(dt, t_final, where):
     n = t_final / dt
     if not np.isfinite(n):
@@ -139,6 +162,18 @@ def _steps_for(dt, t_final, where):
     if n < 1:
         raise SpecError("%s: dt=%g exceeds t_final=%g" % (where, dt, t_final))
     return n
+
+
+def _check_labels(where, what, values, labelled):
+    """Raise SpecError if two ``values`` share the %g label of their
+    ``labelled`` counterparts, which names their output files and rows."""
+    labels = [_g(value) for value in labelled]
+    for j, label in enumerate(labels):
+        i = labels.index(label)
+        if i < j:
+            raise SpecError("%s %s %r and %r share the label %s of their "
+                            "outputs" % (where, what, values[i], values[j],
+                                         label))
 
 
 def _off_node(t, node, t_final):
@@ -211,6 +246,8 @@ class ExperimentSpec:
         # every kind steps each dt, so validation fails where a run would
         n_values = [_steps_for(dt, self.t_final, where)
                     for dt in self.dt_values]
+        # output file names and rows carry %g labels of the dts
+        _check_labels(where, "dt values", self.dt_values, self.dt_values)
         if self.kind == "convergence":
             if self.reference not in REFERENCES:
                 raise SpecError("%s convergence needs reference one of %s"
@@ -240,11 +277,16 @@ class ExperimentSpec:
             if len(self.dt_values) != 1:
                 raise SpecError("%s single_run takes exactly one dt" % where)
             dt, n = self.dt_values[0], n_values[0]
+            nodes = []
             for t in self.snapshot_times:
                 i = round(t / dt) if np.isfinite(t / dt) else -1
                 if i < 0 or i > n or _off_node(i * dt, t, self.t_final):
                     raise SpecError("%s snapshot time %g is not a grid node"
                                     % (where, t))
+                nodes.append(i)
+            # snapshots are named by their node's time on the run's lattice
+            _check_labels(where, "snapshot times", self.snapshot_times,
+                          [n * dt / n * i for i in nodes])
 
     def fine_steps(self):
         """Number of steps of the shared fine grid (convergence only)."""
@@ -274,54 +316,24 @@ def load_specs(path):
     owners = {}
     for section in parser.sections():
         raw = dict(parser.items(section))
-        fields = {"name": section}
-        overrides = {}
-        for key, value in raw.items():
-            if key.startswith("model."):
-                overrides[key[len("model."):]] = value
-                continue
-            if key not in _COMMON_KEYS and key not in _KIND_ONLY_KEYS:
+        overrides = {key[len("model."):]: value for key, value in raw.items()
+                     if key.startswith("model.")}
+        for key in raw:
+            if key not in _KEYS and not key.startswith("model."):
                 raise SpecError("[%s] unknown key %r" % (section, key))
         kind = raw.get("kind", "")
-        for key, kinds in _KIND_ONLY_KEYS.items():
-            if key in raw and kind not in kinds:
+        for key, (_, _, kinds) in _KEYS.items():
+            if key in raw and kinds and kind not in kinds:
                 raise SpecError("[%s] key %r only applies to kind %s"
                                 % (section, key, "/".join(kinds)))
-        for key in ("kind", "model", "schemes", "rank", "paths", "seed",
-                    "t_final", "dt", "output_dir"):
-            if key not in raw:
+        for key, (_, _, kinds) in _KEYS.items():
+            if key not in raw and kinds is None:
                 raise SpecError("[%s] missing required key %r"
                                 % (section, key))
-
-        fields["kind"] = raw["kind"].strip()
-        fields["model"] = raw["model"].strip()
-        fields["model_overrides"] = overrides
-        fields["schemes"] = tuple(
-            s.strip() for s in raw["schemes"].split(",") if s.strip())
-        for key in ("rank", "paths", "seed"):
-            fields[key] = _parse_one(section, key, raw[key])
-        fields["t_final"] = _parse_one(section, "t_final", raw["t_final"],
-                                       float)
-        fields["dt_values"] = _parse_floats(section, "dt", raw["dt"])
-        fields["output_dir"] = raw["output_dir"].strip()
-        if "reference" in raw:
-            fields["reference"] = raw["reference"].strip()
-        if "fine_factor" in raw:
-            fields["fine_factor"] = _parse_one(section, "fine_factor",
-                                               raw["fine_factor"])
-        if "debug_identities" in raw:
-            fields["debug_identities"] = _parse_bool(
-                section, "debug_identities", raw["debug_identities"])
-        if "linear_fast_path" in raw:
-            fields["linear_fast_path"] = _parse_bool(
-                section, "linear_fast_path", raw["linear_fast_path"])
-        if "rank_policy" in raw:
-            fields["rank_policy"] = raw["rank_policy"].strip()
-        if "snapshot_times" in raw:
-            fields["snapshot_times"] = _parse_floats(
-                section, "snapshot_times", raw["snapshot_times"])
-
-        spec = ExperimentSpec(**fields)
+        fields = {name: parse(section, key, raw[key])
+                  for key, (name, parse, _) in _KEYS.items() if key in raw}
+        spec = ExperimentSpec(name=section, model_overrides=overrides,
+                              **fields)
         model, _ = build_model(spec.model, spec.model_overrides)
         if spec.rank > min(model.d, spec.paths):
             raise SpecError("[%s] rank %d exceeds min(d=%d, paths=%d)"
@@ -356,11 +368,9 @@ def _write_manifest(spec, out_dir, outputs, wall_seconds, summary):
                     for name in sorted(outputs)},
         "summary": summary,
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_rows(path, header, rows):
@@ -524,7 +534,7 @@ def _run_fixed_dt(spec, model, samples, state0, **recording):
             for dt, lane in zip(spec.dt_values, lanes)]
 
 
-def run_convergence(spec):
+def _convergence(spec, path, model, samples, state0):
     """Coupled step-size sweep with fitted convergence orders.
 
     The walk has one lane, the fine grid.  The fine references step on
@@ -535,13 +545,11 @@ def run_convergence(spec):
     maxima.  The steppers record nothing (``record_nodes=()``), so
     memory is O((cells + 2) d M) whatever the horizon.
 
-    Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv,
+    Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv and
     status.csv (ok/failed per cell; failed cells are excluded from the
-    fits), and manifest.json.  A failing fine reference raises
-    StepFailed before any file is written.
+    fits).  A failing fine reference raises StepFailed before any file
+    is written.
     """
-    started = time.monotonic()
-    model, samples, state0 = _prepare(spec)
     n_values = [_steps_for(dt, spec.t_final, spec.name)
                 for dt in spec.dt_values]
     n_fine = spec.fine_factor * n_values[-1]
@@ -571,33 +579,28 @@ def run_convergence(spec):
     lane.fold(levels)
     _walk([lane])
 
-    by_scheme = {scheme: [] for scheme in spec.schemes}
+    reports = {}
     failures = []
     status_rows = []
+    slope_rows = []
     for scheme in spec.schemes:
+        done = []  # (dt, level) of the scheme's completed cells
         for dt, level in zip(spec.dt_values, levels):
             error = level.cells[scheme].traj.error
             status_rows.append((scheme, _g(dt), "ok" if error is None
                                 else "failed"))
             if error is None:
-                sups = level.cell_sup_sq[scheme]
-                by_scheme[scheme].append((dt, {
-                    name: l2_sup_errors(sups[name], level.ref_sup_sq[name])
-                    for name in references}))
+                done.append((dt, level))
             else:
                 failures.append({"scheme": scheme, "dt": dt,
                                  "error": error})
-
-    outputs = []
-    reports = {}
-    slope_rows = []
-    for scheme in spec.schemes:
         for ref_name in references:
-            rows = [(dt, errors[ref_name]) for dt, errors
-                    in by_scheme[scheme]]
-            dts = np.array([dt for dt, _ in rows])
-            errs = np.array([pair[0] for _, pair in rows])
-            rels = np.array([pair[1] for _, pair in rows])
+            pairs = [l2_sup_errors(level.cell_sup_sq[scheme][ref_name],
+                                   level.ref_sup_sq[ref_name])
+                     for _, level in done]
+            dts = np.array([dt for dt, _ in done])
+            errs = np.array([err for err, _ in pairs])
+            rels = np.array([rel for _, rel in pairs])
             if dts.size >= 3 and np.all(errs > 0.0):
                 order = fit_order(dts, errs)
             else:
@@ -606,19 +609,14 @@ def run_convergence(spec):
                 dt_values=dts, l2_sup_errors=errs, relative_errors=rels,
                 fitted_order=order, scheme=scheme, reference=ref_name)
             reports[(scheme, ref_name)] = report
-            name = "errors_%s_vs_%s.csv" % (scheme, ref_name)
-            write_error_report_csv(report,
-                                   os.path.join(spec.output_dir, name))
-            outputs.append(name)
+            write_error_report_csv(report, path(
+                "errors_%s_vs_%s.csv" % (scheme, ref_name)))
             slope_rows.append((scheme, ref_name, "%.17g" % order,
                                str(dts.size)))
 
-    _write_rows(os.path.join(spec.output_dir, "slopes.csv"),
-                "scheme,reference,fitted_order,points", slope_rows)
-    outputs.append("slopes.csv")
-    _write_rows(os.path.join(spec.output_dir, "status.csv"),
-                "scheme,dt,status", status_rows)
-    outputs.append("status.csv")
+    _write_rows(path("slopes.csv"), "scheme,reference,fitted_order,points",
+                slope_rows)
+    _write_rows(path("status.csv"), "scheme,dt,status", status_rows)
 
     summary = {
         "fitted_orders": {"%s vs %s" % key: reports[key].fitted_order
@@ -626,13 +624,10 @@ def run_convergence(spec):
         "failures": failures,
         "fine_steps": n_fine,
     }
-    _write_manifest(spec, spec.output_dir, outputs,
-                    time.monotonic() - started, summary)
-    return {"reports": reports, "failures": failures,
-            "output_dir": spec.output_dir}
+    return {"reports": reports, "failures": failures}, summary
 
 
-def run_singular_values(spec):
+def _singular_values(spec, path, model, samples, state0):
     """Per-step smallest Gramian eigenvalue against its lower bounds.
 
     Writes singular_values_<scheme>_dt<dt>.csv per cell plus a
@@ -640,8 +635,6 @@ def run_singular_values(spec):
     drops below 0.8 x (certified noise floor x dt).  Violations are
     reported, never fatal.
     """
-    started = time.monotonic()
-    model, samples, state0 = _prepare(spec)
     c_lgb = model.c_lgb
     if c_lgb is None:
         c_lgb = empirical_c_lgb(model, 0.0, samples)
@@ -650,7 +643,6 @@ def run_singular_values(spec):
 
     results = _run_fixed_dt(spec, model, samples, state0)
 
-    outputs = []
     violation_rows = []
     failures = []
     traces = {}
@@ -687,9 +679,8 @@ def run_singular_values(spec):
                            bound_simple=simple, bound_refined=refined,
                            dt_condition=dt_hat)
         traces[(scheme, dt)] = trace
-        name = "singular_values_%s_dt%s.csv" % (scheme, _g(dt))
-        write_bound_trace_csv(trace, os.path.join(spec.output_dir, name))
-        outputs.append(name)
+        write_bound_trace_csv(trace, path(
+            "singular_values_%s_dt%s.csv" % (scheme, _g(dt))))
 
         if sigma_b > 0.0:
             threshold = GRAMIAN_FLOOR_FRACTION * sigma_b * dt
@@ -699,17 +690,14 @@ def run_singular_values(spec):
                         (scheme, _g(dt), "%.17g" % times[i],
                          "%.17g" % sigma[i], "%.17g" % threshold))
 
-    _write_rows(os.path.join(spec.output_dir, "violations.csv"),
-                "scheme,dt,t,sigma_k,threshold", violation_rows)
-    outputs.append("violations.csv")
+    _write_rows(path("violations.csv"), "scheme,dt,t,sigma_k,threshold",
+                violation_rows)
 
     summary = {"violations": len(violation_rows), "failures": failures,
                "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1
                             for scheme, dt, traj in results}}
-    _write_manifest(spec, spec.output_dir, outputs,
-                    time.monotonic() - started, summary)
     return {"traces": traces, "violations": violation_rows,
-            "failures": failures, "output_dir": spec.output_dir}
+            "failures": failures}, summary
 
 
 def classify_stability(initial, final, completed):
@@ -729,19 +717,15 @@ def classify_stability(initial, final, completed):
     return "inconclusive"
 
 
-def run_stability(spec):
+def _stability(spec, path, model, samples, state0):
     """Mean-square norm traces and a stable/unstable verdict per cell.
 
     Writes norms_<scheme>_dt<dt>.csv (t, mean_square_norm over the
     computed prefix) and classification.csv; overflowing or failing
     runs classify as unstable.
     """
-    started = time.monotonic()
-    model, samples, state0 = _prepare(spec)
-
     results = _run_fixed_dt(spec, model, samples, state0, sigma_min=False)
 
-    outputs = []
     class_rows = []
     classifications = {}
     for scheme, dt, traj in results:
@@ -750,10 +734,8 @@ def run_stability(spec):
         last = int(np.max(np.nonzero(computed))) if computed.any() else -1
         rows = [("%.17g" % traj.times[i], "%.17g" % msq[i])
                 for i in range(last + 1)]
-        name = "norms_%s_dt%s.csv" % (scheme, _g(dt))
-        _write_rows(os.path.join(spec.output_dir, name),
+        _write_rows(path("norms_%s_dt%s.csv" % (scheme, _g(dt))),
                     "t,mean_square_norm", rows)
-        outputs.append(name)
 
         initial = msq[0] if last >= 0 else np.nan
         final = msq[last] if last >= 0 else np.nan
@@ -761,29 +743,23 @@ def run_stability(spec):
         classifications[(scheme, dt)] = verdict
         class_rows.append((scheme, _g(dt), verdict))
 
-    _write_rows(os.path.join(spec.output_dir, "classification.csv"),
-                "scheme,dt,classification", class_rows)
-    outputs.append("classification.csv")
+    _write_rows(path("classification.csv"), "scheme,dt,classification",
+                class_rows)
 
     summary = {"classification": {"%s dt=%s" % (s, _g(dt)): v
                                   for (s, dt), v in classifications.items()},
                "horizons": {"%s dt=%s" % (s, _g(dt)): traj.t1
                             for s, dt, traj in results}}
-    _write_manifest(spec, spec.output_dir, outputs,
-                    time.monotonic() - started, summary)
-    return {"classifications": classifications,
-            "output_dir": spec.output_dir}
+    return {"classifications": classifications}, summary
 
 
-def run_single(spec):
+def _single_run(spec, path, model, samples, state0):
     """One scheme, one grid, with factored snapshots at chosen times.
 
     Writes trace.csv (t, mean_square_norm, sigma_k per node) and
     snapshot_<t>.csv files; the full-order scheme is serialized with
     an identity basis so snapshots share one format.
     """
-    started = time.monotonic()
-    model, samples, state0 = _prepare(spec)
     scheme = spec.schemes[0]
     dt = spec.dt_values[0]
     n = _steps_for(dt, spec.t_final, spec.name)
@@ -795,7 +771,6 @@ def run_single(spec):
     if traj.error:
         raise StepFailed("single run failed: %s" % traj.error)
 
-    outputs = []
     by_node = dict(zip(traj.node_indices,
                        traj.node_states if scheme != "em"
                        else traj.node_values))
@@ -804,33 +779,42 @@ def run_single(spec):
         if scheme == "em":
             entry = EnsembleState(t=traj.times[node],
                                   u=np.eye(model.d), y=entry)
-        name = "snapshot_t%s.csv" % _g(traj.times[node])
-        save_snapshot(entry, os.path.join(spec.output_dir, name))
-        outputs.append(name)
+        save_snapshot(entry, path("snapshot_t%s.csv" % _g(traj.times[node])))
 
     trace_rows = [("%.17g" % traj.times[i],
                    "%.17g" % traj.mean_square_norms[i],
                    "%.17g" % traj.sigma_min_gramians[i])
                   for i in range(n + 1)]
-    _write_rows(os.path.join(spec.output_dir, "trace.csv"),
-                "t,mean_square_norm,sigma_k", trace_rows)
-    outputs.append("trace.csv")
+    _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k", trace_rows)
 
     summary = {"final_mean_square_norm": float(traj.mean_square_norms[-1]),
                "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1}}
-    _write_manifest(spec, spec.output_dir, outputs,
-                    time.monotonic() - started, summary)
-    return {"trajectory": traj, "output_dir": spec.output_dir}
+    return {"trajectory": traj}, summary
 
 
-_RUNNERS = {
-    "convergence": run_convergence,
-    "singular_values": run_singular_values,
-    "stability": run_stability,
-    "single_run": run_single,
+_BODIES = {
+    "convergence": _convergence,
+    "singular_values": _singular_values,
+    "stability": _stability,
+    "single_run": _single_run,
 }
 
 
 def run_experiment(spec):
-    """Dispatch one ExperimentSpec to its runner."""
-    return _RUNNERS[spec.kind](spec)
+    """Run one ExperimentSpec of any kind and write its manifest.json.
+
+    The kind's body gets the spec, ``path(name)``, which records a file
+    name and returns its path in the output directory, and the model,
+    initial samples and state of ``_prepare``.  Returns the body's
+    result plus ``output_dir``."""
+    started = time.monotonic()
+    names = []
+
+    def path(name):
+        names.append(name)
+        return os.path.join(spec.output_dir, name)
+
+    result, summary = _BODIES[spec.kind](spec, path, *_prepare(spec))
+    _write_manifest(spec, spec.output_dir, names,
+                    time.monotonic() - started, summary)
+    return dict(result, output_dir=spec.output_dir)

@@ -1,15 +1,15 @@
 """One-step integrators for SDE sample ensembles and a time-stepping loop.
 
-Four steppers are provided.  ``em_step`` advances a full-order sample
-cloud with explicit Euler-Maruyama.  The three low-rank steppers advance
-a factored ensemble X = u^T y and share one step body: it moves every
-sample by the projected Euler-Maruyama increment w = a dt + b dW, updates
-the orthonormal basis by solving a small Gramian-weighted linear system,
-and restores orthonormality with a QR refactorization.  The schemes
-differ only in two choices, the samples whose Gramian weights the basis
-solve and the part of the increment that enters its right-hand side
-(Lubich & Oseledets, BIT 54, 2014, write them as variants of one
-projected-increment map):
+Four schemes are provided.  ``em_step`` advances a full-order sample
+cloud with explicit Euler-Maruyama.  The three low-rank schemes advance
+a factored ensemble X = u^T y through one step, ``dlr_step``: it moves
+every sample by the projected Euler-Maruyama increment w = a dt + b dW,
+updates the orthonormal basis by solving a small Gramian-weighted linear
+system, and restores orthonormality with a QR refactorization.  The
+schemes differ only in two choices, the samples whose Gramian weights
+the basis solve and the part of the increment that enters its
+right-hand side (Lubich & Oseledets, BIT 54, 2014, write them as
+variants of one projected-increment map):
 
 ==============  ==============  ======================================
 scheme          Gramian of      basis right-hand side
@@ -19,10 +19,18 @@ scheme          Gramian of      basis right-hand side
 ``dlr_ps_sde``  moved samples   ``expectation_outer(y_moved, a) * dt``
 ==============  ==============  ======================================
 
+``dlr_ps_em``'s right-hand side carries the complete increment and with
+it the increment's quadratic covariation E[b dW (b dW)^T] ~ E[b b^T] dt,
+so once the noise is not negligible its dt -> 0 limit differs from the
+other two schemes' and it does not converge to a fine ``dlr_ps_sde``
+reference.  Debug mode checks each splitting step's projected-update
+identity (``_move``).
+
 A step moves each cell alone (``_move``, all its d x M work), then
 settles all cells that step together as one stack (``_settle``): one
 eigh and one QR outside debug mode, an SVD only for a basis QR finds
-rank deficient; a step entry is a stack of one.  Overflow is ``ModelBlowUp``.
+rank deficient; ``dlr_step`` is a stack of one.  Overflow is
+``ModelBlowUp``.
 
 ``Stepper`` is the step loop of one scheme, fed one Brownian increment
 at a time; ``advance_all`` steps many at once, and ``integrate`` drives
@@ -332,85 +340,34 @@ def _settle_each(moves):
     return [result for move in moves for result in _settle_each([move])]
 
 
-def _dlr_step(model, state, dt, dw, **options):
-    """One low-rank step: ``_move`` and ``_settle`` on a stack of one."""
-    if options.get("rank_policy", "abort") not in RANK_POLICIES:
-        raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
-    return _settle([_move(model, state, dt, dw, **options)])[0]
-
-
-def dlr_em_step(model, state, dt, dw, *, fast_linear=False, debug=False,
-                rank_policy="abort", u_solve_perturbation=None):
-    """One low-rank Euler-Maruyama step.
-
-    The basis solve is weighted by the Gramian of the samples before
-    the move and its right-hand side carries only the drift.  With
-    ``fast_linear`` set and a model whose drift is x -> A(t) x, the
-    solve is replaced by the exact shortcut u + u A(t)^T (I - u^T u) dt,
-    in which the Gramian cancels.
-
-    Returns
-    -------
-    EnsembleState
-    """
-    return _dlr_step(model, state, dt, dw, **_FLAGS["dlr_em"],
-                     fast_linear=fast_linear, debug=debug,
-                     rank_policy=rank_policy,
-                     u_solve_perturbation=u_solve_perturbation)
-
-
-def dlr_ps_em_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
-                   u_solve_perturbation=None):
-    """One projector-splitting step built on the discrete increment.
-
-    The basis solve is weighted by the Gramian of the moved samples and
-    its right-hand side carries the complete increment, drift plus
-    diffusion, and with it the increment's quadratic covariation
-    E[b dW (b dW)^T] ~ E[b b^T] dt.  Once the noise is not negligible,
-    the scheme's dt -> 0 limit therefore differs from that of
-    ``dlr_em_step`` and ``dlr_ps_sde_step``, and the step does not
-    converge to a fine ``dlr_ps_sde`` reference.  In debug mode the step
-    verifies the projected-update identity: the new cloud equals the
-    old cloud plus the tangent projection of the full increment.
-
-    Returns
-    -------
-    EnsembleState
-    """
-    return _dlr_step(model, state, dt, dw, **_FLAGS["dlr_ps_em"],
-                     debug=debug, rank_policy=rank_policy,
-                     u_solve_perturbation=u_solve_perturbation)
-
-
-def dlr_ps_sde_step(model, state, dt, dw, *, debug=False, rank_policy="abort",
-                    u_solve_perturbation=None):
-    """One projector-splitting step split at the continuous level.
-
-    Identical to ``dlr_ps_em_step`` except that only the drift enters
-    the basis solve; the diffusion increment reaches the new cloud only
-    through the span of the old basis rows.  In debug mode the step
-    verifies its projected-update identity: new cloud = old cloud +
-    tangent projection of the drift times dt + row projection of the
-    diffusion increment.
-
-    Returns
-    -------
-    EnsembleState
-    """
-    return _dlr_step(model, state, dt, dw, **_FLAGS["dlr_ps_sde"],
-                     debug=debug, rank_policy=rank_policy,
-                     u_solve_perturbation=u_solve_perturbation)
-
-
 # the two flags of each low-rank scheme (module table)
 _FLAGS = {
     "dlr_em": dict(moved_gramian=False, full_increment=False),
     "dlr_ps_em": dict(moved_gramian=True, full_increment=True),
     "dlr_ps_sde": dict(moved_gramian=True, full_increment=False),
 }
+
+
+def dlr_step(model, state, dt, dw, *, scheme, fast_linear=False, debug=False,
+             rank_policy="abort", u_solve_perturbation=None):
+    """One step of the low-rank ``scheme`` (module table) from ``state``
+    on the (m, M) increment dw: ``_move`` and ``_settle`` on a stack of
+    one.  ``fast_linear``, for "dlr_em" on a drift x -> A(t) x, replaces
+    the basis solve by its exact shortcut u + u A(t)^T (I - u^T u) dt, in
+    which the Gramian cancels; the other schemes ignore it.  The other
+    options are those of ``integrate``.  Returns an EnsembleState."""
+    if scheme not in _FLAGS:
+        raise ValueError("unknown low-rank scheme %r" % (scheme,))
+    if rank_policy not in RANK_POLICIES:
+        raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
+    return _settle([_move(model, state, dt, dw, **_FLAGS[scheme],
+                          fast_linear=fast_linear, debug=debug,
+                          rank_policy=rank_policy,
+                          u_solve_perturbation=u_solve_perturbation)])[0]
+
+
 # the step of each scheme alone; perfbench/tracer.py wraps these entries
-_DLR_STEPS = {scheme: partial(_dlr_step, **flags)
-              for scheme, flags in _FLAGS.items()}
+_DLR_STEPS = {scheme: partial(dlr_step, scheme=scheme) for scheme in _FLAGS}
 
 
 class Stepper:

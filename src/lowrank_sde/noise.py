@@ -3,10 +3,10 @@
 Increments are produced by a counter-based generator (Philox) keyed per
 step block, so any (step, component, path) entry is reproducible in
 isolation.  A step's block is the same standard normal block on every
-lattice, scaled by that lattice's sqrt(dt).  ``increment_blocks`` streams
-a grid's increments one step block at a time, ``lattice_blocks`` streams
-those of several lattices at once and draws each step's block once for
-all of them, and ``generate`` stores the blocks of one grid as one array.
+lattice, scaled by that lattice's sqrt(dt).  ``lattice_blocks`` streams
+the increments of one or several lattices one step at a time and draws
+each step's block once for all of them, and ``generate`` stores the
+blocks of one grid as one array.
 Coarse increments are flat left-to-right sums of the finest grid's
 blocks (``BlockSum``), which makes repeated coarsening exactly
 associative; ``coarsen`` applies that sum to a stored grid, and a caller
@@ -31,10 +31,9 @@ class BrownianGrid:
 
     increments[n, c, j] is the increment of component c for path j over
     step n, distributed N(0, dt) with dt = (t1 - t0) / n_steps.  A
-    caller that streams the increments (``increment_blocks``,
-    ``lattice_blocks``) passes None: such a grid fixes only the time
-    lattice and the lineage, and ``coarsen`` and
-    ``integrators.integrate`` refuse it.
+    caller that streams the increments (``lattice_blocks``) passes None:
+    such a grid fixes only the time lattice and the lineage, and
+    ``coarsen`` and ``integrators.integrate`` refuse it.
     coarsen_factor records how many finest-grid steps one step here
     spans (1 for a freshly generated grid).
     """
@@ -77,26 +76,6 @@ def _standard_normal_block(seed, step, m, m_paths):
     return standard_normals(gen, (m, m_paths))
 
 
-def increment_blocks(seed, t0, t1, n_steps, m, m_paths):
-    """Stream the increments of a Brownian grid one step block at a time.
-
-    Checks the arguments at once and returns an iterator over the
-    (m, m_paths) blocks of steps 0 .. n_steps - 1: sqrt(dt) times an
-    inverse-CDF standard normal block from a Philox stream keyed
-    [seed, step].  Block n equals ``generate(...).increments[n]``, and
-    that of any lattice of ``lattice_blocks`` with these parameters, bit
-    for bit; only the block in hand is held in memory.
-    """
-    if n_steps < 1:
-        raise GridMismatch("n_steps must be >= 1, got %d" % n_steps)
-    if not t1 > t0:
-        raise GridMismatch("need t1 > t0, got [%r, %r]" % (t0, t1))
-    if m < 1 or m_paths < 1:
-        raise GridMismatch("need m >= 1 and m_paths >= 1")
-    grid = BrownianGrid(seed, t0, t1, n_steps, m, m_paths, None)
-    return (blocks[0] for blocks in lattice_blocks([grid]))
-
-
 def lattice_blocks(lattices):
     """Stream the increments of several lattices on one seed together.
 
@@ -118,23 +97,23 @@ def lattice_blocks(lattices):
 def generate(seed, t0, t1, n_steps, m, m_paths):
     """Generate a Brownian increment grid.
 
-    Stores the blocks of ``increment_blocks`` as one array. Identical
-    arguments give bit-identical arrays.
+    Stores the blocks ``lattice_blocks`` streams for this grid as one
+    array: increments[n] is sqrt(dt) times an inverse-CDF standard normal
+    block from a Philox stream keyed [seed, n].  Identical arguments give
+    bit-identical arrays.
     """
-    blocks = increment_blocks(seed, t0, t1, n_steps, m, m_paths)
+    if n_steps < 1:
+        raise GridMismatch("n_steps must be >= 1, got %d" % n_steps)
+    if not t1 > t0:
+        raise GridMismatch("need t1 > t0, got [%r, %r]" % (t0, t1))
+    if m < 1 or m_paths < 1:
+        raise GridMismatch("need m >= 1 and m_paths >= 1")
     increments = np.empty((n_steps, m, m_paths))
-    for step, block in enumerate(blocks):
+    grid = BrownianGrid(seed=int(seed), t0=float(t0), t1=float(t1),
+                        n_steps=int(n_steps), m=int(m), m_paths=int(m_paths),
+                        increments=increments, root_increments=increments)
+    for step, (block,) in enumerate(lattice_blocks([grid])):
         increments[step] = block
-    grid = BrownianGrid(
-        seed=int(seed),
-        t0=float(t0),
-        t1=float(t1),
-        n_steps=int(n_steps),
-        m=int(m),
-        m_paths=int(m_paths),
-        increments=increments,
-    )
-    object.__setattr__(grid, "root_increments", increments)
     return grid
 
 

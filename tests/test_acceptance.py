@@ -19,16 +19,9 @@ from lowrank_sde.ensemble import (
 from lowrank_sde.harness import (
     STABLE_FACTOR,
     ExperimentSpec,
-    run_convergence,
-    run_singular_values,
-    run_stability,
+    run_experiment,
 )
-from lowrank_sde.integrators import (
-    dlr_em_step,
-    dlr_ps_em_step,
-    dlr_ps_sde_step,
-    integrate,
-)
+from lowrank_sde.integrators import dlr_step, integrate
 from lowrank_sde.linalg import solve_spsd_minnorm
 from lowrank_sde.models import SdeModel, build_model
 from lowrank_sde.noise import generate
@@ -114,7 +107,7 @@ def test_04_gramian_lower_bound_under_elliptic_noise(tmp_path):
         schemes=("dlr_em", "dlr_ps_em", "dlr_ps_sde"), rank=2,
         paths=2000, seed=SEED, t_final=10.0, dt_values=(0.1, 0.05, 0.02),
         output_dir=str(tmp_path / "floor"))
-    out = run_singular_values(spec)
+    out = run_experiment(spec)
     assert not out["failures"], out["failures"]
     assert out["violations"] == [], \
         "noise floor violated at %d nodes, first: %r" \
@@ -149,11 +142,11 @@ def test_05_multiplicative_noise_convergence_order(tmp_path):
     # at 1e-3 and 0.42 / 0.40 at 3e-3; and 0.23 / 0.25 at 1e-2, where
     # the paths grow like geometric Brownian motion over T = 10.
     # dlr_ps_em fits ~0.0 at 1e-3: its basis solve carries the
-    # increment's quadratic covariation (see dlr_ps_em_step), so it
+    # increment's quadratic covariation (see integrators), so it
     # stays ~0.15 away from the reference at every dt.
-    out = run_convergence(sweep_spec(tmp_path, "toy_example_1",
-                                     "dlr_ps_sde_fine",
-                                     model_overrides={"sigma_b": 1e-3}))
+    out = run_experiment(sweep_spec(tmp_path, "toy_example_1",
+                                    "dlr_ps_sde_fine",
+                                    model_overrides={"sigma_b": 1e-3}))
     assert not out["failures"], out["failures"]
     orders = {scheme: out["reports"][(scheme, "dlr_ps_sde_fine")].fitted_order
               for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde")}
@@ -167,7 +160,7 @@ def test_05_multiplicative_noise_convergence_order(tmp_path):
 def test_06_additive_noise_convergence_order(tmp_path):
     # same sweep on the additive-noise model against the full-order
     # fine reference: fitted order in [0.75, 1.25] for all schemes.
-    out = run_convergence(sweep_spec(tmp_path, "toy_example_2", "em_fine"))
+    out = run_experiment(sweep_spec(tmp_path, "toy_example_2", "em_fine"))
     assert not out["failures"], out["failures"]
     for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde"):
         order = out["reports"][(scheme, "em_fine")].fitted_order
@@ -180,7 +173,7 @@ def test_07_plain_scheme_breaks_down_under_nonlinear_drift(tmp_path):
     # schemes keep fitted order >= 0.75, while the plain scheme either
     # produces errors >= 10x theirs at the smallest dt (a collapsed run
     # counts as an infinite error) or fits an order <= 0.2.
-    out = run_convergence(sweep_spec(tmp_path, "toy_example_3", "em_fine"))
+    out = run_experiment(sweep_spec(tmp_path, "toy_example_3", "em_fine"))
     ps_small = []
     for scheme in ("dlr_ps_em", "dlr_ps_sde"):
         report = out["reports"][(scheme, "em_fine")]
@@ -230,7 +223,8 @@ def test_08_mean_square_stability_triptych(tmp_path):
         paths=2000, seed=SEED, t_final=120.0,
         dt_values=(0.0911, 0.0909, 0.0907),
         output_dir=str(tmp_path / "triptych"))
-    out = run_stability(spec)
+    with pytest.warns(UserWarning, match="does not divide"):
+        out = run_experiment(spec)
     got = out["classifications"]
 
     model, law = build_model("stability_model", {})
@@ -348,22 +342,24 @@ def test_10_minimal_norm_solve_independence():
     # the minimal-norm solve zeroes the dead basis row, so the
     # refactorization must run with the svd policy that keeps the
     # factored product exact while dead directions stay zeroed
-    for step, limit, side in (
-            (dlr_ps_em_step, 1e-10, "at most"),
-            (dlr_ps_sde_step, 1e-10, "at most"),
-            (dlr_em_step, 1e-6, "more than")):
-        base = step(model, state0, 0.02, dw, rank_policy="svd")
-        bumped = step(model, state0, 0.02, dw, rank_policy="svd",
-                      u_solve_perturbation=null_space_offset)
+    for scheme, limit, side in (
+            ("dlr_ps_em", 1e-10, "at most"),
+            ("dlr_ps_sde", 1e-10, "at most"),
+            ("dlr_em", 1e-6, "more than")):
+        base = dlr_step(model, state0, 0.02, dw, scheme=scheme,
+                        rank_policy="svd")
+        bumped = dlr_step(model, state0, 0.02, dw, scheme=scheme,
+                          rank_policy="svd",
+                          u_solve_perturbation=null_space_offset)
         base_x = base.u.T @ base.y
         change = frobenius(bumped.u.T @ bumped.y - base_x) \
             / frobenius(base_x)
         if side == "at most":
             assert change <= limit, \
-                "%s changed by %.3e > %g" % (step.__name__, change, limit)
+                "%s changed by %.3e > %g" % (scheme, change, limit)
         else:
             assert change > limit, \
-                "%s changed by %.3e <= %g" % (step.__name__, change, limit)
+                "%s changed by %.3e <= %g" % (scheme, change, limit)
 
 
 def test_11_pde_experiments_error_ordering(tmp_path):
@@ -377,7 +373,7 @@ def test_11_pde_experiments_error_ordering(tmp_path):
         ("laplacian_model", 14, 4.0, 4),
     )
     for model_name, rank, t_final, fine_factor in cases:
-        out = run_convergence(sweep_spec(
+        out = run_experiment(sweep_spec(
             tmp_path, model_name, "em_fine", rank=rank, paths=1000,
             t_final=t_final, dt_values=(0.04, 0.02, 0.01),
             fine_factor=fine_factor, rank_policy="svd"))

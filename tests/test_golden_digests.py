@@ -1,7 +1,8 @@
 """Byte-for-byte regression test of the harness outputs.
 
-A fixed spec set runs through the INI parser and the runners, and the
-sha256 of every CSV it writes is compared with a pinned value.  The set
+A fixed spec set runs through the INI parser and ``run_experiment``, and
+the sha256 of every CSV it writes is compared with a pinned value and
+with the digests its manifest lists.  The set
 covers all four experiment kinds, all four schemes, all three
 references, both rank policies, the linear-drift shortcut, the debug
 identities and failing cells (``dlr_em`` collapsing on
@@ -15,6 +16,7 @@ x86-64; another BLAS build may round differently.
 """
 
 import hashlib
+import json
 import os
 import re
 
@@ -228,4 +230,8 @@ def spec_file(tmp_path_factory):
 def test_csv_digests_match_pinned(spec_file, section):
     spec = {s.name: s for s in load_specs(spec_file)}[section]
     run_experiment(spec)
-    assert _csv_digests(spec.output_dir) == GOLDEN[section]
+    digests = _csv_digests(spec.output_dir)
+    assert digests == GOLDEN[section]
+    # the manifest lists every file the run wrote, with its digest
+    with open(os.path.join(spec.output_dir, "manifest.json")) as fh:
+        assert json.load(fh)["outputs"] == digests

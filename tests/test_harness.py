@@ -26,11 +26,7 @@ from lowrank_sde.harness import (
     ExperimentSpec,
     classify_stability,
     load_specs,
-    run_convergence,
     run_experiment,
-    run_single,
-    run_singular_values,
-    run_stability,
 )
 from lowrank_sde.integrators import (RANK_POLICIES, SCHEMES, Trajectory,
                                      integrate)
@@ -244,6 +240,28 @@ class TestExperimentSpecValidation:
                          snapshot_times=(0.5, 1.0))
         assert spec.snapshot_times == (0.5, 1.0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dt_values_sharing_a_label_rejected(self, tmp_path, kind):
+        # cells, their files and their rows are named by %g of the dt, so
+        # the second dt's outputs would overwrite the first's
+        with pytest.raises(SpecError, match="share the label 0.001"):
+            make_spec(tmp_path, kind=kind, schemes=("dlr_em",),
+                      dt_values=(0.0010000002, 0.0010000001))
+
+    @pytest.mark.parametrize("t_final, dt, times", [
+        (1.000002, 1e-6, (1.000001, 1.000002)),  # distinct nodes
+        (1.0, 0.1, (0.5, 0.5)),  # one node twice
+        (1.0, 0.1, (0.5, 0.5 + 1e-10)),  # one node, within tolerance
+    ])
+    def test_snapshot_times_sharing_a_label_rejected(self, tmp_path, t_final,
+                                                     dt, times):
+        # a snapshot is named by %g of its node's time: two would write
+        # one file (validation only: the first case runs 10^6 steps)
+        with pytest.raises(SpecError, match="share the label"):
+            make_spec(tmp_path, kind="single_run", schemes=("em",),
+                      t_final=t_final, dt_values=(dt,), reference="",
+                      snapshot_times=times)
+
 
 class TestLoadSpecs:
     def test_round_trip(self, tmp_path):
@@ -372,7 +390,7 @@ class TestRunConvergence:
     def test_exact_reference_recovers_half_order(self, tmp_path):
         spec = make_spec(tmp_path, paths=400,
                          dt_values=(0.1, 0.05, 0.025, 0.0125))
-        out = run_convergence(spec)
+        out = run_experiment(spec)
         report = out["reports"][("em", "exact")]
         assert 0.3 <= report.fitted_order <= 0.7
         assert np.all(np.diff(report.l2_sup_errors) < 0.0)
@@ -385,7 +403,7 @@ class TestRunConvergence:
             tmp_path, model="toy_example_2", rank=2, paths=300,
             schemes=("dlr_em", "dlr_ps_em", "dlr_ps_sde"), t_final=1.0,
             dt_values=(0.1, 0.05, 0.02), reference="em_fine", fine_factor=4)
-        out = run_convergence(spec)
+        out = run_experiment(spec)
         assert not out["failures"]
         for scheme in spec.schemes:
             for ref in ("em_fine", "dlr_ps_sde_fine"):
@@ -403,7 +421,7 @@ class TestRunConvergence:
             tmp_path, model="toy_example_3", rank=2, paths=300,
             schemes=("dlr_em", "dlr_ps_sde"), t_final=10.0,
             dt_values=(0.1, 0.05), reference="em_fine", fine_factor=4)
-        out = run_convergence(spec)
+        out = run_experiment(spec)
         assert {f["scheme"] for f in out["failures"]} == {"dlr_em"}
         assert out["reports"][("dlr_em", "em_fine")].dt_values.size == 0
         assert np.isnan(out["reports"][("dlr_em", "em_fine")].fitted_order)
@@ -415,8 +433,8 @@ class TestRunConvergence:
     def test_outputs_reproducible_and_digested(self, tmp_path):
         spec_a = make_spec(tmp_path, output_dir=str(tmp_path / "a"))
         spec_b = make_spec(tmp_path, output_dir=str(tmp_path / "b"))
-        run_convergence(spec_a)
-        run_convergence(spec_b)
+        run_experiment(spec_a)
+        run_experiment(spec_b)
         with open(tmp_path / "a" / "manifest.json") as fh:
             man_a = json.load(fh)
         with open(tmp_path / "b" / "manifest.json") as fh:
@@ -435,7 +453,7 @@ class TestRunConvergence:
                              paths=200, schemes=schemes, dt_values=dt_values,
                              reference="em_fine", fine_factor=2,
                              output_dir=str(tmp_path / name))
-            run_convergence(spec)
+            run_experiment(spec)
             return {ref: (tmp_path / name / ("errors_dlr_ps_sde_vs_%s.csv"
                                              % ref)).read_bytes()
                     for ref in ("em_fine", "dlr_ps_sde_fine")}
@@ -466,7 +484,7 @@ class TestRunConvergence:
         spec = make_spec(tmp_path, model=model, rank=1, paths=100,
                          schemes=SCHEMES, dt_values=(0.1, 0.05, 0.025),
                          reference=reference, fine_factor=fine_factor)
-        run_convergence(spec)
+        run_experiment(spec)
         for scheme in spec.schemes:
             rows = scheme_rows(spec, scheme, spec.dt_values)
             assert len(rows["status.csv"]) == 3
@@ -478,7 +496,7 @@ class TestRunConvergence:
         spec = make_spec(tmp_path, model="toy_example_2", rank=2,
                          dt_values=(0.1, 0.05), reference="em_fine",
                          fine_factor=2)
-        out = run_convergence(spec)
+        out = run_experiment(spec)
         assert not out["failures"]
         assert out["reports"][("em", "dlr_ps_sde_fine")].dt_values.size == 2
 
@@ -521,7 +539,7 @@ class TestRunConvergence:
                              reference="em_fine", fine_factor=4)
         with pytest.raises(StepFailed, match="fine reference %s failed: "
                            ".*%s" % (failing, cause)):
-            run_convergence(spec)
+            run_experiment(spec)
         assert os.listdir(spec.output_dir) == []
 
     def test_peak_memory_independent_of_horizon(self, tmp_path):
@@ -537,7 +555,7 @@ class TestRunConvergence:
                 fine_factor=2)
             tracemalloc.start()
             try:
-                run_convergence(spec)
+                run_experiment(spec)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -558,7 +576,7 @@ class TestRunSingularValues:
 
     def test_traces_written_with_bounds(self, tmp_path):
         spec = self.sv_spec(tmp_path)
-        out = run_singular_values(spec)
+        out = run_experiment(spec)
         assert not out["failures"]
         for scheme in spec.schemes:
             for dt in spec.dt_values:
@@ -578,14 +596,14 @@ class TestRunSingularValues:
 
     def test_no_violations_for_elliptic_noise(self, tmp_path):
         spec = self.sv_spec(tmp_path)
-        out = run_singular_values(spec)
+        out = run_experiment(spec)
         assert out["violations"] == []
         lines = (tmp_path / "sv" / "violations.csv").read_text().splitlines()
         assert lines == ["scheme,dt,t,sigma_k,threshold"]
 
     def test_degenerate_noise_traces_zero_bounds(self, tmp_path):
         spec = self.sv_spec(tmp_path, model="toy_example_2")
-        out = run_singular_values(spec)
+        out = run_experiment(spec)
         trace = out["traces"][("dlr_ps_sde", 0.1)]
         assert np.all(trace.bound_simple == 0.0)
         assert np.all(trace.bound_refined == 0.0)
@@ -595,9 +613,9 @@ class TestRunSingularValues:
         # every lane scales the same per-step blocks, so a cell's trace
         # is the same whichever other schemes and dts run with it
         name = "singular_values_dlr_ps_em_dt0.1.csv"
-        run_singular_values(self.sv_spec(
+        run_experiment(self.sv_spec(
             tmp_path, dt_values=(0.1, 0.0625, 0.05)))
-        run_singular_values(self.sv_spec(
+        run_experiment(self.sv_spec(
             tmp_path, schemes=("dlr_ps_em",), dt_values=(0.1,),
             output_dir=str(tmp_path / "alone")))
         assert (tmp_path / "alone" / name).read_bytes() == \
@@ -607,7 +625,7 @@ class TestRunSingularValues:
         # the trajectory enters the trace through its node times, its
         # Gramian floors and the sup of its mean-square norms
         spec = self.sv_spec(tmp_path)
-        run_singular_values(spec)
+        run_experiment(spec)
         traj = stored_grid_run(spec, "dlr_ps_sde", 0.05)
         rows = [line.split(",") for line in (
             tmp_path / "sv" / "singular_values_dlr_ps_sde_dt0.05.csv"
@@ -642,7 +660,8 @@ class TestRunStability:
             schemes=("dlr_ps_sde",), rank=4, paths=300, seed=3,
             t_final=12.0, dt_values=(0.0911, 0.05),
             output_dir=str(tmp_path / "stab"))
-        out = run_stability(spec)
+        with pytest.warns(UserWarning, match="does not divide"):
+            out = run_experiment(spec)
         # dt=0.05 contracts hard (underflow-collapse tolerated)
         assert out["classifications"][("dlr_ps_sde", 0.05)] == "stable"
         rows = (tmp_path / "stab" / "classification.csv").read_text()
@@ -668,11 +687,11 @@ class TestRunStability:
         def lines(name, csv):
             return (tmp_path / name / csv).read_text().splitlines()
 
-        run_stability(self.stab_spec(tmp_path, "together"))
+        run_experiment(self.stab_spec(tmp_path, "together"))
         for scheme, dt in (("dlr_ps_sde", 0.1), ("dlr_em", 0.0625)):
             name = "alone_%s_%g" % (scheme, dt)
-            run_stability(self.stab_spec(tmp_path, name, schemes=(scheme,),
-                                         dt_values=(dt,)))
+            run_experiment(self.stab_spec(tmp_path, name, schemes=(scheme,),
+                                          dt_values=(dt,)))
             csv = "norms_%s_dt%g.csv" % (scheme, dt)
             assert (tmp_path / name / csv).read_bytes() == \
                 (tmp_path / "together" / csv).read_bytes()
@@ -681,7 +700,7 @@ class TestRunStability:
 
     def test_cell_matches_integrate_over_generate(self, tmp_path):
         spec = self.stab_spec(tmp_path, "stab")
-        run_stability(spec)
+        run_experiment(spec)
         traj = stored_grid_run(spec, "dlr_em", 0.0625)
         assert traj.completed
         expected = "t,mean_square_norm\n" + "".join(
@@ -702,7 +721,7 @@ class TestRunStability:
 
         monkeypatch.setattr(lowrank_sde.noise, "_standard_normal_block",
                             counting_block)
-        run_stability(self.stab_spec(tmp_path, "stab"))
+        run_experiment(self.stab_spec(tmp_path, "stab"))
         assert draws == [(3, step) for step in range(20)]
 
     def test_one_eigh_and_one_qr_per_walk_step(self, tmp_path,
@@ -726,7 +745,7 @@ class TestRunStability:
             walk(lanes)
 
         monkeypatch.setattr(lowrank_sde.harness, "_walk", counted_walk)
-        out = run_stability(self.stab_spec(tmp_path, "stab"))
+        out = run_experiment(self.stab_spec(tmp_path, "stab"))
         assert len(out["classifications"]) == 9
         assert calls == {"eigh": 20, "eigvalsh": 0, "svd": 0, "qr": 20}
 
@@ -739,7 +758,7 @@ class TestRunStability:
                                   dt_values=(0.05, 0.025))
             tracemalloc.start()
             try:
-                run_stability(spec)
+                run_experiment(spec)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -755,7 +774,7 @@ class TestRunSingle:
             schemes=("dlr_ps_sde",), rank=2, paths=250, seed=21,
             t_final=1.0, dt_values=(0.05,), snapshot_times=(0.5, 1.0),
             output_dir=str(tmp_path / "one"))
-        out = run_single(spec)
+        out = run_experiment(spec)
         traj = out["trajectory"]
         state = load_snapshot(str(tmp_path / "one" / "snapshot_t1.csv"))
         assert state.t == pytest.approx(1.0)
@@ -771,7 +790,7 @@ class TestRunSingle:
             schemes=("em",), rank=1, paths=100, seed=21,
             t_final=0.5, dt_values=(0.1,), snapshot_times=(0.5,),
             output_dir=str(tmp_path / "em_one"))
-        run_single(spec)
+        run_experiment(spec)
         state = load_snapshot(str(tmp_path / "em_one" / "snapshot_t0.5.csv"))
         np.testing.assert_allclose(state.u, np.eye(3))
         assert state.y.shape == (3, 100)

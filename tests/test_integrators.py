@@ -19,9 +19,7 @@ import lowrank_sde.integrators
 from lowrank_sde.integrators import (
     Stepper,
     advance_all,
-    dlr_em_step,
-    dlr_ps_em_step,
-    dlr_ps_sde_step,
+    dlr_step,
     em_step,
     integrate,
 )
@@ -37,7 +35,7 @@ from lowrank_sde.models import (
 )
 from lowrank_sde.noise import BrownianGrid, coarsen, generate
 
-DLR_STEPS = (dlr_em_step, dlr_ps_em_step, dlr_ps_sde_step)
+DLR_SCHEMES = ("dlr_em", "dlr_ps_em", "dlr_ps_sde")
 
 # derandomized so every tier-1 run checks the same examples
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -164,8 +162,8 @@ class TestDlrStepsShared:
         state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
         x = reconstruct(state)
         dw = rng.normal(size=(2, m_paths))
-        for step in DLR_STEPS:
-            new_state = step(model, state, dt, dw)
+        for scheme in DLR_SCHEMES:
+            new_state = dlr_step(model, state, dt, dw, scheme=scheme)
             err = np.linalg.norm(reconstruct(new_state) - x)
             assert err <= 1e-12 * max(np.linalg.norm(x), 1.0)
 
@@ -175,11 +173,11 @@ class TestDlrStepsShared:
         d, k, m_paths, dt, rng = setup
         model = linear_model(rng, d, sigma=0.3)
         state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
-        for step in DLR_STEPS:
+        for scheme in DLR_SCHEMES:
             current = state
             for _ in range(3):
                 dw = np.sqrt(dt) * rng.normal(size=(d, m_paths))
-                current = step(model, current, dt, dw)
+                current = dlr_step(model, current, dt, dw, scheme=scheme)
                 defect = current.u @ current.u.T - np.eye(k)
                 assert np.linalg.norm(defect) <= 1e-10
 
@@ -194,10 +192,11 @@ class TestDlrStepsShared:
         model = linear_model(rng, d, sigma=0.3)
         state = init_rank_k(rank_r_samples(rng, d, r, m_paths), k)
         dw = np.sqrt(dt) * rng.normal(size=(d, m_paths))
-        dlr_em_step(model, state, dt, dw, debug=True, rank_policy="svd",
-                    fast_linear=data.draw(st.booleans()))
-        for step in (dlr_ps_em_step, dlr_ps_sde_step):
-            step(model, state, dt, dw, debug=True, rank_policy="svd")
+        # fast_linear acts on dlr_em only; the other schemes ignore it
+        fast_linear = data.draw(st.booleans())
+        for scheme in DLR_SCHEMES:
+            dlr_step(model, state, dt, dw, scheme=scheme, debug=True,
+                     rank_policy="svd", fast_linear=fast_linear)
 
     def test_full_rank_collapse_matches_em(self):
         # with k = d the tangent projector is the identity, so both
@@ -209,8 +208,8 @@ class TestDlrStepsShared:
         dw = generate(13, 0.0, 0.02, 1, model.m, 300).increments[0]
         reference = em_step(model, x, 0.0, 0.02, dw)
         scale = np.linalg.norm(reference)
-        for step in (dlr_ps_em_step, dlr_ps_sde_step):
-            new_state = step(model, state, 0.02, dw)
+        for scheme in ("dlr_ps_em", "dlr_ps_sde"):
+            new_state = dlr_step(model, state, 0.02, dw, scheme=scheme)
             err = np.linalg.norm(reconstruct(new_state) - reference)
             assert err <= 1e-10 * scale
 
@@ -244,10 +243,11 @@ class TestDlrStepsShared:
         dt = 0.05
         grid = generate(15, 0.0, 3 * dt, 3, model.m, 2000)
         floor = model.sigma_b_lower * dt * (1.0 - 0.2)
-        for step in DLR_STEPS:
+        for scheme in DLR_SCHEMES:
             current = state
             for i in range(3):
-                current = step(model, current, dt, grid.increments[i])
+                current = dlr_step(model, current, dt, grid.increments[i],
+                                   scheme=scheme)
                 lam = np.linalg.eigvalsh(gramian(current.y))
                 assert lam[0] >= floor
 
@@ -256,7 +256,7 @@ class TestDlrStepsShared:
         samples = np.array([[1e140, 2e140, 3e140], [0.0, 1e140, 2e140]])
         state = init_rank_k(samples, 2)
         with pytest.raises(ModelBlowUp):
-            dlr_ps_em_step(model, state, 0.5, np.zeros((1, 3)))
+            dlr_step(model, state, 0.5, np.zeros((1, 3)), scheme="dlr_ps_em")
 
 
 class TestDlrEmStep:
@@ -268,8 +268,10 @@ class TestDlrEmStep:
         samples[2] += 0.05 * np.random.default_rng(88).standard_normal(500)
         state = init_rank_k(samples, 3)
         dw = generate(16, 0.0, 0.01, 1, model.m, 500).increments[0]
-        slow = dlr_em_step(model, state, 0.01, dw, fast_linear=False)
-        fast = dlr_em_step(model, state, 0.01, dw, fast_linear=True)
+        slow = dlr_step(model, state, 0.01, dw, scheme="dlr_em",
+                        fast_linear=False)
+        fast = dlr_step(model, state, 0.01, dw, scheme="dlr_em",
+                        fast_linear=True)
         scale = np.linalg.norm(reconstruct(slow))
         assert np.linalg.norm(reconstruct(fast) - reconstruct(slow)) \
             <= 1e-9 * scale
@@ -279,8 +281,10 @@ class TestDlrEmStep:
         # code paths may differ only through the minimal-norm truncation
         model, state = toy_state(m_paths=500, seed=8)
         dw = generate(17, 0.0, 0.01, 1, model.m, 500).increments[0]
-        slow = dlr_em_step(model, state, 0.01, dw, fast_linear=False)
-        fast = dlr_em_step(model, state, 0.01, dw, fast_linear=True)
+        slow = dlr_step(model, state, 0.01, dw, scheme="dlr_em",
+                        fast_linear=False)
+        fast = dlr_step(model, state, 0.01, dw, scheme="dlr_em",
+                        fast_linear=True)
         scale = np.linalg.norm(reconstruct(slow))
         assert np.linalg.norm(reconstruct(fast) - reconstruct(slow)) \
             <= 1e-6 * scale
@@ -296,7 +300,8 @@ class TestProjectorSplittingIdentities:
         bdw = model.diffusion_dw(0.0, x, dw)
         w = a * dt + bdw
         y_moved = state.y + state.u @ w
-        new_state = dlr_ps_em_step(model, state, dt, dw, debug=True)
+        new_state = dlr_step(model, state, dt, dw, scheme="dlr_ps_em",
+                             debug=True)
         rhs = x + sample_tangent_apply(state.u, y_moved, w)
         scale = max(np.linalg.norm(rhs), 1.0)
         assert np.linalg.norm(reconstruct(new_state) - rhs) <= 1e-8 * scale
@@ -309,7 +314,8 @@ class TestProjectorSplittingIdentities:
         a = model.drift_many(0.0, x)
         bdw = model.diffusion_dw(0.0, x, dw)
         y_moved = state.y + state.u @ (a * dt + bdw)
-        new_state = dlr_ps_sde_step(model, state, dt, dw, debug=True)
+        new_state = dlr_step(model, state, dt, dw, scheme="dlr_ps_sde",
+                             debug=True)
         rhs = (x + sample_tangent_apply(state.u, y_moved, a) * dt
                + state.u.T @ (state.u @ bdw))
         scale = max(np.linalg.norm(rhs), 1.0)
@@ -322,8 +328,8 @@ class TestProjectorSplittingIdentities:
         model = linear_model(rng, d, sigma=0.0)
         state = init_rank_k(rank_r_samples(rng, d, k, m_paths), k)
         dw = rng.normal(size=(d, m_paths))
-        a_state = dlr_ps_em_step(model, state, dt, dw)
-        b_state = dlr_ps_sde_step(model, state, dt, dw)
+        a_state = dlr_step(model, state, dt, dw, scheme="dlr_ps_em")
+        b_state = dlr_step(model, state, dt, dw, scheme="dlr_ps_sde")
         scale = np.linalg.norm(reconstruct(a_state))
         assert np.linalg.norm(reconstruct(a_state) - reconstruct(b_state)) \
             <= 1e-12 * scale
@@ -335,8 +341,8 @@ class TestProjectorSplittingIdentities:
         state = init_rank_k(law(9, 400), 2)
         dt = 1e-4
         dw = np.zeros((model.m, 400))
-        a_state = dlr_ps_em_step(model, state, dt, dw)
-        b_state = dlr_em_step(model, state, dt, dw)
+        a_state = dlr_step(model, state, dt, dw, scheme="dlr_ps_em")
+        b_state = dlr_step(model, state, dt, dw, scheme="dlr_em")
         scale = np.linalg.norm(reconstruct(a_state))
         assert np.linalg.norm(reconstruct(a_state) - reconstruct(b_state)) \
             <= 1e-6 * scale
@@ -352,7 +358,7 @@ class TestProjectorSplittingIdentities:
         a = model.drift_many(0.0, x)
         bdw = model.diffusion_dw(0.0, x, dw)
         w = a * dt + bdw
-        new_state = dlr_ps_em_step(model, state, dt, dw)
+        new_state = dlr_step(model, state, dt, dw, scheme="dlr_ps_em")
         x_new = reconstruct(new_state)
         lhs = mean_square_norm(x_new - x)
         rhs = mean_square_norm(w)
@@ -381,10 +387,12 @@ class TestProjectorSplittingIdentities:
             lam, vec = np.linalg.eigh(0.5 * (c_mat + c_mat.T))
             return vec[:, 0:1] @ row
 
-        for step in (dlr_ps_em_step, dlr_ps_sde_step):
-            plain = step(model, state, 0.1, dw, rank_policy="svd")
-            bumped = step(model, state, 0.1, dw, rank_policy="svd",
-                          u_solve_perturbation=add_null_component)
+        for scheme in ("dlr_ps_em", "dlr_ps_sde"):
+            plain = dlr_step(model, state, 0.1, dw, scheme=scheme,
+                             rank_policy="svd")
+            bumped = dlr_step(model, state, 0.1, dw, scheme=scheme,
+                              rank_policy="svd",
+                              u_solve_perturbation=add_null_component)
             scale = max(np.linalg.norm(reconstruct(plain)), 1.0)
             assert np.linalg.norm(reconstruct(plain) - reconstruct(bumped)) \
                 <= 1e-10 * scale
@@ -401,9 +409,11 @@ class TestProjectorSplittingIdentities:
             lam, vec = np.linalg.eigh(0.5 * (c_mat + c_mat.T))
             return vec[:, 0:1] @ row
 
-        plain = dlr_ps_sde_step(model, state, dt, dw, rank_policy="svd")
-        bumped = dlr_ps_sde_step(model, state, dt, dw, rank_policy="svd",
-                                 u_solve_perturbation=add_null_component)
+        plain = dlr_step(model, state, dt, dw, scheme="dlr_ps_sde",
+                         rank_policy="svd")
+        bumped = dlr_step(model, state, dt, dw, scheme="dlr_ps_sde",
+                          rank_policy="svd",
+                          u_solve_perturbation=add_null_component)
         scale = max(np.linalg.norm(reconstruct(plain)), 1.0)
         assert np.linalg.norm(reconstruct(plain) - reconstruct(bumped)) \
             <= 1e-8 * scale
@@ -415,7 +425,8 @@ class TestRankPolicy:
         state = init_rank_k(law(3, 300), 14)
         dw = generate(23, 0.0, 0.01, 1, model.m, 300).increments[0]
         with pytest.raises(StepFailed):
-            dlr_ps_sde_step(model, state, 0.01, dw, rank_policy="abort")
+            dlr_step(model, state, 0.01, dw, scheme="dlr_ps_sde",
+                     rank_policy="abort")
 
     def test_svd_policy_continues_with_valid_state(self):
         model, law = sadr_model()
@@ -423,9 +434,9 @@ class TestRankPolicy:
         grid = generate(24, 0.0, 0.03, 3, model.m, 300)
         current = state
         for i in range(3):
-            current = dlr_ps_sde_step(
+            current = dlr_step(
                 model, current, grid.dt, grid.increments[i],
-                rank_policy="svd", debug=True)
+                scheme="dlr_ps_sde", rank_policy="svd", debug=True)
             defect = current.u @ current.u.T - np.eye(14)
             assert np.linalg.norm(defect) <= 1e-10
 
@@ -433,7 +444,8 @@ class TestRankPolicy:
         model, state = toy_state(m_paths=100)
         dw = np.zeros((model.m, 100))
         with pytest.raises(ValueError):
-            dlr_ps_em_step(model, state, 0.01, dw, rank_policy="drop")
+            dlr_step(model, state, 0.01, dw, scheme="dlr_ps_em",
+                     rank_policy="drop")
         # a stepper checks its policy once, when it is built
         grid = BrownianGrid(seed=1, t0=0.0, t1=0.1, n_steps=1, m=model.m,
                             m_paths=100, increments=None)
@@ -787,4 +799,5 @@ class TestStackedStep:
         monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr", nan_qr)
         model, state = toy_state(m_paths=50)
         with pytest.raises(ValueError, match="non-finite"):
-            dlr_ps_sde_step(model, state, 0.01, np.zeros((model.m, 50)))
+            dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
+                     scheme="dlr_ps_sde")

@@ -11,7 +11,6 @@ from lowrank_sde.noise import (
     _standard_normal_block,
     coarsen,
     generate,
-    increment_blocks,
     lattice_blocks,
 )
 
@@ -29,13 +28,14 @@ class TestGenerate:
            st.integers(1, 12), noise_dims, path_counts, st.data())
     def test_deterministic_bit_identical(self, seed, t0, length, n, m,
                                          m_paths, data):
-        # Philox stream identity: generate repeats itself, streams the
-        # same blocks, and any block regenerated alone from its key
-        # [seed, step] matches
+        # Philox stream identity: generate repeats itself, stores the
+        # blocks its lattice streams, and any block regenerated alone
+        # from its key [seed, step] matches
         args = (seed, t0, t0 + length, n, m, m_paths)
         g = generate(*args)
         assert np.array_equal(g.increments, generate(*args).increments)
-        blocks = list(increment_blocks(*args))
+        blocks = [block for block, in lattice_blocks(
+            [BrownianGrid(seed, t0, t0 + length, n, m, m_paths, None)])]
         assert len(blocks) == n
         for step, block in enumerate(blocks):
             assert np.array_equal(block, g.increments[step])
@@ -90,6 +90,8 @@ class TestGenerate:
             generate(1, 0.0, 1.0, 0, 1, 1)
         with pytest.raises(GridMismatch):
             generate(1, 1.0, 1.0, 3, 1, 1)
+        with pytest.raises(GridMismatch):
+            generate(1, 0.0, 1.0, 3, 0, 1)
 
 
 def lattice(seed, t1, n, m, m_paths):
@@ -110,7 +112,7 @@ class TestLatticeBlocks:
         steps = list(lattice_blocks(grids))
         assert len(steps) == max(n for _, n in shapes)
         for j, (t1, n) in enumerate(shapes):
-            alone = list(increment_blocks(seed, 0.0, t1, n, m, m_paths))
+            alone = generate(seed, 0.0, t1, n, m, m_paths).increments
             for step, blocks in enumerate(steps):
                 if step < n:
                     assert np.array_equal(blocks[j], alone[step])
@@ -167,8 +169,8 @@ class TestCoarsen:
             assert np.array_equal(direct.increments[i], acc)
         # ... is also what a BlockSum fed the streamed blocks returns
         run = BlockSum(a * b)
-        streamed = [total for total in map(run.push, increment_blocks(*args))
-                    if total is not None]
+        pushed = (run.push(block) for block, in lattice_blocks([g]))
+        streamed = [total for total in pushed if total is not None]
         assert np.array_equal(np.array(streamed), direct.increments)
 
     def test_metadata_inherited(self):
