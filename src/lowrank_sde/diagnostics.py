@@ -2,10 +2,13 @@
 
 The bound evaluators are literal formula translations and therefore
 total, deterministic functions of their scalar arguments.  The error
-metrics compare trajectories pathwise: they require both runs to be
-driven by the same root noise (same seed, horizon, and finest grid) and
-match recorded nodes through exact integer grid fractions, never by
-floating-point time comparison.
+metrics compare two runs (``integrators.Stepper``s that recorded nodes)
+pathwise: they read each run's lineage from its lattice ``grid``,
+require both runs to be driven by the same root noise (same seed,
+horizon, and finest grid) and match recorded nodes through exact
+integer grid fractions, never by floating-point time comparison.  The
+harness streams the same metrics with ``fold_sup_sq`` and
+``l2_sup_errors``.
 """
 
 from dataclasses import dataclass
@@ -139,39 +142,26 @@ def ams_margin(a_mat, b_mats, dt):
     return abs(1.0 + lam_max * dt + sig_max ** 2 * dt ** 2 + noise * dt)
 
 
-def empirical_c_lgb(model, t, cloud):
-    """Empirical linear-growth ratio over a realized sample cloud.
-
-    Returns max_j (|a(t, x_j)|^2 + ||b(t, x_j)||_F^2) / (1 + |x_j|^2).
-    Used when a model does not certify ``c_lgb`` itself.
-    """
-    cloud = np.asarray(cloud, dtype=float)
-    drift = model.drift_many(t, cloud)
-    num = np.sum(drift * drift, axis=0)
-    for j in range(cloud.shape[1]):
-        b_mat = model.diffusion_mat(t, cloud[:, j])
-        num[j] += np.sum(b_mat * b_mat)
-    return float(np.max(num / (1.0 + np.sum(cloud * cloud, axis=0))))
-
-
 def _matched_node_pairs(traj_a, traj_b):
     """Indices of recorded nodes at identical physical times.
 
     Node i of an n-step grid sits at the exact fraction i/n of the
     horizon, so two nodes coincide iff i_a * n_b == i_b * n_a.
     """
-    if traj_a.grid_seed != traj_b.grid_seed:
+    grid_a, grid_b = traj_a.grid, traj_b.grid
+    if grid_a.seed != grid_b.seed:
         raise IncomparableTrajectories("different noise seeds")
-    if traj_a.t0 != traj_b.t0 or traj_a.t1 != traj_b.t1:
+    if grid_a.t0 != grid_b.t0 or grid_a.t1 != grid_b.t1:
         raise IncomparableTrajectories("different time horizons")
-    if traj_a.root_n_steps != traj_b.root_n_steps:
+    if grid_a.n_steps * grid_a.coarsen_factor \
+            != grid_b.n_steps * grid_b.coarsen_factor:
         raise IncomparableTrajectories("different root noise grids")
     lookup = {}
     for j, ib in enumerate(traj_b.node_indices):
-        lookup[int(ib) * traj_a.n_steps] = j
+        lookup[int(ib) * grid_a.n_steps] = j
     pairs = []
     for i, ia in enumerate(traj_a.node_indices):
-        j = lookup.get(int(ia) * traj_b.n_steps)
+        j = lookup.get(int(ia) * grid_b.n_steps)
         if j is not None:
             pairs.append((i, j))
     if not pairs:

@@ -20,13 +20,15 @@ instead of being ignored.  Four experiment kinds exist:
 ``stability``
     Runs the low-rank schemes at each dt and classifies each run as
     stable (final mean-square norm < 1e-3 x initial), unstable
-    (> 10 x initial, or overflow/failure), or inconclusive.
+    (> 10 x initial, or overflow/failure), or inconclusive; the summary
+    lists each failed cell's error.
 ``single_run``
     One scheme on one grid, serializing factored snapshots at
     configured times.
 
 Every kind runs as one walk on one thread over lanes, one time lattice
-each: the fine grid of a sweep, or the grid of one dt.  Each step's
+each: the fine grid of a sweep, or the grid of one dt.  A cell is an
+``integrators.Stepper`` on its lattice, its own record.  Each step's
 standard normal block is drawn once and scaled for every lane that has
 that step, and one ``advance_all`` call steps all cells due on it, the
 low-rank ones as one stack.  No noise grid is stored; a cell's bytes do
@@ -56,7 +58,6 @@ from .diagnostics import (
     BoundTrace,
     ErrorReport,
     dt_condition,
-    empirical_c_lgb,
     fit_order,
     fold_sup_sq,
     gramian_bound_refined,
@@ -407,11 +408,10 @@ def _stepper(spec, model, samples, state0, scheme, grid, **recording):
                    rank_policy=spec.rank_policy, **recording)
 
 
-def _lattice(spec, model, n, t1, coarsen_factor=1):
+def _lattice(spec, model, n, t1):
     """Lattice of n steps over [0, t1]; the walk streams its increments."""
     return BrownianGrid(seed=spec.seed, t0=0.0, t1=t1, n_steps=n,
-                        m=model.m, m_paths=spec.paths, increments=None,
-                        coarsen_factor=coarsen_factor)
+                        m=model.m, m_paths=spec.paths, increments=None)
 
 
 class _ExactReference:
@@ -493,7 +493,7 @@ class _Lane:
         for name, ref in self.references.items():
             if ref.failed:
                 raise StepFailed("fine reference %s failed: %s"
-                                 % (name, ref.traj.error))
+                                 % (name, ref.error))
         if stepped and self.references:
             self.fold(stepped)
 
@@ -513,8 +513,8 @@ def _walk(lanes):
 def _run_fixed_dt(spec, model, samples, state0, **recording):
     """Walk one lane per dt, of n = round(t_final / dt) steps ending at
     n * dt (with a warning when that is not t_final), whose one level
-    holds a stepper per scheme.  Returns (scheme, dt, trajectory) of
-    every cell, scheme-major."""
+    holds a stepper per scheme.  Returns (scheme, dt, stepper) of every
+    cell, scheme-major."""
     lanes = []
     for dt in spec.dt_values:
         n = _steps_for(dt, spec.t_final, spec.name)
@@ -529,7 +529,7 @@ def _run_fixed_dt(spec, model, samples, state0, **recording):
                  for scheme in spec.schemes}
         lanes.append(_Lane(grid, [_Level(BlockSum(1), cells)]))
     _walk(lanes)
-    return [(scheme, dt, lane.levels[0].cells[scheme].traj)
+    return [(scheme, dt, lane.levels[0].cells[scheme])
             for scheme in spec.schemes
             for dt, lane in zip(spec.dt_values, lanes)]
 
@@ -566,7 +566,7 @@ def _convergence(spec, path, model, samples, state0):
 
     levels = []
     for n in n_values:
-        grid = _lattice(spec, model, n, spec.t_final, n_fine // n)
+        grid = _lattice(spec, model, n, spec.t_final)
         levels.append(_Level(
             block_sum=BlockSum(n_fine // n),
             cells={scheme: _stepper(spec, model, samples, state0, scheme,
@@ -586,7 +586,7 @@ def _convergence(spec, path, model, samples, state0):
     for scheme in spec.schemes:
         done = []  # (dt, level) of the scheme's completed cells
         for dt, level in zip(spec.dt_values, levels):
-            error = level.cells[scheme].traj.error
+            error = level.cells[scheme].error
             status_rows.append((scheme, _g(dt), "ok" if error is None
                                 else "failed"))
             if error is None:
@@ -636,8 +636,6 @@ def _singular_values(spec, path, model, samples, state0):
     reported, never fatal.
     """
     c_lgb = model.c_lgb
-    if c_lgb is None:
-        c_lgb = empirical_c_lgb(model, 0.0, samples)
     e0 = mean_square_norm(samples)
     sigma_b = model.sigma_b_lower or 0.0
 
@@ -646,22 +644,22 @@ def _singular_values(spec, path, model, samples, state0):
     violation_rows = []
     failures = []
     traces = {}
-    for scheme, dt, traj in results:
+    for scheme, dt, cell in results:
         if scheme == "dlr_em":
-            k_bound = k1_bound(traj.t1, e0, c_lgb)
+            k_bound = k1_bound(cell.grid.t1, e0, c_lgb)
         else:
-            k_bound = k4_bound(traj.t1, e0, c_lgb, traj.t1)
-        if traj.error:
+            k_bound = k4_bound(cell.grid.t1, e0, c_lgb, cell.grid.t1)
+        if cell.error:
             failures.append({"scheme": scheme, "dt": dt,
-                             "error": traj.error})
-        observed = traj.sigma_min_gramians
+                             "error": cell.error})
+        observed = cell.sigma_min_gramians
         valid = np.isfinite(observed)
         last = int(np.max(np.nonzero(valid))) if valid.any() else -1
-        times = traj.times[:last + 1]
+        times = cell.grid.times()[:last + 1]
         sigma = observed[:last + 1]
         sigma_0 = sigma[0] if sigma.size else 0.0
-        sup_msq = float(np.nanmax(traj.mean_square_norms)) \
-            if np.isfinite(traj.mean_square_norms).any() else np.inf
+        sup_msq = float(np.nanmax(cell.mean_square_norms)) \
+            if np.isfinite(cell.mean_square_norms).any() else np.inf
 
         simple = np.full(sigma.shape, sigma_b * dt)
         refined = np.empty_like(sigma)
@@ -694,8 +692,8 @@ def _singular_values(spec, path, model, samples, state0):
                 violation_rows)
 
     summary = {"violations": len(violation_rows), "failures": failures,
-               "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1
-                            for scheme, dt, traj in results}}
+               "horizons": {"%s dt=%s" % (scheme, _g(dt)): cell.grid.t1
+                            for scheme, dt, cell in results}}
     return {"traces": traces, "violations": violation_rows,
             "failures": failures}, summary
 
@@ -722,35 +720,43 @@ def _stability(spec, path, model, samples, state0):
 
     Writes norms_<scheme>_dt<dt>.csv (t, mean_square_norm over the
     computed prefix) and classification.csv; overflowing or failing
-    runs classify as unstable.
+    runs classify as unstable, and each failure's error goes to the
+    summary.
     """
     results = _run_fixed_dt(spec, model, samples, state0, sigma_min=False)
 
     class_rows = []
     classifications = {}
-    for scheme, dt, traj in results:
-        msq = traj.mean_square_norms
+    failures = []
+    for scheme, dt, cell in results:
+        msq = cell.mean_square_norms
         computed = ~np.isnan(msq)
         last = int(np.max(np.nonzero(computed))) if computed.any() else -1
-        rows = [("%.17g" % traj.times[i], "%.17g" % msq[i])
+        times = cell.grid.times()
+        rows = [("%.17g" % times[i], "%.17g" % msq[i])
                 for i in range(last + 1)]
         _write_rows(path("norms_%s_dt%s.csv" % (scheme, _g(dt))),
                     "t,mean_square_norm", rows)
 
         initial = msq[0] if last >= 0 else np.nan
         final = msq[last] if last >= 0 else np.nan
-        verdict = classify_stability(initial, final, traj.completed)
+        verdict = classify_stability(initial, final, not cell.failed)
         classifications[(scheme, dt)] = verdict
         class_rows.append((scheme, _g(dt), verdict))
+        if cell.failed:
+            failures.append({"scheme": scheme, "dt": dt,
+                             "error": cell.error})
 
     _write_rows(path("classification.csv"), "scheme,dt,classification",
                 class_rows)
 
     summary = {"classification": {"%s dt=%s" % (s, _g(dt)): v
                                   for (s, dt), v in classifications.items()},
-               "horizons": {"%s dt=%s" % (s, _g(dt)): traj.t1
-                            for s, dt, traj in results}}
-    return {"classifications": classifications}, summary
+               "failures": failures,
+               "horizons": {"%s dt=%s" % (s, _g(dt)): cell.grid.t1
+                            for s, dt, cell in results}}
+    return {"classifications": classifications,
+            "failures": failures}, summary
 
 
 def _single_run(spec, path, model, samples, state0):
@@ -766,30 +772,30 @@ def _single_run(spec, path, model, samples, state0):
     snapshot_nodes = [int(round(t / dt)) for t in spec.snapshot_times]
     record = sorted({0, n, *snapshot_nodes})
 
-    [(_, _, traj)] = _run_fixed_dt(spec, model, samples, state0,
+    [(_, _, cell)] = _run_fixed_dt(spec, model, samples, state0,
                                    record_nodes=record)
-    if traj.error:
-        raise StepFailed("single run failed: %s" % traj.error)
+    if cell.error:
+        raise StepFailed("single run failed: %s" % cell.error)
 
-    by_node = dict(zip(traj.node_indices,
-                       traj.node_states if scheme != "em"
-                       else traj.node_values))
+    times = cell.grid.times()
+    by_node = dict(zip(cell.node_indices,
+                       cell.node_states if scheme != "em"
+                       else cell.node_values))
     for node in snapshot_nodes:
         entry = by_node[node]
         if scheme == "em":
-            entry = EnsembleState(t=traj.times[node],
-                                  u=np.eye(model.d), y=entry)
-        save_snapshot(entry, path("snapshot_t%s.csv" % _g(traj.times[node])))
+            entry = EnsembleState(t=times[node], u=np.eye(model.d), y=entry)
+        save_snapshot(entry, path("snapshot_t%s.csv" % _g(times[node])))
 
-    trace_rows = [("%.17g" % traj.times[i],
-                   "%.17g" % traj.mean_square_norms[i],
-                   "%.17g" % traj.sigma_min_gramians[i])
+    trace_rows = [("%.17g" % times[i],
+                   "%.17g" % cell.mean_square_norms[i],
+                   "%.17g" % cell.sigma_min_gramians[i])
                   for i in range(n + 1)]
     _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k", trace_rows)
 
-    summary = {"final_mean_square_norm": float(traj.mean_square_norms[-1]),
-               "horizons": {"%s dt=%s" % (scheme, _g(dt)): traj.t1}}
-    return {"trajectory": traj}, summary
+    summary = {"final_mean_square_norm": float(cell.mean_square_norms[-1]),
+               "horizons": {"%s dt=%s" % (scheme, _g(dt)): cell.grid.t1}}
+    return {"trajectory": cell}, summary
 
 
 _BODIES = {

@@ -32,15 +32,13 @@ eigh and one QR outside debug mode, an SVD only for a basis QR finds
 rank deficient; ``dlr_step`` is a stack of one.  Overflow is
 ``ModelBlowUp``.
 
-``Stepper`` is the step loop of one scheme, fed one Brownian increment
-at a time; ``advance_all`` steps many at once, and ``integrate`` drives
-one over a stored increment grid.  Both record the cloud, and a
-low-rank state by reference, at the nodes of ``record_nodes``.
+``Stepper`` is one run of one scheme, fed one Brownian increment at a
+time, and its record; ``advance_all`` steps many at once, and
+``integrate`` drives one over a stored increment grid and returns it.
 """
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -71,43 +69,6 @@ RANK_POLICIES = ("abort", "svd")
 
 # what fails a step, and with it a cell, rather than the program
 _FAILURES = (LowRankSdeError, np.linalg.LinAlgError)
-
-
-@dataclass
-class Trajectory:
-    """Result of integrating one scheme over one increment grid.
-
-    Clouds, and a low-rank scheme's states, are kept only at the
-    requested node indices; scalar diagnostics at every grid node, unless
-    the run records no node: then ``times``, ``mean_square_norms`` and
-    ``sigma_min_gramians`` are None.  Lineage fields (seed, endpoints,
-    step counts, coarsening factor) let error metrics verify that two
-    trajectories were driven by the same root noise.  ``error`` is None
-    unless a step failed.
-    """
-
-    t0: float
-    t1: float
-    n_steps: int
-    grid_seed: int
-    coarsen_factor: int
-    times: np.ndarray
-    mean_square_norms: np.ndarray
-    sigma_min_gramians: np.ndarray
-    node_indices: list = field(default_factory=list)
-    node_values: list = field(default_factory=list)
-    node_states: list = field(default_factory=list)
-    final_state: object = None
-    error: str = None
-
-    @property
-    def completed(self):
-        return self.error is None
-
-    @property
-    def root_n_steps(self):
-        """Step count of the finest grid this trajectory's noise came from."""
-        return self.n_steps * self.coarsen_factor
 
 
 def _check_finite(arr, t, what):
@@ -371,19 +332,24 @@ _DLR_STEPS = {scheme: partial(dlr_step, scheme=scheme) for scheme in _FLAGS}
 
 
 class Stepper:
-    """The step loop of one scheme, fed one Brownian increment at a time.
+    """One run of one scheme on one time lattice: the step loop, fed one
+    Brownian increment at a time, and its record.
 
-    ``grid`` fixes the time lattice and the trajectory's lineage; its
-    increments are not read, so a caller that streams the increments
-    passes a grid that stores none and calls ``advance`` with each one
-    in turn, or ``advance_all`` to step many steppers at once.  The
-    keyword arguments are those of ``integrate``, which drives a stepper
-    over a stored grid, plus ``sigma_min=False``, which keeps no smallest
-    Gramian eigenvalue per node and so forms no node Gramian.  The scalar
-    diagnostics of a node, and its cloud if recorded, are taken when the
-    loop reaches it; ``traj.final_state`` is the state at the last node
-    reached.  With ``record_nodes=()`` the stepper records nothing per
-    node, so its memory does not grow with the step count.
+    ``grid`` is the lattice, and with it the run's lineage; its
+    increments are not read, so a caller that streams them passes a grid
+    that stores none and calls ``advance`` with each in turn, or
+    ``advance_all`` to step many steppers at once.  The keyword arguments
+    are those of ``integrate``, which drives a stepper over a stored grid,
+    plus ``sigma_min=False``, which keeps no smallest Gramian eigenvalue
+    per node and so forms no node Gramian.
+
+    ``state`` is the state at the last node reached, ``error`` None
+    unless a step failed.  Reaching a node records its scalars
+    (``mean_square_norms``, ``sigma_min_gramians``; NaN where not
+    reached) and, at ``record_nodes``, its cloud (``node_values``) and
+    low-rank state (``node_states``, by reference).  With
+    ``record_nodes=()`` nothing is recorded per node, not even the
+    scalars (None), so memory does not grow with the step count.
     """
 
     def __init__(self, model, scheme, init, grid, *, record_nodes=None,
@@ -420,25 +386,19 @@ class Stepper:
             if i < 0 or i > n:
                 raise ValueError("record node %d outside grid [0, %d]"
                                  % (i, n))
-        self._diagnostics = keep = (record_nodes is None
-                                    or bool(self._record_set))
+        keep = record_nodes is None or bool(self._record_set)
+        self.grid = grid
         self._model = model
         self._dt = grid.dt
         self._time = grid.time
         self._options = dict(_FLAGS.get(scheme, {}), fast_linear=fast_linear,
                              debug=debug, rank_policy=rank_policy,
                              u_solve_perturbation=u_solve_perturbation)
-        self.traj = Trajectory(
-            t0=grid.t0,
-            t1=grid.t1,
-            n_steps=n,
-            grid_seed=grid.seed,
-            coarsen_factor=grid.coarsen_factor,
-            times=grid.times() if keep else None,
-            mean_square_norms=np.full(n + 1, np.nan) if keep else None,
-            sigma_min_gramians=(np.full(n + 1, np.nan)
-                                if keep and sigma_min else None),
-        )
+        self.mean_square_norms = np.full(n + 1, np.nan) if keep else None
+        self.sigma_min_gramians = (np.full(n + 1, np.nan)
+                                   if keep and sigma_min else None)
+        self.node_indices, self.node_values, self.node_states = [], [], []
+        self.error = None
         self._node_gramian = None
         self.node = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -446,49 +406,46 @@ class Stepper:
 
     @property
     def failed(self):
-        return self.traj.error is not None
+        return self.error is not None
 
     def cloud(self):
         """The (d, M) sample cloud at the current node."""
         return reconstruct(self.state) if self.low_rank else self.state
 
     def _reach_node(self):
-        i = self.node
-        traj = self.traj
-        traj.final_state = self.state
-        if not self._diagnostics:
+        if self.mean_square_norms is None:
             return
+        i = self.node
         if self.low_rank:
-            traj.mean_square_norms[i] = mean_square_norm(self.state.y)
-            if traj.sigma_min_gramians is not None:
+            self.mean_square_norms[i] = mean_square_norm(self.state.y)
+            if self.sigma_min_gramians is not None:
                 self._node_gramian = gramian(self.state.y)
-                traj.sigma_min_gramians[i] = sigma_min(self._node_gramian)
+                self.sigma_min_gramians[i] = sigma_min(self._node_gramian)
         else:
-            traj.mean_square_norms[i] = mean_square_norm(self.state)
+            self.mean_square_norms[i] = mean_square_norm(self.state)
         if i in self._record_set:
-            traj.node_indices.append(i)
+            self.node_indices.append(i)
             if self.low_rank:
-                traj.node_values.append(reconstruct(self.state))
-                traj.node_states.append(self.state)
+                self.node_values.append(reconstruct(self.state))
+                self.node_states.append(self.state)
             else:
-                traj.node_values.append(self.state.copy())
+                self.node_values.append(self.state.copy())
 
     def _reach(self, state):
         self.state, self.node = state, self.node + 1
         self._reach_node()
 
     def _fail(self, exc):
-        self.traj.error = "%s at step %d (t=%.6g): %s" % (
+        self.error = "%s at step %d (t=%.6g): %s" % (
             type(exc).__name__, self.node, self._time(self.node), exc)
 
     def advance(self, dw):
         """Step from the current node to the next one on increment dw.
 
         Returns True on success.  A step that raises a LowRankSdeError
-        or a LinAlgError marks the trajectory failed and returns False;
-        the stepper must not be advanced after that, nor past the last
-        node of its grid.  A low-rank step is ``advance_all`` on this
-        stepper alone.
+        or a LinAlgError sets ``error`` and returns False; the stepper
+        must not be advanced after that, nor past the last node of its
+        grid.  A low-rank step is ``advance_all`` on this stepper alone.
         """
         if self.low_rank:
             advance_all([(self, dw)])
@@ -568,10 +525,11 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
 
     Returns
     -------
-    Trajectory
-        ``completed`` is False when a step raised a LowRankSdeError or
-        a LinAlgError; scalar diagnostics before the failure are kept
-        and the error is annotated.  Other exceptions propagate.
+    Stepper
+        The stepper that ran, holding the run's record.  It is
+        ``failed``, with ``error`` naming the step, when a step raised a
+        LowRankSdeError or a LinAlgError; scalar diagnostics before the
+        failure are kept.  Other exceptions propagate.
     """
     if grid.increments is None:
         raise ValueError("integrate needs a grid that stores its "
@@ -583,4 +541,4 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
     for dw in grid.increments:
         if not stepper.advance(dw):
             break
-    return stepper.traj
+    return stepper

@@ -44,7 +44,9 @@ class SdeModel:
         Applies b(t, x_j) to dw_j column by column.
     diffusion_mat : callable (t, x of shape (d,)) -> (d, m)
         Full diffusion matrix for one state.
-    is_linear_drift : bool, with a_mat(t) -> (d, d) when set.
+    a_mat : callable t -> (d, d) or None
+        Set exactly when the drift is linear, a(t, x) = a_mat(t) x; the
+        read-only ``is_linear_drift`` says whether it is.
     sigma_b_lower : float or None
         Certified uniform-ellipticity constant: b b^T >= sigma_b_lower * I.
     c_lgb : float or None
@@ -54,20 +56,23 @@ class SdeModel:
     """
 
     def __init__(self, name, d, m, drift_many, diffusion_dw, diffusion_mat,
-                 is_linear_drift=False, a_mat=None, sigma_b_lower=None,
-                 c_lgb=None, ams_matrices=None, description=""):
+                 a_mat=None, sigma_b_lower=None, c_lgb=None,
+                 ams_matrices=None, description=""):
         self.name = name
         self.d = int(d)
         self.m = int(m)
         self.drift_many = drift_many
         self.diffusion_dw = diffusion_dw
         self.diffusion_mat = diffusion_mat
-        self.is_linear_drift = bool(is_linear_drift)
         self.a_mat = a_mat
         self.sigma_b_lower = sigma_b_lower
         self.c_lgb = c_lgb
         self.ams_matrices = ams_matrices
         self.description = description
+
+    @property
+    def is_linear_drift(self):
+        return self.a_mat is not None
 
     def drift(self, t, x):
         """Drift a(t, x) for a single state vector."""
@@ -147,7 +152,6 @@ def toy_example_1(sigma_b=1e-8):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=diffusion_mat,
-        is_linear_drift=True,
         a_mat=lambda t: _TOY_A,
         sigma_b_lower=sigma_b,
         c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=True),
@@ -181,7 +185,6 @@ def toy_example_2(sigma_b=1e-19):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=lambda t, x: b_const,
-        is_linear_drift=True,
         a_mat=lambda t: _TOY_A,
         sigma_b_lower=None,
         c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=False),
@@ -223,7 +226,6 @@ def toy_example_3(sigma_b=1e-19):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=lambda t, x: b_const,
-        is_linear_drift=False,
         sigma_b_lower=None,
         c_lgb=c_lgb,
         description="3-d nonlinear sine drift, additive degenerate noise",
@@ -284,7 +286,6 @@ def stability_model(d=10):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=diffusion_mat,
-        is_linear_drift=True,
         a_mat=lambda t: np.diag(a_diag(t)),
         sigma_b_lower=None,
         c_lgb=23.0 ** 2 + 0.01,
@@ -366,7 +367,6 @@ def sadr_model(d=25):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=lambda t, u: phi,
-        is_linear_drift=False,
         sigma_b_lower=None,
         c_lgb=c_lgb,
         description="advection-diffusion-reaction finite differences, "
@@ -471,7 +471,6 @@ def laplacian_model(d=26, noise_profile="constant"):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=diffusion_mat,
-        is_linear_drift=False,
         sigma_b_lower=None,
         c_lgb=c_lgb,
         description="heat equation with sliding forcing and colored "
@@ -502,7 +501,6 @@ def gbm_oracle(mu=0.05, sigma=0.2):
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         diffusion_mat=lambda t, x: np.array([[sigma * x[0]]]),
-        is_linear_drift=True,
         a_mat=lambda t: np.array([[mu]]),
         sigma_b_lower=None,
         c_lgb=mu ** 2 + sigma ** 2,
@@ -522,29 +520,6 @@ def gbm_exact_value(mu, sigma, t, w):
     """Exact GBM value exp((mu - sigma^2/2) t + sigma w) at time t on
     paths whose Brownian motion is at w there."""
     return np.exp((mu - 0.5 * sigma ** 2) * t + sigma * w)
-
-
-def gbm_exact_values(mu, sigma, grid, node_indices=None):
-    """Pathwise exact GBM values exp((mu - sigma^2/2) t + sigma W_t).
-
-    Returns an array of shape (len(node_indices), 1, M) evaluated at the
-    requested grid nodes (all nodes by default), driven by the grid's
-    own increments so it shares the Brownian paths of any scheme run on
-    the same grid.
-    """
-    if grid.m != 1:
-        raise SpecError("gbm_exact_values needs a 1-d noise grid")
-    w = np.concatenate(
-        [np.zeros((1, grid.m_paths)), np.cumsum(grid.increments[:, 0, :], axis=0)]
-    )
-    times = grid.times()
-    if node_indices is None:
-        node_indices = np.arange(grid.n_steps + 1)
-    node_indices = np.asarray(node_indices, dtype=int)
-    out = np.empty((node_indices.size, 1, grid.m_paths))
-    for row, n in enumerate(node_indices):
-        out[row, 0] = gbm_exact_value(mu, sigma, times[n], w[n])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -577,4 +552,7 @@ def build_model(name, overrides=None):
         except (TypeError, ValueError):
             raise SpecError("model %s override %s: expected %s, got %r"
                             % (name, key, schema[key].__name__, value))
+        if schema[key] is float and not np.isfinite(kwargs[key]):
+            raise SpecError("model %s override %s: expected a finite "
+                            "number, got %r" % (name, key, value))
     return builder(**kwargs)

@@ -52,7 +52,7 @@ def test_01_orthonormality_and_factorization_invariants():
         traj = low_rank_run(model, law, scheme, k=2, m_paths=2000,
                             t_final=10.0, n_steps=500, seed=SEED,
                             debug=True)
-        assert traj.completed, "%s: %s" % (scheme, traj.error)
+        assert not traj.failed, "%s: %s" % (scheme, traj.error)
         assert len(traj.node_states) == 501
         worst = max(frobenius(s.u @ s.u.T - np.eye(2))
                     for s in traj.node_states)
@@ -69,11 +69,11 @@ def test_02_full_rank_splitting_matches_full_order_solver():
     grid = generate(SEED, 0.0, 10.0, 500, model.m, 2000)
     reference = integrate(model, "em", samples, grid,
                           record_nodes=range(501))
-    assert reference.completed
+    assert not reference.failed
     for scheme in ("dlr_ps_em", "dlr_ps_sde"):
         traj = integrate(model, scheme, init_rank_k(samples, 3), grid,
                          record_nodes=range(501))
-        assert traj.completed, "%s: %s" % (scheme, traj.error)
+        assert not traj.failed, "%s: %s" % (scheme, traj.error)
         worst = max(
             frobenius(a - b) / frobenius(b)
             for a, b in zip(traj.node_values, reference.node_values))
@@ -91,7 +91,7 @@ def test_03_linear_drift_fast_path_matches_gramian_solve():
         runs[fast] = low_rank_run(model, law, "dlr_em", k=2, m_paths=2000,
                                   t_final=4.0, n_steps=200, seed=SEED,
                                   fast_linear=fast)
-        assert runs[fast].completed
+        assert not runs[fast].failed
     worst = max(
         frobenius(a - b) / frobenius(b)
         for a, b in zip(runs[True].node_values, runs[False].node_values))
@@ -326,7 +326,7 @@ def test_10_minimal_norm_solve_independence():
         drift_many=lambda t, x: a_matrix @ x,
         diffusion_dw=lambda t, x, dw: np.zeros_like(x),
         diffusion_mat=lambda t, x: np.zeros((3, 3)),
-        is_linear_drift=True, a_mat=lambda t: a_matrix)
+        a_mat=lambda t: a_matrix)
     rng = np.random.default_rng(SEED)
     direction = np.array([1.0, 0.5, 0.0])
     samples = np.outer(direction, 1.0 + 0.3 * rng.standard_normal(2000))

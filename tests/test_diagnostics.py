@@ -9,7 +9,6 @@ from lowrank_sde.diagnostics import (
     ErrorReport,
     ams_margin,
     dt_condition,
-    empirical_c_lgb,
     fit_order,
     gramian_bound_refined,
     gramian_bound_simple,
@@ -23,27 +22,20 @@ from lowrank_sde.diagnostics import (
 )
 from lowrank_sde.ensemble import init_rank_k, mean_square_norm, reconstruct
 from lowrank_sde.errors import DimensionMismatch, IncomparableTrajectories
-from lowrank_sde.integrators import Trajectory, integrate
-from lowrank_sde.models import (
-    gbm_exact_values,
-    gbm_oracle,
-    stability_model,
-    toy_example_1,
-)
-from lowrank_sde.noise import coarsen, generate
+from lowrank_sde.integrators import integrate
+from lowrank_sde.models import (MODEL_BUILDERS, build_model, gbm_oracle,
+                                stability_model)
+from lowrank_sde.noise import BrownianGrid, coarsen, generate
+
+import reference
 
 
 def synthetic_trajectory(node_indices, node_values, n_steps,
                          seed=5, t0=0.0, t1=1.0, coarsen_factor=1):
-    times = t0 + (t1 - t0) / n_steps * np.arange(n_steps + 1)
-    return Trajectory(
-        t0=t0, t1=t1, n_steps=n_steps, grid_seed=seed,
-        coarsen_factor=coarsen_factor, times=times,
-        mean_square_norms=np.zeros(n_steps + 1),
-        sigma_min_gramians=np.zeros(n_steps + 1),
-        node_indices=list(node_indices),
-        node_values=[np.asarray(v, dtype=float) for v in node_values],
-    )
+    grid = BrownianGrid(seed=seed, t0=t0, t1=t1, n_steps=n_steps, m=1,
+                        m_paths=1, increments=None,
+                        coarsen_factor=coarsen_factor)
+    return reference.recorded(grid, node_indices, node_values)
 
 
 class TestGrowthEnvelopes:
@@ -178,10 +170,16 @@ class TestAmsMargin:
 
 class TestEmpiricalGrowthConstant:
     def test_below_certified_constant(self):
-        model, law = toy_example_1()
-        cloud = law(3, 500)
-        emp = empirical_c_lgb(model, 0.0, cloud)
-        assert 0.0 < emp <= model.c_lgb
+        # every registered model certifies c_lgb, at or above the
+        # empirical ratio on its initial law and on a wide Gaussian cloud
+        rng = np.random.default_rng(3)
+        for name in MODEL_BUILDERS:
+            model, law = build_model(name)
+            clouds = (law(3, 300), 10.0 * rng.normal(size=(model.d, 300)))
+            for t in (0.0, 0.37, 1.3):
+                for cloud in clouds:
+                    emp = reference.empirical_c_lgb(model, t, cloud)
+                    assert 0.0 < emp <= model.c_lgb, (name, t)
 
 
 class TestL2SupError:
@@ -257,7 +255,7 @@ class TestL2SupError:
             grid = coarsen(root, factor)
             nodes = list(range(grid.n_steps + 1))
             traj = integrate(model, "em", x0, grid, record_nodes=nodes)
-            exact_vals = gbm_exact_values(0.05, 0.2, grid)
+            exact_vals = reference.gbm_exact_values(0.05, 0.2, grid)
             exact = synthetic_trajectory(nodes, list(exact_vals),
                                          grid.n_steps, seed=71,
                                          coarsen_factor=factor)

@@ -5,6 +5,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,11 @@ from lowrank_sde.harness import (
     load_specs,
     run_experiment,
 )
-from lowrank_sde.integrators import (RANK_POLICIES, SCHEMES, Trajectory,
-                                     integrate)
-from lowrank_sde.models import build_model, gbm_exact_values
+from lowrank_sde.integrators import RANK_POLICIES, SCHEMES, integrate
+from lowrank_sde.models import build_model
 from lowrank_sde.noise import coarsen, generate
+
+import reference
 
 
 def make_spec(tmp_path, **overrides):
@@ -87,20 +89,16 @@ def stored_sweep_rows(spec, scheme):
     fine = generate(spec.seed, 0.0, spec.t_final, spec.fine_steps(),
                     model.m, spec.paths)
     if spec.reference == "exact":
-        refs = {"exact": Trajectory(
-            t0=fine.t0, t1=fine.t1, n_steps=fine.n_steps,
-            grid_seed=fine.seed, coarsen_factor=1, times=None,
-            mean_square_norms=None, sigma_min_gramians=None,
-            node_indices=list(range(fine.n_steps + 1)),
-            node_values=list(gbm_exact_values(model.mu, model.sigma,
-                                              fine)))}
+        refs = {"exact": reference.recorded(
+            fine, range(fine.n_steps + 1),
+            reference.gbm_exact_values(model.mu, model.sigma, fine))}
     else:
         refs = {"em_fine": stored_run(spec, "em", fine),
                 "dlr_ps_sde_fine": stored_run(
                     spec, "dlr_ps_sde", fine, rank_policy=spec.rank_policy)}
-    for name, ref in refs.items():
-        if not ref.completed:
-            raise StepFailed("fine reference %s failed" % name)
+        for name, ref in refs.items():
+            if ref.failed:
+                raise StepFailed("fine reference %s failed" % name)
     rows = {"errors_%s_vs_%s.csv" % (scheme, name): [] for name in refs}
     rows["status.csv"] = []
     for dt in spec.dt_values:
@@ -108,9 +106,9 @@ def stored_sweep_rows(spec, scheme):
         traj = stored_run(spec, scheme, coarsen(fine, factor),
                           **cell_options(spec))
         rows["status.csv"].append("%s,%g,%s" % (
-            scheme, dt, "ok" if traj.completed else "failed"))
+            scheme, dt, "failed" if traj.failed else "ok"))
         for name, ref in refs.items():
-            if traj.completed:
+            if not traj.failed:
                 rows["errors_%s_vs_%s.csv" % (scheme, name)].append(
                     "%.17g,%.17g,%.17g" % (dt, l2_sup_error(traj, ref),
                                            relative_l2_sup_error(traj, ref)))
@@ -630,12 +628,12 @@ class TestRunSingularValues:
         rows = [line.split(",") for line in (
             tmp_path / "sv" / "singular_values_dlr_ps_sde_dt0.05.csv"
         ).read_text().splitlines()[1:]]
-        assert traj.completed and len(rows) == 21
+        assert not traj.failed and len(rows) == 21
         c_lgb = build_model(spec.model, {})[0].c_lgb
         sup_msq = float(np.max(traj.mean_square_norms))
         for i, row in enumerate(rows):
             sigma = traj.sigma_min_gramians[i]
-            assert row[0] == "%.17g" % traj.times[i]
+            assert row[0] == "%.17g" % traj.grid.times()[i]
             assert row[1] == "%.17g" % sigma
             assert row[4] == "%.17g" % dt_condition(max(sigma, 0.0), c_lgb,
                                                     sup_msq)
@@ -698,14 +696,37 @@ class TestRunStability:
             verdict = lines(name, "classification.csv")[1]
             assert verdict in lines("together", "classification.csv")
 
+    def test_failed_cells_reported_in_summary(self, tmp_path):
+        # rank 14 leaves sadr_model's first basis rank deficient: each
+        # cell classifies unstable, and the manifest says why
+        spec = ExperimentSpec(
+            name="stab", kind="stability", model="sadr_model",
+            schemes=("dlr_em", "dlr_ps_sde"), rank=14, paths=200, seed=3,
+            t_final=0.05, dt_values=(0.01,),
+            output_dir=str(tmp_path / "abort"))
+        out = run_experiment(spec)
+        summary = json.loads(
+            (tmp_path / "abort" / "manifest.json").read_text())["summary"]
+        assert [(f["scheme"], f["dt"]) for f in summary["failures"]] == [
+            ("dlr_em", 0.01), ("dlr_ps_sde", 0.01)]
+        for failure in summary["failures"]:
+            assert failure["error"].startswith("StepFailed at step 0")
+            assert "rank-deficient basis" in failure["error"]
+        assert out["failures"] == summary["failures"]
+        assert set(out["classifications"].values()) == {"unstable"}
+        run_experiment(replace(spec, rank_policy="svd",
+                               output_dir=str(tmp_path / "svd")))
+        assert json.loads((tmp_path / "svd" / "manifest.json").read_text())[
+            "summary"]["failures"] == []
+
     def test_cell_matches_integrate_over_generate(self, tmp_path):
         spec = self.stab_spec(tmp_path, "stab")
         run_experiment(spec)
         traj = stored_grid_run(spec, "dlr_em", 0.0625)
-        assert traj.completed
+        assert not traj.failed
         expected = "t,mean_square_norm\n" + "".join(
             "%.17g,%.17g\n" % pair
-            for pair in zip(traj.times, traj.mean_square_norms))
+            for pair in zip(traj.grid.times(), traj.mean_square_norms))
         assert (tmp_path / "stab" / "norms_dlr_em_dt0.0625.csv") \
             .read_text() == expected
 
@@ -850,6 +871,8 @@ class TestCli:
         ("sadr_model", "3", "model.d = 2.5"),
         ("toy_example_1", "-1", ""),
         ("toy_example_1", str(2 ** 70), ""),
+        ("gbm_oracle", "3", "model.mu = nan"),
+        ("toy_example_2", "3", "model.sigma_b = inf"),
     ])
     def test_uncastable_override_or_seed_exits_two(self, tmp_path, capsys,
                                                    model, seed, extra):
@@ -1108,17 +1131,17 @@ def stored_cell_rows(spec, scheme, dt):
     ("failed" else)."""
     traj = stored_grid_run(spec, scheme, dt)
     if spec.kind == "single_run":
-        if not traj.completed:
+        if traj.failed:
             return "failed"
-        columns = (traj.times, traj.mean_square_norms,
+        columns = (traj.grid.times(), traj.mean_square_norms,
                    traj.sigma_min_gramians)
-        size = len(traj.times)
+        size = len(columns[0])
     else:
         tracked = (traj.mean_square_norms if spec.kind == "stability"
                    else traj.sigma_min_gramians)
         kept = (~np.isnan(tracked) if spec.kind == "stability"
                 else np.isfinite(tracked))
-        columns = (traj.times, tracked)
+        columns = (traj.grid.times(), tracked)
         size = int(np.max(np.nonzero(kept))) + 1 if kept.any() else 0
     return [",".join("%.17g" % column[i] for column in columns)
             for i in range(size)]

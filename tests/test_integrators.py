@@ -26,7 +26,6 @@ from lowrank_sde.integrators import (
 from lowrank_sde.linalg import reduced_qr, solve_spsd_minnorm
 from lowrank_sde.models import (
     SdeModel,
-    gbm_exact_values,
     gbm_oracle,
     sadr_model,
     stability_model,
@@ -34,6 +33,8 @@ from lowrank_sde.models import (
     toy_example_2,
 )
 from lowrank_sde.noise import BrownianGrid, coarsen, generate
+
+import reference
 
 DLR_SCHEMES = ("dlr_em", "dlr_ps_em", "dlr_ps_sde")
 
@@ -72,7 +73,7 @@ def linear_model(rng, d, sigma):
         drift_many=lambda t, x: a_mat @ x,
         diffusion_dw=lambda t, x, dw: sigma * x * dw,
         diffusion_mat=lambda t, x: sigma * np.diag(x),
-        is_linear_drift=True, a_mat=lambda t: a_mat,
+        a_mat=lambda t: a_mat,
     )
 
 
@@ -500,7 +501,7 @@ class TestIntegrate:
                              ("dlr_ps_sde", state)):
             traj = integrate(model, scheme, init, grid,
                              record_nodes=(0, 10, 20))
-            assert traj.completed
+            assert not traj.failed
             assert traj.node_indices == [0, 10, 20]
             for value in traj.node_values:
                 assert_allclose(value, reconstruct(state), atol=1e-12)
@@ -512,14 +513,14 @@ class TestIntegrate:
         grid = generate(61, 0.0, 0.5, 10, model.m, 200)
         traj = integrate(model, "dlr_ps_em", state, grid,
                          record_nodes=range(11))
-        assert traj.completed
+        assert not traj.failed
         assert len(traj.node_states) == 11
         assert_allclose([s.t for s in traj.node_states],
                         grid.times(), atol=1e-12)
         assert np.all(np.isfinite(traj.sigma_min_gramians))
         assert np.all(np.isfinite(traj.mean_square_norms))
-        assert traj.root_n_steps == 10
-        assert traj.final_state.t == grid.times()[-1]
+        assert traj.grid is grid
+        assert traj.state.t == grid.times()[-1]
 
     def test_em_reference_strong_order_half_on_gbm(self):
         model, _ = gbm_oracle(mu=0.05, sigma=0.2)
@@ -532,7 +533,7 @@ class TestIntegrate:
             grid = coarsen(root, factor)
             traj = integrate(model, "em", x0, grid,
                              record_nodes=(grid.n_steps,))
-            exact = gbm_exact_values(0.05, 0.2, grid,
+            exact = reference.gbm_exact_values(0.05, 0.2, grid,
                                      node_indices=[grid.n_steps])[0]
             err = np.sqrt(mean_square_norm(traj.node_values[0] - exact))
             errors.append(err)
@@ -559,7 +560,7 @@ class TestIntegrate:
         state = init_rank_k(law(77, 200), 4)
         grid = generate(64, 0.0, 2.0, 40, model.m, 200)
         traj = integrate(model, "dlr_ps_em", state, grid)
-        assert traj.completed
+        assert not traj.failed
         assert traj.mean_square_norms[-1] \
             < 1e-3 * traj.mean_square_norms[0]
 
@@ -569,7 +570,7 @@ class TestIntegrate:
         grid = generate(65, 0.0, 10.0, 20, 1, 4)
         traj = integrate(model, "em", samples, grid,
                          record_nodes=(0, grid.n_steps))
-        assert not traj.completed
+        assert traj.failed
         assert "ModelBlowUp" in traj.error
         assert len(traj.node_values) == 1
         finite = np.isfinite(traj.mean_square_norms)
@@ -579,7 +580,7 @@ class TestIntegrate:
         # to reach the blowup itself
         state = init_rank_k(samples, 2)
         low = integrate(model, "dlr_ps_em", state, grid, rank_policy="svd")
-        assert not low.completed
+        assert low.failed
         assert "ModelBlowUp" in low.error
 
     def test_overflowing_basis_solve_fails_the_run(self):
@@ -591,13 +592,13 @@ class TestIntegrate:
         grid = generate(5, 0.0, 1.0, 100, model.m, 50)
         for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde"):
             traj = integrate(model, scheme, state, grid)
-            assert not traj.completed
+            assert traj.failed
             assert "ModelBlowUp" in traj.error
             assert "basis solve overflowed" in traj.error
 
     def test_programming_error_raises_instead_of_failing_the_run(self):
         # a drift of the wrong shape is a bug, not a numerical failure:
-        # integrate must raise it rather than return completed=False
+        # integrate must raise it rather than return a failed stepper
         model = SdeModel(
             name="bad_shape", d=3, m=1,
             drift_many=lambda t, x: np.zeros((4, x.shape[1])),
@@ -622,7 +623,7 @@ class TestIntegrate:
         assert len(traj.node_states) == 2
         assert traj.node_states[0] is state
         last = traj.node_states[-1]
-        assert last is traj.final_state
+        assert last is traj.state
         assert_allclose(reconstruct(last), traj.node_values[-1], atol=1e-12)
         assert last.t == grid.times()[-1]
         full = integrate(model, "em", reconstruct(state), grid,
@@ -634,12 +635,12 @@ class TestIntegrate:
         state = init_rank_k(law(3, 200), 14)
         grid = generate(67, 0.0, 0.05, 5, model.m, 200)
         aborted = integrate(model, "dlr_ps_sde", state, grid)
-        assert not aborted.completed
+        assert aborted.failed
         assert "StepFailed" in aborted.error
         continued = integrate(model, "dlr_ps_sde", state, grid,
                               rank_policy="svd")
-        assert continued.completed
-        assert continued.final_state.t == grid.times()[-1]
+        assert not continued.failed
+        assert continued.state.t == grid.times()[-1]
 
     def test_input_validation(self):
         model, state = toy_state(m_paths=50)
@@ -671,13 +672,12 @@ class TestIntegrate:
             stepper = Stepper(model, scheme, init, grid, record_nodes=())
             for dw in grid.increments:
                 assert stepper.advance(dw)
-            bare = stepper.traj
-            assert bare.node_values == []
-            assert bare.times is None and bare.mean_square_norms is None
-            assert bare.sigma_min_gramians is None
+            assert stepper.node_values == []
+            assert stepper.mean_square_norms is None
+            assert stepper.sigma_min_gramians is None
             assert np.array_equal(stepper.cloud(), full.node_values[-1])
             if scheme != "em":
-                assert bare.final_state.t == full.final_state.t
+                assert stepper.state.t == full.state.t
 
     @pytest.mark.parametrize("scheme", ("dlr_em", "dlr_ps_em", "dlr_ps_sde"))
     def test_one_eigh_and_one_qr_per_low_rank_step(self, scheme, monkeypatch):
@@ -779,7 +779,7 @@ class TestStackedStep:
                 if not alone.failed:
                     alone.advance(dws[step])
         for stacked, alone, _ in runs:
-            assert stacked.traj.error == alone.traj.error
+            assert stacked.error == alone.error
             assert stacked.state.t == alone.state.t
             assert np.array_equal(stacked.state.u, alone.state.u)
             assert np.array_equal(stacked.state.y, alone.state.y)
