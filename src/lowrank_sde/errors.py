@@ -13,23 +13,6 @@ class DimensionMismatch(LowRankSdeError):
     """Array shapes are inconsistent with the operation's contract."""
 
 
-class RankDeficient(LowRankSdeError):
-    """A factorization input lost rank beyond tolerance.
-
-    Attributes
-    ----------
-    column : int
-        Index of the offending column (first one detected).
-    index : int or None
-        Stack index of the offending matrix for a stacked input.
-    """
-
-    def __init__(self, message, column, index=None):
-        super().__init__(message)
-        self.column = column
-        self.index = index
-
-
 class NotPSD(LowRankSdeError):
     """A matrix required to be positive semidefinite has a genuinely
     negative eigenvalue (below the -1e-10 * lambda_max slack)."""

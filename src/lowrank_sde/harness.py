@@ -19,9 +19,9 @@ instead of being ignored.  Four experiment kinds exist:
     violations are flagged in a separate file, never fatal.
 ``stability``
     Runs the low-rank schemes at each dt and classifies each run as
-    stable (final mean-square norm < 1e-3 x initial), unstable
-    (> 10 x initial, or overflow/failure), or inconclusive; the summary
-    lists each failed cell's error.
+    stable (final mean-square norm < 1e-3 x initial), unstable (> 10 x
+    initial, or overflow/failure), inconclusive, or failed (no step
+    completed); the summary lists each failed cell's error.
 ``single_run``
     One scheme on one grid, serializing factored snapshots at
     configured times.
@@ -295,6 +295,19 @@ class ExperimentSpec:
             self.dt_values[-1], self.t_final, self.name)
 
 
+def _checked_model(spec):
+    """(model, law) of a spec, after the checks that need the model:
+    rank <= min(d, paths), and a linear drift for the linear shortcut."""
+    model, law = build_model(spec.model, spec.model_overrides)
+    if spec.rank > min(model.d, spec.paths):
+        raise SpecError("[%s] rank %d exceeds min(d=%d, paths=%d)"
+                        % (spec.name, spec.rank, model.d, spec.paths))
+    if spec.linear_fast_path and not model.is_linear_drift:
+        raise SpecError("[%s] linear_fast_path needs a model with linear "
+                        "drift" % spec.name)
+    return model, law
+
+
 def load_specs(path):
     """Parse an INI experiment file into a list of ExperimentSpec.
 
@@ -335,13 +348,7 @@ def load_specs(path):
                   for key, (name, parse, _) in _KEYS.items() if key in raw}
         spec = ExperimentSpec(name=section, model_overrides=overrides,
                               **fields)
-        model, _ = build_model(spec.model, spec.model_overrides)
-        if spec.rank > min(model.d, spec.paths):
-            raise SpecError("[%s] rank %d exceeds min(d=%d, paths=%d)"
-                            % (section, spec.rank, model.d, spec.paths))
-        if spec.linear_fast_path and not model.is_linear_drift:
-            raise SpecError("[%s] linear_fast_path needs a model with "
-                            "linear drift" % section)
+        _checked_model(spec)
         owner = owners.setdefault(os.path.abspath(spec.output_dir), section)
         if owner != section:
             raise SpecError("[%s] and [%s] share output_dir %s; each would "
@@ -386,10 +393,10 @@ def _g(value):
 
 
 def _prepare(spec):
-    """Shared setup: output dir, model, initial cloud, and the factored
-    state when a low-rank scheme or the fine splitting reference runs."""
+    """Shared setup: checked model, output dir, initial cloud, and the
+    factored state when a low-rank scheme or a fine reference runs."""
+    model, law = _checked_model(spec)
     os.makedirs(spec.output_dir, exist_ok=True)
-    model, law = build_model(spec.model, spec.model_overrides)
     samples = law(spec.seed, spec.paths)
     state0 = None
     if spec.reference in ("em_fine", "dlr_ps_sde_fine") \
@@ -704,7 +711,7 @@ def classify_stability(initial, final, completed):
     A run that already contracted below the stable threshold counts as
     stable even if a later step failed (the factorization degenerates
     once the ensemble underflows); any other failure or overflow is
-    unstable.
+    unstable.  ``_stability`` labels a run with no step "failed".
     """
     if np.isfinite(final) and final < STABLE_FACTOR * initial:
         return "stable"
@@ -719,9 +726,9 @@ def _stability(spec, path, model, samples, state0):
     """Mean-square norm traces and a stable/unstable verdict per cell.
 
     Writes norms_<scheme>_dt<dt>.csv (t, mean_square_norm over the
-    computed prefix) and classification.csv; overflowing or failing
-    runs classify as unstable, and each failure's error goes to the
-    summary.
+    computed prefix) and classification.csv; a run that fails at its
+    first step is failed, any other as ``classify_stability`` says, and
+    each failure's error goes to the summary.
     """
     results = _run_fixed_dt(spec, model, samples, state0, sigma_min=False)
 
@@ -740,7 +747,8 @@ def _stability(spec, path, model, samples, state0):
 
         initial = msq[0] if last >= 0 else np.nan
         final = msq[last] if last >= 0 else np.nan
-        verdict = classify_stability(initial, final, not cell.failed)
+        verdict = ("failed" if cell.failed and cell.node == 0 else
+                   classify_stability(initial, final, not cell.failed))
         classifications[(scheme, dt)] = verdict
         class_rows.append((scheme, _g(dt), verdict))
         if cell.failed:

@@ -28,9 +28,9 @@ identity (``_move``).
 
 A step moves each cell alone (``_move``, all its d x M work), then
 settles all cells that step together as one stack (``_settle``): one
-eigh and one QR outside debug mode, an SVD only for a basis QR finds
-rank deficient; ``dlr_step`` is a stack of one.  Overflow is
-``ModelBlowUp``.
+eigh and one QR outside debug mode, whatever the rank verdicts, and an
+SVD only for a basis the QR reports rank deficient; ``dlr_step`` is a
+stack of one.  Overflow is ``ModelBlowUp``.
 
 ``Stepper`` is one run of one scheme, fed one Brownian increment at a
 time, and its record; ``advance_all`` steps many at once, and
@@ -52,7 +52,7 @@ from .ensemble import (
     reconstruct,
     sigma_min,
 )
-from .errors import LowRankSdeError, ModelBlowUp, RankDeficient, StepFailed
+from .errors import LowRankSdeError, ModelBlowUp, StepFailed
 from .linalg import (DEFAULT_PINV_RELATIVE_THRESHOLD, reduced_qr,
                      solve_spsd_minnorm)
 
@@ -101,12 +101,15 @@ def em_step(model, x, t, dt, dw):
         raise ValueError("x must have shape (d, M)")
     if dw.shape != (model.m, x.shape[1]):
         raise ValueError("dw must have shape (m, M)")
-    a = model.drift_many(t, x)
-    _check_finite(a, t, "drift")
-    bdw = model.diffusion_dw(t, x, dw)
-    _check_finite(bdw, t, "diffusion increment")
-    out = x + a * dt + bdw
-    _check_finite(out, t, "state")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = model.drift_many(t, x)
+        bdw = model.diffusion_dw(t, x, dw)
+        out = x + a * dt + bdw
+    if not np.isfinite(out).all():
+        # a non-finite a or b dW makes out non-finite: one scan clears all
+        _check_finite(a, t, "drift")
+        _check_finite(bdw, t, "diffusion increment")
+        _check_finite(out, t, "state")
     return out
 
 
@@ -151,15 +154,15 @@ def _check_identity(lhs, rhs, what, tol):
 
 
 # A low-rank cell after the move phase of its step: the basis solve C u_new
-# = rhs (rhs None if the linear shortcut gave u_new), the offset from the
-# solve's perturbation, and in debug mode the identity's (cloud, tol).
-_Move = namedtuple("_Move", "t t_next y_moved y_ref c_mat rhs u_new offset "
+# = rhs (rhs None if the linear shortcut gave u_new), and in debug mode
+# the identity's (cloud, tol).
+_Move = namedtuple("_Move", "t t_next y_moved y_ref c_mat rhs u_new "
                    "rank_policy debug predicted")
 
 
 def _move(model, state, dt, dw, *, moved_gramian, full_increment,
           fast_linear=False, debug=False, rank_policy="abort",
-          u_solve_perturbation=None, t_next=None, node_gramian=None):
+          t_next=None, node_gramian=None):
     """Move phase of one low-rank step, all of its d x M work: evaluate
     the model, move the samples by w = a dt + b dW, form the basis solve.
     The flags pick the scheme (module table); the linear shortcut needs
@@ -208,18 +211,18 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
         predicted = (x + _tangent_apply(u, y_moved, c_mat, g_inc)
                      + u.T @ (u @ (w - g_inc)), _identity_tolerance(c_mat))
     return _Move(t, t + dt if t_next is None else t_next, y_moved, y_ref,
-                 c_mat, rhs, u_new, u_solve_perturbation and
-                 u_solve_perturbation(c_mat), rank_policy, debug, predicted)
+                 c_mat, rhs, u_new, rank_policy, debug, predicted)
 
 
-def _svd_refactor(u_new, move, exc):
-    """Refactor a basis that QR found rank deficient: fail under "abort";
-    under "svd" keep u^T y exact and zero the dead directions' rows."""
+def _svd_refactor(u_new, move, column):
+    """Refactor a basis that QR found rank deficient at ``column``: fail
+    under "abort"; under "svd" keep u^T y exact and zero the dead
+    directions' rows."""
     if move.rank_policy == "abort":
         raise StepFailed(
             "basis refactorization found a rank-deficient basis "
             "(column %s); rerun with rank_policy='svd' to continue "
-            "with dead directions zeroed" % exc.column) from exc
+            "with dead directions zeroed" % column)
     w, s, vt = np.linalg.svd(u_new.T, full_matrices=False)
     u_plus = w.T
     y_plus = (s[:, np.newaxis] * vt) @ move.y_moved
@@ -232,10 +235,11 @@ def _svd_refactor(u_new, move, exc):
 def _settle(moves):
     """Stacked k x k phase of the steps of ``moves``, which share k and d.
 
-    One eigh-based solve and one QR serve all cells; a basis that lost
-    rank leaves the QR stack for ``_svd_refactor``.  The rest runs per
-    cell, and each new state is validated once, here.  Returns the new
-    states or raises the first failing cell's error."""
+    One eigh-based solve and one QR serve all cells; a basis the QR
+    reports rank deficient takes ``_svd_refactor`` instead of its QR
+    factors.  The rest runs per cell, and each new state is validated
+    once, here.  Returns the new states or raises the first failing
+    cell's error."""
     u_new = [move.u_new for move in moves]
     solving = [j for j, move in enumerate(moves) if move.rhs is not None]
     if solving:
@@ -253,19 +257,12 @@ def _settle(moves):
                     "basis solve overflowed at t=%.6g; largest samples on "
                     "path %d" % (move.t, p), t=move.t, path=p)
             u_new[j] = u_j
-    u_new = [u if move.offset is None else u + move.offset
-             for u, move in zip(u_new, moves)]
 
-    new, live, q, r = [None] * len(moves), list(range(len(moves))), (), ()
-    while live:
-        try:
-            q, r = reduced_qr(np.array([u_new[j].T for j in live]))
-            break
-        except RankDeficient as exc:
-            j = live.pop(exc.index)
-            new[j] = _svd_refactor(u_new[j], moves[j], exc)
-    for j, q_j, r_j in zip(live, q, r):
-        new[j] = q_j.T, r_j @ moves[j].y_moved
+    q, r, deficient = reduced_qr(np.array([u.T for u in u_new]))
+    new = [(q_j.T, r_j @ move.y_moved) if column < 0
+           else _svd_refactor(u_j, move, column)
+           for u_j, move, q_j, r_j, column in zip(u_new, moves, q, r,
+                                                   deficient)]
     u_plus = np.array([u for u, _ in new])
     defects = np.linalg.norm(u_plus @ np.swapaxes(u_plus, 1, 2)
                              - np.eye(u_plus.shape[1]), axis=(1, 2))
@@ -274,7 +271,10 @@ def _settle(moves):
         if defect > ORTHONORMALITY_TOL:
             warnings.warn("basis lost orthonormality (defect %.3e), "
                           "re-orthonormalizing" % defect)
-            q2, r2 = reduced_qr(u_p.T)
+            q2, r2, column = reduced_qr(u_p.T)
+            if column >= 0:
+                raise StepFailed("re-orthonormalization found a "
+                                 "rank-deficient basis (column %d)" % column)
             u_p, y_p = q2.T, r2 @ y_p
         _check_finite(y_p, move.t_next, "coefficient samples")
         if np.isnan(defect):  # a non-finite basis passes the test above
@@ -310,7 +310,7 @@ _FLAGS = {
 
 
 def dlr_step(model, state, dt, dw, *, scheme, fast_linear=False, debug=False,
-             rank_policy="abort", u_solve_perturbation=None):
+             rank_policy="abort"):
     """One step of the low-rank ``scheme`` (module table) from ``state``
     on the (m, M) increment dw: ``_move`` and ``_settle`` on a stack of
     one.  ``fast_linear``, for "dlr_em" on a drift x -> A(t) x, replaces
@@ -323,8 +323,7 @@ def dlr_step(model, state, dt, dw, *, scheme, fast_linear=False, debug=False,
         raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
     return _settle([_move(model, state, dt, dw, **_FLAGS[scheme],
                           fast_linear=fast_linear, debug=debug,
-                          rank_policy=rank_policy,
-                          u_solve_perturbation=u_solve_perturbation)])[0]
+                          rank_policy=rank_policy)])[0]
 
 
 # the step of each scheme alone; perfbench/tracer.py wraps these entries
@@ -354,7 +353,7 @@ class Stepper:
 
     def __init__(self, model, scheme, init, grid, *, record_nodes=None,
                  debug=False, fast_linear=False, rank_policy="abort",
-                 u_solve_perturbation=None, sigma_min=True):
+                 sigma_min=True):
         if scheme not in SCHEMES:
             raise ValueError("unknown scheme %r, expected one of %r"
                              % (scheme, SCHEMES))
@@ -392,8 +391,7 @@ class Stepper:
         self._dt = grid.dt
         self._time = grid.time
         self._options = dict(_FLAGS.get(scheme, {}), fast_linear=fast_linear,
-                             debug=debug, rank_policy=rank_policy,
-                             u_solve_perturbation=u_solve_perturbation)
+                             debug=debug, rank_policy=rank_policy)
         self.mean_square_norms = np.full(n + 1, np.nan) if keep else None
         self.sigma_min_gramians = (np.full(n + 1, np.nan)
                                    if keep and sigma_min else None)
@@ -491,8 +489,7 @@ def advance_all(pairs):
 
 
 def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
-              fast_linear=False, rank_policy="abort",
-              u_solve_perturbation=None):
+              fast_linear=False, rank_policy="abort"):
     """Run one scheme over a Brownian increment grid.
 
     Parameters
@@ -519,9 +516,6 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
         "abort" (default) stops the run when the refactorization finds
         a rank-deficient basis, "svd" continues with dead directions
         zeroed.
-    u_solve_perturbation : callable, optional
-        Receives the Gramian of each basis solve and returns an offset
-        added to its solution; intended for null-space experiments.
 
     Returns
     -------
@@ -536,8 +530,7 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
                          "increments; stream them through a Stepper")
     stepper = Stepper(model, scheme, init, grid, record_nodes=record_nodes,
                       debug=debug, fast_linear=fast_linear,
-                      rank_policy=rank_policy,
-                      u_solve_perturbation=u_solve_perturbation)
+                      rank_policy=rank_policy)
     for dw in grid.increments:
         if not stepper.advance(dw):
             break

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels for the mode-update solves.
 
 Three operations, on one matrix or a stack: reduced QR with a
-deterministic sign convention, symmetric eigendecomposition returned as
+deterministic sign convention that reports the first rank-deficient
+column instead of raising, symmetric eigendecomposition returned as
 an (eigenvalues descending, eigenvectors) pair, and a minimal-norm solve
 for (near-)singular symmetric PSD systems with one fixed truncation
 threshold. All are thin, contract-enforcing LAPACK layers.
@@ -9,32 +10,32 @@ threshold. All are thin, contract-enforcing LAPACK layers.
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, RankDeficient
+from .errors import DimensionMismatch, NotPSD
 
 DEFAULT_PINV_RELATIVE_THRESHOLD = 1e-12
 
 
 def reduced_qr(a):
-    """Reduced QR factorization with strictly positive diag(R).
+    """Reduced QR factorization with strictly positive diag(R), and its
+    rank verdict.
 
     Parameters
     ----------
-    a : (n, k) array with n >= k, numerically full column rank, or an
-        (S, n, k) stack of them.
+    a : (n, k) array with n >= k, or an (S, n, k) stack of them.
 
     Returns
     -------
     q : (n, k) array with orthonormal columns.
     r : (k, k) upper triangular with positive diagonal.
-    Both carry the leading stack axis of a stacked input.
+    deficient : int, the first column i with |r[i, i]| <= 1e-14 *
+        ||a||_F, or -1 when a has numerically full column rank.
+    All three carry the leading stack axis of a stacked input; each
+    matrix of a stack gets the bits it gets alone.
 
     Raises
     ------
     DimensionMismatch
         If a has fewer rows than columns.
-    RankDeficient
-        If some |r[i, i]| <= 1e-14 * ||a||_F (carrying the column index i,
-        and for a stack the index of the first such matrix).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3):
@@ -46,19 +47,12 @@ def reduced_qr(a):
     scale = np.linalg.norm(a, axis=(-2, -1))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     small = np.abs(diag) <= 1e-14 * scale[..., np.newaxis]
-    if small.any():
-        first = tuple(np.argwhere(small)[0])
-        col = int(first[-1])
-        raise RankDeficient(
-            "input is rank deficient at column %d (|r_ii| = %.3e, ||a|| = %.3e)"
-            % (col, abs(diag[first]), scale[first[:-1]]),
-            column=col, index=int(first[0]) if a.ndim == 3 else None,
-        )
+    deficient = np.where(small.any(axis=-1), np.argmax(small, axis=-1), -1)
     signs = np.where(diag < 0.0, -1.0, 1.0)
     # flip column i of q and row i of r together, the product is unchanged
     q = q * signs[..., np.newaxis, :]
     r = r * signs[..., :, np.newaxis]
-    return q, r
+    return q, r, deficient if a.ndim == 3 else int(deficient)
 
 
 def sym_eig(c):

@@ -2,16 +2,18 @@
 
 ``gbm_exact_values`` is the pathwise exact geometric Brownian motion on
 a stored noise grid, ``empirical_c_lgb`` the empirical linear-growth
-ratio of a model over a sample cloud, and ``recorded`` presents stored
+ratio of a model over a sample cloud, ``recorded`` presents stored
 node clouds as a run that the error metrics of
-``lowrank_sde.diagnostics`` accept.  The tests import this module as
-``reference``.
+``lowrank_sde.diagnostics`` accept, and ``offset_solve`` is a basis solve
+that adds a chosen offset to each solution.  The tests import this
+module as ``reference``.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
+from lowrank_sde.linalg import solve_spsd_minnorm
 from lowrank_sde.models import gbm_exact_value
 
 
@@ -58,3 +60,15 @@ def empirical_c_lgb(model, t, cloud):
         b_mat = model.diffusion_mat(t, cloud[:, j])
         num[j] += np.sum(b_mat * b_mat)
     return float(np.max(num / (1.0 + np.sum(cloud * cloud, axis=0))))
+
+
+def offset_solve(offset):
+    """The minimal-norm solve plus ``offset(C)`` on the solution of each
+    (stacked) system C X = B.  Patched over
+    ``lowrank_sde.integrators.solve_spsd_minnorm``, the low-rank step's
+    only solve outside debug mode, it moves each basis solve's solution,
+    e.g. by a null-space component of its Gramian."""
+    def solve(c_mat, rhs):
+        return solve_spsd_minnorm(c_mat, rhs) + np.array(
+            [offset(c) for c in c_mat])
+    return solve

@@ -340,6 +340,20 @@ output_dir = {out}
         with pytest.raises(SpecError, match="linear_fast_path"):
             load_specs(write_ini(tmp_path, body))
 
+    def test_model_checks_also_guard_specs_built_in_code(self, tmp_path):
+        # run_experiment makes load_specs' checks against the model
+        # before it creates the output directory
+        for fields, match in (
+                (dict(model="toy_example_3", schemes=("dlr_em",), rank=2,
+                      reference="em_fine", fine_factor=2,
+                      linear_fast_path=True), "linear_fast_path"),
+                (dict(model="toy_example_2", schemes=("dlr_em",), rank=5,
+                      reference="em_fine", fine_factor=2), "rank 5 exceeds")):
+            spec = make_spec(tmp_path, **fields)
+            with pytest.raises(SpecError, match=match):
+                run_experiment(spec)
+            assert not os.path.exists(spec.output_dir)
+
     def test_malformed_values_rejected(self, tmp_path):
         # t_final is one number: a list may not run to its first value
         for field, bad in (("paths = 300", "paths = many"),
@@ -698,7 +712,8 @@ class TestRunStability:
 
     def test_failed_cells_reported_in_summary(self, tmp_path):
         # rank 14 leaves sadr_model's first basis rank deficient: each
-        # cell classifies unstable, and the manifest says why
+        # cell fails at step 0 and classifies failed, and the manifest
+        # says why
         spec = ExperimentSpec(
             name="stab", kind="stability", model="sadr_model",
             schemes=("dlr_em", "dlr_ps_sde"), rank=14, paths=200, seed=3,
@@ -713,7 +728,9 @@ class TestRunStability:
             assert failure["error"].startswith("StepFailed at step 0")
             assert "rank-deficient basis" in failure["error"]
         assert out["failures"] == summary["failures"]
-        assert set(out["classifications"].values()) == {"unstable"}
+        assert set(out["classifications"].values()) == {"failed"}
+        assert (tmp_path / "abort" / "norms_dlr_em_dt0.01.csv").read_text() \
+            .count("\n") == 2
         run_experiment(replace(spec, rank_policy="svd",
                                output_dir=str(tmp_path / "svd")))
         assert json.loads((tmp_path / "svd" / "manifest.json").read_text())[

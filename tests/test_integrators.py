@@ -233,7 +233,7 @@ class TestDlrStepsShared:
         for c_mat, g in setups:
             g_orth = g - (g @ state.u.T) @ state.u
             basis = solve_spsd_minnorm(c_mat, c_mat @ state.u + g_orth)
-            _, r = reduced_qr(basis.T)
+            _, r, _ = reduced_qr(basis.T)
             lam = np.linalg.eigvalsh(r.T @ r)
             assert lam[0] >= 1.0 - 1e-10
 
@@ -368,7 +368,8 @@ class TestProjectorSplittingIdentities:
         assert mean_square_norm(x_new) \
             <= mean_square_norm(em_cloud) * (1.0 + 1e-12)
 
-    def test_minimal_norm_independence_exact_null_direction(self):
+    def test_minimal_norm_independence_exact_null_direction(
+            self, monkeypatch):
         # embed a rank-2 ensemble in a rank-3 container: the third
         # coefficient row is exactly zero, so the moved Gramian has an
         # exact null vector and any null component added to the basis
@@ -391,14 +392,17 @@ class TestProjectorSplittingIdentities:
         for scheme in ("dlr_ps_em", "dlr_ps_sde"):
             plain = dlr_step(model, state, 0.1, dw, scheme=scheme,
                              rank_policy="svd")
-            bumped = dlr_step(model, state, 0.1, dw, scheme=scheme,
-                              rank_policy="svd",
-                              u_solve_perturbation=add_null_component)
+            with monkeypatch.context() as patch:
+                patch.setattr(lowrank_sde.integrators, "solve_spsd_minnorm",
+                              reference.offset_solve(add_null_component))
+                bumped = dlr_step(model, state, 0.1, dw, scheme=scheme,
+                                  rank_policy="svd")
             scale = max(np.linalg.norm(reconstruct(plain)), 1.0)
             assert np.linalg.norm(reconstruct(plain) - reconstruct(bumped)) \
                 <= 1e-10 * scale
 
-    def test_minimal_norm_independence_on_singular_pde_ensemble(self):
+    def test_minimal_norm_independence_on_singular_pde_ensemble(
+            self, monkeypatch):
         model, law = sadr_model()
         state = init_rank_k(law(3, 300), 14)
         dt = 0.01
@@ -412,9 +416,10 @@ class TestProjectorSplittingIdentities:
 
         plain = dlr_step(model, state, dt, dw, scheme="dlr_ps_sde",
                          rank_policy="svd")
+        monkeypatch.setattr(lowrank_sde.integrators, "solve_spsd_minnorm",
+                            reference.offset_solve(add_null_component))
         bumped = dlr_step(model, state, dt, dw, scheme="dlr_ps_sde",
-                          rank_policy="svd",
-                          u_solve_perturbation=add_null_component)
+                          rank_policy="svd")
         scale = max(np.linalg.norm(reconstruct(plain)), 1.0)
         assert np.linalg.norm(reconstruct(plain) - reconstruct(bumped)) \
             <= 1e-8 * scale
@@ -729,6 +734,17 @@ def stacked_cells(draw):
     return d, cells, failure, victim, draw(st.integers(0, 2 ** 32 - 1))
 
 
+def overflowing_solve(c_mat, rhs):
+    """The basis solve, but inf for each system whose right-hand side
+    norm overflows.  The step's overflow guard fires only when the
+    residual norm overflows as well, and a solve that is exact to the
+    last bit (common at k = 1 or k = d) leaves the residual 0; inf
+    makes the guard fire whatever the rounding."""
+    solved = solve_spsd_minnorm(c_mat, rhs)
+    solved[~np.isfinite(np.linalg.norm(rhs, axis=(1, 2)))] = np.inf
+    return solved
+
+
 class TestStackedStep:
     @staticmethod
     def twin_steppers(rng, d, cell, failure):
@@ -736,8 +752,10 @@ class TestStackedStep:
 
         "rank" zeroes the samples of a model without dynamics, so the
         solve returns a zero basis that QR finds rank deficient;
-        "non-finite" adds an infinite offset to the solved basis, so the
-        new samples are not finite."""
+        "non-finite" scales the samples to about 1e150, so the Gramian
+        stays finite but the norms of the basis solve overflow (as in
+        ``test_overflowing_basis_solve_fails_the_run``), and under
+        ``overflowing_solve`` the solved basis is not finite."""
         k, m_paths, dt = cell["k"], cell["m_paths"], cell["dt"]
         options = dict(rank_policy=cell["rank_policy"],
                        fast_linear=cell["fast_linear"])
@@ -747,9 +765,9 @@ class TestStackedStep:
             model = linear_model(rng, d, 0.3)
             samples = rng.normal(size=(d, m_paths))
         if failure == "non-finite":
+            # the linear shortcut would skip the solve
             options["fast_linear"] = False
-            options["u_solve_perturbation"] = lambda c: np.full((k, d),
-                                                                np.inf)
+            samples = samples * 1e150
         state = init_rank_k(samples, k)
         grid = BrownianGrid(seed=1, t0=0.0, t1=2 * dt, n_steps=2, m=d,
                             m_paths=m_paths, increments=None)
@@ -772,12 +790,16 @@ class TestStackedStep:
         runs = [self.twin_steppers(rng, d, cell,
                                    failure if i == victim else None)
                 for i, cell in enumerate(cells)]
-        for step in range(2):
-            advance_all([(stacked, dws[step]) for stacked, _, dws in runs
-                         if not stacked.failed])
-            for _, alone, dws in runs:
-                if not alone.failed:
-                    alone.advance(dws[step])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lowrank_sde.integrators, "solve_spsd_minnorm",
+                          overflowing_solve)
+            for step in range(2):
+                advance_all([(stacked, dws[step])
+                             for stacked, _, dws in runs
+                             if not stacked.failed])
+                for _, alone, dws in runs:
+                    if not alone.failed:
+                        alone.advance(dws[step])
         for stacked, alone, _ in runs:
             assert stacked.error == alone.error
             assert stacked.state.t == alone.state.t
@@ -786,15 +808,44 @@ class TestStackedStep:
         if failure == "non-finite" or (
                 failure == "rank" and cells[victim]["rank_policy"] == "abort"):
             assert runs[victim][0].node == 0 and runs[victim][0].failed
+            if failure == "non-finite":
+                assert "basis solve overflowed" in runs[victim][0].error
         elif failure:
             assert runs[victim][0].node == 2
+
+    def test_one_qr_per_settle_with_a_rank_deficient_cell(self,
+                                                           monkeypatch):
+        # a basis the stacked QR reports rank deficient takes the SVD
+        # fallback; the stack is not factored again without it
+        rng = np.random.default_rng(7)
+        cells = [self.twin_steppers(rng, 3, dict(
+                     k=2, m_paths=20, scheme=scheme, dt=0.05,
+                     rank_policy="svd", fast_linear=False), failure)
+                 for scheme, failure in (("dlr_em", None),
+                                         ("dlr_ps_em", "rank"),
+                                         ("dlr_ps_sde", None))]
+        calls = dict.fromkeys(("qr", "svd"), 0)
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name,
+                                counting(name, getattr(np.linalg, name)))
+        for step in range(2):
+            advance_all([(stepper, dws[step]) for stepper, _, dws in cells])
+            assert calls == {"qr": step + 1, "svd": step + 1}
+        assert all(stepper.node == 2 for stepper, _, _ in cells)
 
     def test_non_finite_basis_rejected(self, monkeypatch):
         # the refactorization's orthonormality defect is the only check
         # of the new basis, so a NaN defect must fail too
         def nan_qr(a):
-            q, r = reduced_qr(a)
-            return np.full_like(q, np.nan), r
+            q, r, deficient = reduced_qr(a)
+            return np.full_like(q, np.nan), r, deficient
 
         monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr", nan_qr)
         model, state = toy_state(m_paths=50)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lowrank_sde.errors import DimensionMismatch, NotPSD, RankDeficient
+from lowrank_sde.errors import DimensionMismatch, NotPSD
 from lowrank_sde.linalg import reduced_qr, solve_spsd_minnorm, sym_eig
 
 # derandomized so every tier-1 run checks the same examples
@@ -34,13 +34,14 @@ def range_condition(c, rank):
 
 class TestReducedQR:
     def test_identity(self):
-        q, r = reduced_qr(np.eye(3))
+        q, r, deficient = reduced_qr(np.eye(3))
+        assert deficient == -1
         assert_allclose(q, np.eye(3), atol=1e-15)
         assert_allclose(r, np.eye(3), atol=1e-15)
 
     def test_single_column_hand_values(self):
         # norm of (3, 4) is 5, so q = (0.6, 0.8), r = (5)
-        q, r = reduced_qr(np.array([[3.0], [4.0]]))
+        q, r, _ = reduced_qr(np.array([[3.0], [4.0]]))
         assert_allclose(q, np.array([[0.6], [0.8]]), rtol=1e-15)
         assert_allclose(r, np.array([[5.0]]), rtol=1e-15)
 
@@ -50,7 +51,7 @@ class TestReducedQR:
             n = rng.integers(2, 12)
             k = rng.integers(1, n + 1)
             a = rng.standard_normal((n, k))
-            q, r = reduced_qr(a)
+            q, r, _ = reduced_qr(a)
             assert_allclose(q.T @ q, np.eye(k), atol=1e-12)
             assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
 
@@ -58,7 +59,7 @@ class TestReducedQR:
         rng = np.random.default_rng(7)
         for _ in range(50):
             a = rng.standard_normal((6, 4))
-            _, r = reduced_qr(a)
+            _, r, _ = reduced_qr(a)
             assert np.all(np.diagonal(r) > 0)
             # strict upper triangularity below the diagonal
             assert_allclose(np.tril(r, -1), 0.0, atol=1e-14)
@@ -66,43 +67,39 @@ class TestReducedQR:
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 3))
-        q1, r1 = reduced_qr(a)
-        q2, r2 = reduced_qr(a.copy())
+        q1, r1, _ = reduced_qr(a)
+        q2, r2, _ = reduced_qr(a.copy())
         assert np.array_equal(q1, q2)
         assert np.array_equal(r1, r2)
 
-    def test_zero_column_raises_with_index(self):
+    def test_zero_column_reported(self):
+        # a rank-deficient input still factors, and names its column
         a = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(RankDeficient) as exc:
-            reduced_qr(a)
-        assert exc.value.column == 1
+        q, r, deficient = reduced_qr(a)
+        assert deficient == 1 and isinstance(deficient, int)
+        assert_allclose(q @ r, a, atol=1e-14)
 
-    def test_duplicated_column_raises(self):
+    def test_duplicated_column_reported(self):
         col = np.array([1.0, 2.0, 3.0])
         a = np.stack([col, col], axis=1)
-        with pytest.raises(RankDeficient):
-            reduced_qr(a)
+        assert reduced_qr(a)[2] == 1
 
     def test_wide_input_rejected(self):
         with pytest.raises(DimensionMismatch):
             reduced_qr(np.ones((2, 3)))
 
     def test_stack_factors_each_matrix_alone(self):
-        # a stack gives each matrix's own bits, and a rank-deficient
-        # matrix in it is named by its stack index and column
+        # a stack gives each matrix its own bits and its own verdict, a
+        # rank-deficient matrix in it included
         rng = np.random.default_rng(11)
         a = rng.standard_normal((5, 6, 3))
-        q, r = reduced_qr(a)
-        for s in range(5):
-            q_s, r_s = reduced_qr(a[s])
-            assert np.array_equal(q[s], q_s) and np.array_equal(r[s], r_s)
         a[3, :, 2] = a[3, :, 0]
-        with pytest.raises(RankDeficient) as exc:
-            reduced_qr(a)
-        assert (exc.value.index, exc.value.column) == (3, 2)
-        with pytest.raises(RankDeficient) as exc:
-            reduced_qr(a[3])
-        assert (exc.value.index, exc.value.column) == (None, 2)
+        q, r, deficient = reduced_qr(a)
+        assert deficient.tolist() == [-1, -1, -1, 2, -1]
+        for s in range(5):
+            q_s, r_s, deficient_s = reduced_qr(a[s])
+            assert np.array_equal(q[s], q_s) and np.array_equal(r[s], r_s)
+            assert deficient_s == deficient[s]
 
 
 class TestSymEig:
