@@ -250,8 +250,9 @@ def _settle(moves):
         for j, u_j, res, scale in zip(solving, solved, residuals,
                                       np.linalg.norm(rhs, axis=(1, 2))):
             move = moves[j]
-            if scale > 0.0 and not np.isfinite(res / scale):
-                # the norms of the solve overflow once samples pass ~1e154
+            if not np.isfinite(scale) or (scale > 0.0
+                                          and not np.isfinite(res / scale)):
+                # ||B|| overflows once samples pass ~1e77, residual or not
                 p = int(np.argmax(np.max(np.abs(move.y_ref), axis=0)))
                 raise ModelBlowUp(
                     "basis solve overflowed at t=%.6g; largest samples on "

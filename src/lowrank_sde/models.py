@@ -1,12 +1,10 @@
 """SDE model contract and the concrete test systems.
 
 A model provides drift a(t, x) and diffusion b(t, x) for the Ito SDE
-dX = a(t, X) dt + b(t, X) dW. The integrators consume the vectorized
-hooks (drift_many, diffusion_dw) which evaluate whole sample clouds;
-the per-path contract methods (drift, diffusion) are thin wrappers so
-both views are arithmetically identical.  Each builder returns
-(model, law), the law a plain sampler (seed, M) -> (d, M) of initial
-states.
+dX = a(t, X) dt + b(t, X) dW, evaluated on whole sample clouds only:
+``drift_many`` and ``diffusion_dw`` take the (d, M) cloud, which is
+all the schemes ever step.  Each builder returns (model, law), the law
+a plain sampler (seed, M) -> (d, M) of initial states.
 
 Six systems plus a closed-form geometric Brownian motion oracle:
 
@@ -42,8 +40,6 @@ class SdeModel:
     drift_many : callable (t, X of shape (d, M)) -> (d, M)
     diffusion_dw : callable (t, X of shape (d, M), dW of shape (m, M)) -> (d, M)
         Applies b(t, x_j) to dw_j column by column.
-    diffusion_mat : callable (t, x of shape (d,)) -> (d, m)
-        Full diffusion matrix for one state.
     a_mat : callable t -> (d, d) or None
         Set exactly when the drift is linear, a(t, x) = a_mat(t) x; the
         read-only ``is_linear_drift`` says whether it is.
@@ -51,37 +47,23 @@ class SdeModel:
         Certified uniform-ellipticity constant: b b^T >= sigma_b_lower * I.
     c_lgb : float or None
         Certified linear-growth constant: |a|^2 + ||b||_F^2 <= c_lgb (1 + |x|^2).
-    ams_matrices : callable t -> (A, [B_k]) or None
-        Linear test-SDE matrices for stability margins, when applicable.
     """
 
-    def __init__(self, name, d, m, drift_many, diffusion_dw, diffusion_mat,
-                 a_mat=None, sigma_b_lower=None, c_lgb=None,
-                 ams_matrices=None, description=""):
+    def __init__(self, name, d, m, drift_many, diffusion_dw, a_mat=None,
+                 sigma_b_lower=None, c_lgb=None, description=""):
         self.name = name
         self.d = int(d)
         self.m = int(m)
         self.drift_many = drift_many
         self.diffusion_dw = diffusion_dw
-        self.diffusion_mat = diffusion_mat
         self.a_mat = a_mat
         self.sigma_b_lower = sigma_b_lower
         self.c_lgb = c_lgb
-        self.ams_matrices = ams_matrices
         self.description = description
 
     @property
     def is_linear_drift(self):
         return self.a_mat is not None
-
-    def drift(self, t, x):
-        """Drift a(t, x) for a single state vector."""
-        x = np.asarray(x, dtype=float).reshape(self.d, 1)
-        return self.drift_many(t, x)[:, 0]
-
-    def diffusion(self, t, x):
-        """Diffusion matrix b(t, x), shape (d, m), for a single state."""
-        return self.diffusion_mat(t, np.asarray(x, dtype=float).reshape(self.d))
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +123,12 @@ def toy_example_1(sigma_b=1e-8):
         out[2] = root * dw[2]
         return out
 
-    def diffusion_mat(t, x):
-        g = 1.0 + 6.0 * (abs(x[0]) + abs(x[1]))
-        return root * np.diag([g, g, 1.0])
-
     model = SdeModel(
         name="toy_example_1",
         d=3,
         m=3,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=diffusion_mat,
         a_mat=lambda t: _TOY_A,
         sigma_b_lower=sigma_b,
         c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=True),
@@ -166,7 +143,6 @@ def toy_example_2(sigma_b=1e-19):
     if sigma_b < 0:
         raise SpecError("toy_example_2 needs sigma_b >= 0")
     root = np.sqrt(sigma_b)
-    b_const = root * np.diag([1.0, 1.0, 0.0])
 
     def drift_many(t, x):
         return _TOY_A @ x
@@ -184,7 +160,6 @@ def toy_example_2(sigma_b=1e-19):
         m=3,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=lambda t, x: b_const,
         a_mat=lambda t: _TOY_A,
         sigma_b_lower=None,
         c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=False),
@@ -198,7 +173,6 @@ def toy_example_3(sigma_b=1e-19):
     if sigma_b < 0:
         raise SpecError("toy_example_3 needs sigma_b >= 0")
     root = np.sqrt(sigma_b)
-    b_const = root * np.diag([1.0, 1.0, 0.0])
 
     def drift_many(t, x):
         s = np.sin(x[0])
@@ -225,7 +199,6 @@ def toy_example_3(sigma_b=1e-19):
         m=3,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=lambda t, x: b_const,
         sigma_b_lower=None,
         c_lgb=c_lgb,
         description="3-d nonlinear sine drift, additive degenerate noise",
@@ -258,18 +231,6 @@ def stability_model(d=10):
     def diffusion_dw(t, x, dw):
         return 0.1 * x * dw
 
-    def diffusion_mat(t, x):
-        return 0.1 * np.diag(x)
-
-    def ams_matrices(t):
-        a = np.diag(a_diag(t))
-        bs = []
-        for i in range(d):
-            b = np.zeros((d, d))
-            b[i, i] = 0.1
-            bs.append(b)
-        return a, bs
-
     def sampler(seed, m_paths):
         """X_i(0) = 1 + 0.005 sum_j sin(j pi i / d) N_j, three shared
         normals."""
@@ -285,11 +246,9 @@ def stability_model(d=10):
         m=d,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=diffusion_mat,
         a_mat=lambda t: np.diag(a_diag(t)),
         sigma_b_lower=None,
         c_lgb=23.0 ** 2 + 0.01,
-        ams_matrices=ams_matrices,
         description="diagonal linear test SDE for mean-square stability",
     )
     return model, sampler
@@ -366,7 +325,6 @@ def sadr_model(d=25):
         m=m,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=lambda t, u: phi,
         sigma_b_lower=None,
         c_lgb=c_lgb,
         description="advection-diffusion-reaction finite differences, "
@@ -445,10 +403,6 @@ def laplacian_model(d=26, noise_profile="constant"):
             return interior[:, np.newaxis] * np.sum(s * dw, axis=0)[np.newaxis, :]
         return profiles @ (s * dw)
 
-    def diffusion_mat(t, u):
-        s = q @ u
-        return profiles * s[np.newaxis, :]
-
     lap_norm_sq = np.linalg.norm(lap, 2) ** 2
     load_sq = float(np.max(np.sum(profiles * profiles, axis=0)))
     q_norm_sq = np.linalg.norm(q, 2) ** 2
@@ -470,14 +424,11 @@ def laplacian_model(d=26, noise_profile="constant"):
         m=m,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=diffusion_mat,
         sigma_b_lower=None,
         c_lgb=c_lgb,
         description="heat equation with sliding forcing and colored "
         "multiplicative noise, Dirichlet boundaries",
     )
-    model.forcing = forcing
-    model.noise_profile = noise_profile
     return model, sampler
 
 
@@ -500,11 +451,9 @@ def gbm_oracle(mu=0.05, sigma=0.2):
         m=1,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
-        diffusion_mat=lambda t, x: np.array([[sigma * x[0]]]),
         a_mat=lambda t: np.array([[mu]]),
         sigma_b_lower=None,
         c_lgb=mu ** 2 + sigma ** 2,
-        ams_matrices=lambda t: (np.array([[mu]]), [np.array([[sigma]])]),
         description="scalar geometric Brownian motion, exact solution known",
     )
     def sampler(seed, m_paths):

@@ -1,4 +1,5 @@
-"""Tests for bound evaluators, stability margins, and error metrics."""
+"""Tests for bound evaluators, the stability-margin oracle, and error
+metrics."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,10 @@ from numpy.testing import assert_allclose
 from lowrank_sde.diagnostics import (
     BoundTrace,
     ErrorReport,
-    ams_margin,
     dt_condition,
     fit_order,
     gramian_bound_refined,
-    gramian_bound_simple,
     k1_bound,
-    k2_ktilde_bounds,
     k4_bound,
     l2_sup_error,
     relative_l2_sup_error,
@@ -23,8 +21,7 @@ from lowrank_sde.diagnostics import (
 from lowrank_sde.ensemble import init_rank_k, mean_square_norm, reconstruct
 from lowrank_sde.errors import DimensionMismatch, IncomparableTrajectories
 from lowrank_sde.integrators import integrate
-from lowrank_sde.models import (MODEL_BUILDERS, build_model, gbm_oracle,
-                                stability_model)
+from lowrank_sde.models import MODEL_BUILDERS, build_model, gbm_oracle
 from lowrank_sde.noise import BrownianGrid, coarsen, generate
 
 import reference
@@ -72,32 +69,8 @@ class TestGrowthEnvelopes:
                 k1 = k1_bound(t, 1.0, 0.7)
                 assert k4 <= k1 + 1e-12
 
-    def test_k2_ktilde_degenerate_constants(self):
-        k2, ktilde = k2_ktilde_bounds(4.0, 0.0, 7.0)
-        assert k2 == 4.0
-        assert ktilde == 12.0
-        k2, ktilde = k2_ktilde_bounds(4.0, 2.0, 0.0)
-        assert k2 == 4.0
-        assert ktilde == 12.0
-
-    def test_k2_ktilde_against_rearranged_formulas(self):
-        k1_t, c, t_final = 3.7, 0.42, 6.0
-        k2, ktilde = k2_ktilde_bounds(k1_t, c, t_final)
-        assert_allclose(k2, k1_t + 15.0 * c * t_final * (1.0 + k1_t),
-                        rtol=1e-12)
-        assert_allclose(
-            ktilde,
-            3.0 * k1_t + 3.0 * c * t_final * (t_final + 4.0) * (1.0 + k1_t),
-            rtol=1e-12)
-
 
 class TestGramianBounds:
-    def test_simple_bound_values(self):
-        assert gramian_bound_simple(0.0, 0.1) == 0.0
-        assert_allclose(gramian_bound_simple(1e-8, 0.1), 1e-9, rtol=1e-15)
-        assert_allclose(gramian_bound_simple(1e-8, 0.2),
-                        2.0 * gramian_bound_simple(1e-8, 0.1), rtol=1e-15)
-
     def test_refined_bound_zero_noise(self):
         assert gramian_bound_refined(0.5, 0.0, 1.0, 2.0, 0.1, 10) == 0.0
 
@@ -145,27 +118,26 @@ class TestDtCondition:
 
 class TestAmsMargin:
     def test_neutral_and_scalar_cases(self):
-        assert ams_margin(np.zeros((2, 2)), [], 0.5) == 1.0
-        assert_allclose(ams_margin(np.array([[-1.0]]), [], 1.0), 0.0,
-                        atol=1e-14)
+        assert reference.ams_margin(np.zeros((2, 2)), [], 0.5) == 1.0
+        assert_allclose(reference.ams_margin(np.array([[-1.0]]), [], 1.0),
+                        0.0, atol=1e-14)
 
     def test_stability_model_threshold(self):
-        model, _ = stability_model()
-        a_mat, b_mats = model.ams_matrices(0.0)
-        below = ams_margin(a_mat, b_mats, 0.0907)
-        above = ams_margin(a_mat, b_mats, 0.0911)
+        a_mat, b_mats = reference.stability_ams_matrices(0.0)
+        below = reference.ams_margin(a_mat, b_mats, 0.0907)
+        above = reference.ams_margin(a_mat, b_mats, 0.0911)
         assert below < 1.0
         assert above >= 1.0
         assert_allclose(below, 0.99989116, rtol=1e-6)
         assert_allclose(above, 1.01752764, rtol=1e-6)
-        assert_allclose(ams_margin(a_mat, b_mats, 0.0909), 1.00869004,
-                        rtol=1e-6)
+        assert_allclose(reference.ams_margin(a_mat, b_mats, 0.0909),
+                        1.00869004, rtol=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ams_margin(np.zeros((2, 3)), [], 0.1)
+            reference.ams_margin(np.zeros((2, 3)), [], 0.1)
         with pytest.raises(DimensionMismatch):
-            ams_margin(np.zeros((2, 2)), [np.zeros((3, 3))], 0.1)
+            reference.ams_margin(np.zeros((2, 2)), [np.zeros((3, 3))], 0.1)
 
 
 class TestEmpiricalGrowthConstant:

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -537,11 +540,13 @@ class TestRunConvergence:
                              schemes=("dlr_em",), dt_values=(0.1, 0.05),
                              reference="em_fine", fine_factor=2)
         elif cause.startswith("second"):
-            # the moved samples' second moments overflow at the second
-            # fine step, two steps before the full-order run overflows
-            spec = make_spec(tmp_path, model_overrides={"mu": 1e100},
-                             dt_values=(0.5, 0.25), reference="em_fine",
-                             fine_factor=2)
+            # the moved samples' second moments overflow at the first
+            # fine step, a step before the full-order run overflows: one
+            # step of 2 takes them from 1 past ~1e154, so the basis
+            # solve's overflow (from ~1e77 on) never gets its turn
+            spec = make_spec(tmp_path, model_overrides={"mu": 1e154},
+                             t_final=8.0, dt_values=(8.0, 4.0),
+                             reference="em_fine", fine_factor=2)
         else:
             # past ~1e154 the basis solve's norms overflow while the
             # samples, and the full-order run, are still finite
@@ -612,6 +617,40 @@ class TestRunSingularValues:
         assert out["violations"] == []
         lines = (tmp_path / "sv" / "violations.csv").read_text().splitlines()
         assert lines == ["scheme,dt,t,sigma_k,threshold"]
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), paths=st.integers(16, 64),
+           rank=st.integers(1, 2),
+           dt_values=st.lists(st.sampled_from((0.1, 0.05, 0.02)),
+                              min_size=1, max_size=2, unique=True),
+           sigma_b=st.floats(1e-12, 1e-2),
+           t_final=st.sampled_from((1.0, 2.0, 3.0)))
+    # the growth envelope K lands just below the top of the float range,
+    # so the refined bound's 4 c (1 + K) overflows
+    @example(seed=0, paths=16, rank=1, dt_values=[0.1], sigma_b=0.0078125,
+             t_final=2.0)
+    def test_gramian_floor_property(self, seed, paths, rank, dt_values,
+                                    sigma_b, t_final):
+        # the paper's claim under uniformly elliptic noise: from a
+        # non-singular first Gramian, every scheme keeps sigma_k >= 0.8
+        # sigma_B dt at every node after t = 0.  The initial law has rank
+        # 2, so k = 3 would start from a singular Gramian, which the
+        # claim does not cover
+        with tempfile.TemporaryDirectory() as root:
+            spec = ExperimentSpec(
+                name="floor", kind="singular_values", model="toy_example_1",
+                model_overrides={"sigma_b": sigma_b},
+                schemes=("dlr_em", "dlr_ps_em", "dlr_ps_sde"), rank=rank,
+                paths=paths, seed=seed, t_final=t_final,
+                dt_values=tuple(sorted(dt_values, reverse=True)),
+                reference="", output_dir=root)
+            out = run_experiment(spec)
+        assert out["failures"] == []
+        assert out["violations"] == []
+        for (scheme, dt), trace in out["traces"].items():
+            assert trace.times.size == round(t_final / dt) + 1
+            assert np.all(trace.sigma_k_observed[1:]
+                          >= 0.8 * sigma_b * dt), (scheme, dt)
 
     def test_degenerate_noise_traces_zero_bounds(self, tmp_path):
         spec = self.sv_spec(tmp_path, model="toy_example_2")
@@ -868,7 +907,64 @@ class TestHorizon:
                 (tmp_path / "exact" / name).read_bytes()
 
 
+class TestBlasThreads:
+    def test_run_holds_one_thread_and_restores_the_callers(self, tmp_path,
+                                                           monkeypatch):
+        control = lowrank_sde.harness._openblas_threads()
+        if control is None:
+            pytest.skip("this NumPy's BLAS exports no thread control")
+        get, put = control
+        during = []
+        prepare = lowrank_sde.harness._prepare
+
+        def recording_prepare(spec):
+            during.append(get())
+            return prepare(spec)
+
+        monkeypatch.setattr(lowrank_sde.harness, "_prepare",
+                            recording_prepare)
+        before = get()
+        put(2)
+        try:
+            callers = get()
+            run_experiment(make_spec(tmp_path))
+            assert get() == callers
+            # a run that raises restores the count too
+            with pytest.raises(SpecError, match="rank"):
+                run_experiment(make_spec(tmp_path, rank=2,
+                                         schemes=("dlr_em",)))
+            assert get() == callers
+        finally:
+            put(before)
+        assert during == [1, 1]
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {"found": callers, "used": 1}
+
+    def test_missing_thread_control_is_a_no_op(self, tmp_path, monkeypatch):
+        # a library without the symbols (another BLAS or NumPy build)
+        monkeypatch.setattr(lowrank_sde.harness.ctypes, "CDLL",
+                            lambda path: SimpleNamespace())
+        run_experiment(make_spec(tmp_path))
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["blas_threads"] is None
+        assert set(manifest["outputs"]) == {
+            "errors_em_vs_exact.csv", "slopes.csv", "status.csv"}
+
+
 class TestCli:
+    def test_import_loads_no_scipy_subpackage_but_special(self):
+        # a fresh `import lowrank_sde.cli` is the setup time of every run;
+        # scipy.special (for ndtri) is the only scipy subpackage it may
+        # load (scipy.linalg alone costs about 0.3 s)
+        src = os.path.dirname(os.path.dirname(lowrank_sde.cli.__file__))
+        code = ("import sys, lowrank_sde.cli, scipy; "
+                "print(' '.join(sorted(name for name in scipy.__all__ "
+                "if 'scipy.' + name in sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split() == ["special"]
+
     def test_validate_and_run_exit_zero(self, tmp_path, capsys):
         path = write_ini(tmp_path, GBM_INI.format(out=tmp_path / "cli_out"))
         assert cli_main(["validate", path]) == 0

@@ -47,7 +47,6 @@ def zero_model(d=3, m=2):
         name="zero", d=d, m=m,
         drift_many=lambda t, x: np.zeros_like(x),
         diffusion_dw=lambda t, x, dw: np.zeros_like(x),
-        diffusion_mat=lambda t, x: np.zeros((d, m)),
     )
 
 
@@ -61,7 +60,6 @@ def cubic_blowup_model(d=2):
         name="cubic", d=d, m=1,
         drift_many=cubic_drift,
         diffusion_dw=lambda t, x, dw: np.zeros_like(x),
-        diffusion_mat=lambda t, x: np.zeros((d, 1)),
     )
 
 
@@ -72,7 +70,6 @@ def linear_model(rng, d, sigma):
         name="linear", d=d, m=d,
         drift_many=lambda t, x: a_mat @ x,
         diffusion_dw=lambda t, x, dw: sigma * x * dw,
-        diffusion_mat=lambda t, x: sigma * np.diag(x),
         a_mat=lambda t: a_mat,
     )
 
@@ -258,6 +255,25 @@ class TestDlrStepsShared:
         state = init_rank_k(samples, 2)
         with pytest.raises(ModelBlowUp):
             dlr_step(model, state, 0.5, np.zeros((1, 3)), scheme="dlr_ps_em")
+
+    @PROPERTY
+    @given(step_setups(), st.sampled_from(DLR_SCHEMES))
+    def test_overflowing_basis_solve_raises_at_every_rank(self, setup,
+                                                          scheme):
+        # samples of about 1e150 keep the Gramian finite but overflow
+        # the norm of the basis solve's right-hand side: the step fails
+        # whatever k is, also when the solve is exact to the last bit
+        # and leaves no residual (common at k = 1 and k = d)
+        d, k, m_paths, dt, rng = setup
+        model = linear_model(rng, d, 0.3)
+        state = init_rank_k(rng.normal(size=(d, m_paths)) * 1e150, k)
+        grid = BrownianGrid(seed=1, t0=0.0, t1=dt, n_steps=1, m=d,
+                            m_paths=m_paths, increments=None)
+        stepper = Stepper(model, scheme, state, grid)
+        assert not stepper.advance(rng.normal(size=(d, m_paths))
+                                   * np.sqrt(dt))
+        assert stepper.error.startswith("ModelBlowUp at step 0")
+        assert "basis solve overflowed" in stepper.error
 
 
 class TestDlrEmStep:
@@ -608,7 +624,6 @@ class TestIntegrate:
             name="bad_shape", d=3, m=1,
             drift_many=lambda t, x: np.zeros((4, x.shape[1])),
             diffusion_dw=lambda t, x, dw: np.zeros_like(x),
-            diffusion_mat=lambda t, x: np.zeros((3, 1)),
         )
         rng = np.random.default_rng(69)
         state = init_rank_k(rank_r_samples(rng, 3, 2, 40), 2)
@@ -734,17 +749,6 @@ def stacked_cells(draw):
     return d, cells, failure, victim, draw(st.integers(0, 2 ** 32 - 1))
 
 
-def overflowing_solve(c_mat, rhs):
-    """The basis solve, but inf for each system whose right-hand side
-    norm overflows.  The step's overflow guard fires only when the
-    residual norm overflows as well, and a solve that is exact to the
-    last bit (common at k = 1 or k = d) leaves the residual 0; inf
-    makes the guard fire whatever the rounding."""
-    solved = solve_spsd_minnorm(c_mat, rhs)
-    solved[~np.isfinite(np.linalg.norm(rhs, axis=(1, 2)))] = np.inf
-    return solved
-
-
 class TestStackedStep:
     @staticmethod
     def twin_steppers(rng, d, cell, failure):
@@ -754,8 +758,7 @@ class TestStackedStep:
         solve returns a zero basis that QR finds rank deficient;
         "non-finite" scales the samples to about 1e150, so the Gramian
         stays finite but the norms of the basis solve overflow (as in
-        ``test_overflowing_basis_solve_fails_the_run``), and under
-        ``overflowing_solve`` the solved basis is not finite."""
+        ``test_overflowing_basis_solve_fails_the_run``)."""
         k, m_paths, dt = cell["k"], cell["m_paths"], cell["dt"]
         options = dict(rank_policy=cell["rank_policy"],
                        fast_linear=cell["fast_linear"])
@@ -790,16 +793,12 @@ class TestStackedStep:
         runs = [self.twin_steppers(rng, d, cell,
                                    failure if i == victim else None)
                 for i, cell in enumerate(cells)]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lowrank_sde.integrators, "solve_spsd_minnorm",
-                          overflowing_solve)
-            for step in range(2):
-                advance_all([(stacked, dws[step])
-                             for stacked, _, dws in runs
-                             if not stacked.failed])
-                for _, alone, dws in runs:
-                    if not alone.failed:
-                        alone.advance(dws[step])
+        for step in range(2):
+            advance_all([(stacked, dws[step])
+                         for stacked, _, dws in runs if not stacked.failed])
+            for _, alone, dws in runs:
+                if not alone.failed:
+                    alone.advance(dws[step])
         for stacked, alone, _ in runs:
             assert stacked.error == alone.error
             assert stacked.state.t == alone.state.t

@@ -18,32 +18,43 @@ from lowrank_sde.noise import generate
 import reference
 
 
+def drift(model, t, x):
+    """a(t, x) for one state: ``drift_many`` on a one-column cloud."""
+    return model.drift_many(t, np.reshape(x, (model.d, 1)))[:, 0]
+
+
+def diffusion(model, t, x):
+    """b(t, x) as the model applies it: ``diffusion_dw`` on m copies of
+    the state x with the m unit increments, one per column."""
+    cloud = np.repeat(np.reshape(x, (model.d, 1)), model.m, axis=1)
+    return model.diffusion_dw(t, cloud, np.eye(model.m))
+
+
+def forcing(model, t):
+    """laplacian_model's forcing at t: its drift at u = 0."""
+    return drift(model, t, np.zeros(model.d))
+
+
 def linear_growth_holds(model, rng, scale=5.0, n_points=10000):
     xs = scale * rng.standard_normal((model.d, n_points))
-    a = model.drift_many(0.3, xs)
-    lhs = np.sum(a * a, axis=0)
-    for j in range(0, n_points, max(1, n_points // 200)):
-        b = model.diffusion(0.3, xs[:, j])
-        lhs_j = lhs[j] + np.sum(b * b)
-        if lhs_j > model.c_lgb * (1.0 + np.dot(xs[:, j], xs[:, j])):
-            return False
-    return True
+    cloud = xs[:, ::max(1, n_points // 200)]
+    return reference.empirical_c_lgb(model, 0.3, cloud) <= model.c_lgb
 
 
 class TestToyExample1:
     def test_drift_at_origin(self):
         model, _ = toy_example_1()
-        assert_allclose(model.drift(0.0, np.zeros(3)), np.zeros(3))
+        assert_allclose(drift(model, 0.0, np.zeros(3)), np.zeros(3))
 
     def test_diffusion_at_origin_is_elliptic(self):
         model, _ = toy_example_1(sigma_b=1e-8)
-        b = model.diffusion(0.0, np.zeros(3))
+        b = diffusion(model, 0.0, np.zeros(3))
         assert_allclose(b @ b.T, 1e-8 * np.eye(3), rtol=1e-12)
 
     def test_drift_hand_value(self):
         model, _ = toy_example_1()
         assert_allclose(
-            model.drift(0.0, np.ones(3)), [0.001, 0.001, -12.0], rtol=1e-14
+            drift(model, 0.0, np.ones(3)), [0.001, 0.001, -12.0], rtol=1e-14
         )
 
     def test_linear_drift_flag_consistent(self):
@@ -51,14 +62,14 @@ class TestToyExample1:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.standard_normal(3)
-            assert_allclose(model.drift(1.0, x), model.a_mat(1.0) @ x, rtol=1e-12)
+            assert_allclose(drift(model, 1.0, x), model.a_mat(1.0) @ x, rtol=1e-12)
 
     def test_sigma_b_lower_certified(self):
         model, _ = toy_example_1(sigma_b=1e-8)
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.standard_normal(3) * 3
-            b = model.diffusion(0.5, x)
+            b = diffusion(model, 0.5, x)
             lam = np.linalg.eigvalsh(b @ b.T)
             assert lam[0] >= 1e-8 * (1 - 1e-12)
 
@@ -84,20 +95,20 @@ class TestToyExample2:
     def test_additive_noise_constant_in_x(self):
         model, _ = toy_example_2()
         rng = np.random.default_rng(3)
-        b0 = model.diffusion(0.0, np.zeros(3))
+        b0 = diffusion(model, 0.0, np.zeros(3))
         for _ in range(5):
-            assert np.array_equal(model.diffusion(0.2, rng.standard_normal(3)), b0)
+            assert np.array_equal(diffusion(model, 0.2, rng.standard_normal(3)), b0)
 
     def test_degenerate_third_row(self):
         model, _ = toy_example_2(sigma_b=1e-19)
-        b = model.diffusion(0.0, np.ones(3))
+        b = diffusion(model, 0.0, np.ones(3))
         assert np.linalg.eigvalsh(b @ b.T)[0] == 0.0
         assert model.sigma_b_lower is None
 
     def test_drift_third_column(self):
         model, _ = toy_example_2()
         assert_allclose(
-            model.drift(0.0, np.array([0.0, 0.0, 1.0])),
+            drift(model, 0.0, np.array([0.0, 0.0, 1.0])),
             [0.001, 0.001, -4.0],
             rtol=1e-14,
         )
@@ -113,17 +124,17 @@ class TestToyExample2:
 class TestToyExample3:
     def test_drift_at_origin(self):
         model, _ = toy_example_3()
-        assert_allclose(model.drift(0.0, np.zeros(3)), np.zeros(3))
+        assert_allclose(drift(model, 0.0, np.zeros(3)), np.zeros(3))
 
     def test_drift_at_sine_peak(self):
         model, _ = toy_example_3()
         x = np.array([np.pi / 2, 0.0, 0.0])
-        assert_allclose(model.drift(0.0, x), [-3.0, -3.0, -4.0], rtol=1e-14)
+        assert_allclose(drift(model, 0.0, x), [-3.0, -3.0, -4.0], rtol=1e-14)
 
     def test_drift_is_nonlinear(self):
         model, _ = toy_example_3()
         x = np.array([np.pi / 2, 0.0, 0.0])
-        assert not np.allclose(model.drift(0.0, 2 * x), 2 * model.drift(0.0, x))
+        assert not np.allclose(drift(model, 0.0, 2 * x), 2 * drift(model, 0.0, x))
         assert not model.is_linear_drift
 
     def test_linear_growth_certificate(self):
@@ -143,20 +154,30 @@ class TestStabilityModel:
 
     def test_zero_solution(self):
         model, _ = stability_model()
-        assert_allclose(model.drift(0.7, np.zeros(10)), np.zeros(10))
-        assert_allclose(model.diffusion(0.7, np.zeros(10)), np.zeros((10, 10)))
+        assert_allclose(drift(model, 0.7, np.zeros(10)), np.zeros(10))
+        assert_allclose(diffusion(model, 0.7, np.zeros(10)), np.zeros((10, 10)))
 
     def test_diffusion_diagonal_scaling(self):
         model, _ = stability_model()
         x = np.arange(1.0, 11.0)
-        assert_allclose(model.diffusion(0.0, x), 0.1 * np.diag(x))
+        assert_allclose(diffusion(model, 0.0, x), 0.1 * np.diag(x))
 
     def test_ams_matrices(self):
+        # the linear test SDE whose margin test_08 reads is this model's
         model, _ = stability_model(d=10)
-        a, bs = model.ams_matrices(0.0)
-        assert len(bs) == 10
-        total = sum(np.linalg.norm(b, 2) ** 2 for b in bs)
-        assert_allclose(total, 0.1, rtol=1e-12)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((10, 5))
+        dw = rng.standard_normal((10, 5))
+        for t in (0.0, 0.37):
+            a_mat, b_mats = reference.stability_ams_matrices(t)
+            assert len(b_mats) == 10
+            assert_allclose(sum(np.linalg.norm(b, 2) ** 2 for b in b_mats),
+                            0.1, rtol=1e-12)
+            assert_allclose(model.a_mat(t), a_mat, rtol=1e-15)
+            assert_allclose(model.drift_many(t, x), a_mat @ x, rtol=1e-14)
+            assert_allclose(model.diffusion_dw(t, x, dw),
+                            sum(b @ x * w for b, w in zip(b_mats, dw)),
+                            rtol=1e-14)
 
     def test_initial_law_rank_four(self):
         _, law = stability_model(d=10)
@@ -176,25 +197,25 @@ class TestSadrModel:
     def test_additive_noise(self):
         model, _ = sadr_model()
         rng = np.random.default_rng(5)
-        b0 = model.diffusion(0.0, np.zeros(25))
-        assert np.array_equal(model.diffusion(1.0, rng.standard_normal(25)), b0)
+        b0 = diffusion(model, 0.0, np.zeros(25))
+        assert np.array_equal(diffusion(model, 1.0, rng.standard_normal(25)), b0)
         assert b0.shape == (25, 5)
 
     def test_drift_zero_field(self):
         model, _ = sadr_model()
-        assert_allclose(model.drift(0.0, np.zeros(25)), np.zeros(25))
+        assert_allclose(drift(model, 0.0, np.zeros(25)), np.zeros(25))
 
     def test_constant_field_leaves_only_reaction(self):
         # diffusion and advection stencils vanish on constants under the
         # ghost reflection, leaving r sin(c) ones
         model, _ = sadr_model()
         c = 0.8
-        out = model.drift(0.0, np.full(25, c))
+        out = drift(model, 0.0, np.full(25, c))
         assert_allclose(out, 0.1 * np.sin(c) * np.ones(25), atol=1e-12)
 
     def test_noise_profiles_are_sines(self):
         model, _ = sadr_model()
-        b = model.diffusion(0.0, np.zeros(25))
+        b = diffusion(model, 0.0, np.zeros(25))
         x = (np.arange(25) + 0.5) * 0.04
         for i in range(1, 6):
             assert_allclose(b[:, i - 1], 0.5 * np.sin(i * np.pi * x), rtol=1e-12)
@@ -216,7 +237,7 @@ class TestLaplacianModel:
     def test_forcing_window_at_zero(self):
         model, _ = laplacian_model()
         x = np.arange(26) / 25.0
-        f = model.forcing(0.0)
+        f = forcing(model, 0.0)
         inside = (x > 0.0) & (x < 0.12)
         assert_allclose(f[inside], 3.0)
         assert_allclose(f[~inside], 0.0)
@@ -227,14 +248,14 @@ class TestLaplacianModel:
         # modular reduction of t
         model, _ = laplacian_model()
         period = 2.0 * (1.0 - 0.12) / 0.4
-        assert_allclose(model.forcing(period), model.forcing(0.0))
-        assert_allclose(model.forcing(period + 0.05), model.forcing(0.05))
+        assert_allclose(forcing(model, period), forcing(model, 0.0))
+        assert_allclose(forcing(model, period + 0.05), forcing(model, 0.05))
         # reflection: t and period - t see the same window
-        assert_allclose(model.forcing(period - 1.05), model.forcing(1.05))
+        assert_allclose(forcing(model, period - 1.05), forcing(model, 1.05))
 
     def test_forcing_window_slides(self):
         model, _ = laplacian_model()
-        f_mid = model.forcing(1.05)
+        f_mid = forcing(model, 1.05)
         x = np.arange(26) / 25.0
         lo = 0.4 * 1.05
         inside = (x > lo) & (x < 0.12 + lo)
@@ -243,18 +264,23 @@ class TestLaplacianModel:
         assert_allclose(f_mid[~inside], 0.0)
 
     def test_gamma_coefficients(self):
+        # gamma_1 = exp(-2 pi) / (2 pi), approximately 2.9721e-4; on
+        # u = psi_1 the trapezoidal <u, psi_1> is exactly 1, so channel
+        # 1 loads gamma_1 on every interior node
         model, _ = laplacian_model()
-        b_lin = model.diffusion_mat
-        # gamma_1 = exp(-2 pi) / (2 pi), approximately 2.9721e-4
         gamma_1 = np.exp(-2.0 * np.pi) / (2.0 * np.pi)
         assert_allclose(gamma_1, 2.972127e-4, rtol=1e-6)
+        x = np.arange(26) / 25.0
+        psi_1 = np.cos(2.0 * np.pi * x) + np.sin(2.0 * np.pi * x)
+        b = diffusion(model, 0.0, psi_1)
+        assert_allclose(b[1:-1, 0], gamma_1, rtol=1e-12)
 
     def test_dirichlet_rows_zero(self):
         model, law = laplacian_model()
         rng = np.random.default_rng(7)
         u = rng.standard_normal(26)
-        a = model.drift(1.3, u)
-        b = model.diffusion(1.3, u)
+        a = drift(model, 1.3, u)
+        b = diffusion(model, 1.3, u)
         assert a[0] == 0.0 and a[-1] == 0.0
         assert_allclose(b[0], 0.0)
         assert_allclose(b[-1], 0.0)
@@ -266,13 +292,13 @@ class TestLaplacianModel:
         model, _ = laplacian_model()
         rng = np.random.default_rng(8)
         u = rng.standard_normal(26)
-        assert_allclose(model.diffusion(0.0, 2 * u), 2 * model.diffusion(0.0, u), rtol=1e-12)
+        assert_allclose(diffusion(model, 0.0, 2 * u), 2 * diffusion(model, 0.0, u), rtol=1e-12)
 
     def test_constant_profile_loads_constant_direction(self):
         model, _ = laplacian_model(noise_profile="constant")
         rng = np.random.default_rng(9)
         u = rng.standard_normal(26)
-        b = model.diffusion(0.0, u)
+        b = diffusion(model, 0.0, u)
         for col in range(26):
             assert np.ptp(b[1:-1, col]) <= 1e-15 * max(1.0, abs(b[1, col]))
 
@@ -280,7 +306,7 @@ class TestLaplacianModel:
         model, _ = laplacian_model(noise_profile="trig")
         rng = np.random.default_rng(10)
         u = rng.standard_normal(26)
-        b = model.diffusion(0.0, u)
+        b = diffusion(model, 0.0, u)
         x = np.arange(26) / 25.0
         psi1 = np.cos(2 * np.pi * x) + np.sin(2 * np.pi * x)
         coeff = b[1, 0] / psi1[1]
@@ -317,8 +343,8 @@ class TestGbmOracle:
 
     def test_drift_diffusion_contract(self):
         model, law = gbm_oracle(mu=0.2, sigma=0.4)
-        assert_allclose(model.drift(0.0, np.array([2.0])), [0.4])
-        assert_allclose(model.diffusion(0.0, np.array([2.0])), [[0.8]])
+        assert_allclose(drift(model, 0.0, np.array([2.0])), [0.4])
+        assert_allclose(diffusion(model, 0.0, np.array([2.0])), [[0.8]])
         assert_allclose(law(0, 5), np.ones((1, 5)))
 
 
@@ -336,7 +362,10 @@ class TestPurityAndRegistry:
             )
 
     def test_vectorized_matches_per_path(self):
-        for build in (toy_example_1, toy_example_3, sadr_model, laplacian_model):
+        # b(t, x_j) is the test oracle's, written from each model's
+        # formula and independent of diffusion_dw
+        for build in (toy_example_1, toy_example_3, stability_model,
+                      sadr_model, laplacian_model, gbm_oracle):
             model, law = build()
             rng = np.random.default_rng(14)
             x = rng.standard_normal((model.d, 6))
@@ -344,10 +373,11 @@ class TestPurityAndRegistry:
             many_a = model.drift_many(0.25, x)
             many_b = model.diffusion_dw(0.25, x, dw)
             for j in range(6):
-                assert_allclose(many_a[:, j], model.drift(0.25, x[:, j]), rtol=1e-13, atol=1e-16)
+                assert_allclose(many_a[:, j], drift(model, 0.25, x[:, j]), rtol=1e-13, atol=1e-16)
                 assert_allclose(
                     many_b[:, j],
-                    model.diffusion(0.25, x[:, j]) @ dw[:, j],
+                    reference.diffusion_matrix(model.name, 0.25, x[:, j])
+                    @ dw[:, j],
                     rtol=1e-12,
                     atol=1e-18,
                 )
