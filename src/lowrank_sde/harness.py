@@ -26,13 +26,13 @@ instead of being ignored.  Four experiment kinds exist:
     One scheme on one grid, serializing factored snapshots at
     configured times.
 
-Every kind runs as one walk on one thread over lanes, one time lattice
-each: the fine grid of a sweep, or the grid of one dt.  A cell is an
-``integrators.Stepper`` on its lattice, its own record.  Each step's
-standard normal block is drawn once and scaled for every lane that has
-that step, and one ``advance_all`` call steps all cells due on it, the
-low-rank ones as one stack.  No noise grid is stored; a cell's bytes do
-not depend on the other cells (in a sweep, while the finest dt stays).
+Every kind steps its time lattices on one thread: the fine grid of a
+sweep, or the grid of each dt.  A cell is an ``integrators.Stepper`` on
+its lattice, its own record.  Each step's standard normal block is
+drawn once and scaled for every lattice that has that step, and one
+``advance_all`` call steps all cells due on it, the low-rank ones as
+one stack.  No noise grid is stored; a cell's bytes do not depend on
+the other cells (in a sweep, while the finest dt stays).
 
 ``run_experiment`` runs every kind: it sets up, runs the kind's body and
 writes a ``manifest.json`` recording the resolved spec, the library
@@ -50,7 +50,7 @@ import os
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -157,6 +157,16 @@ _KEYS = {
 }
 
 
+def _kind_only(where, kind, keys):
+    """Raise SpecError if one of the ``_KEYS`` keys belongs to other kinds:
+    this kind would ignore it, and the manifest would still record it."""
+    for key in keys:
+        kinds = _KEYS[key][2]
+        if kinds and kind not in kinds:
+            raise SpecError("%s key %r only applies to kind %s"
+                            % (where, key, "/".join(kinds)))
+
+
 def _steps_for(dt, t_final, where):
     n = t_final / dt
     if not np.isfinite(n):
@@ -211,6 +221,10 @@ class ExperimentSpec:
         if self.kind not in KINDS:
             raise SpecError("%s kind must be one of %s, got %r"
                             % (where, "/".join(KINDS), self.kind))
+        defaults = {f.name: f.default for f in fields(self)}
+        _kind_only(where, self.kind, [
+            key for key, (name, _, kinds) in _KEYS.items()
+            if kinds and getattr(self, name) != defaults[name]])
         if not self.schemes:
             raise SpecError("%s schemes must be non-empty" % where)
         for scheme in self.schemes:
@@ -337,19 +351,17 @@ def load_specs(path):
         for key in raw:
             if key not in _KEYS and not key.startswith("model."):
                 raise SpecError("[%s] unknown key %r" % (section, key))
-        kind = raw.get("kind", "")
-        for key, (_, _, kinds) in _KEYS.items():
-            if key in raw and kinds and kind not in kinds:
-                raise SpecError("[%s] key %r only applies to kind %s"
-                                % (section, key, "/".join(kinds)))
+        # also a key that repeats its default in another kind's section
+        _kind_only("[%s]" % section, raw.get("kind", ""),
+                   [key for key in _KEYS if key in raw])
         for key, (_, _, kinds) in _KEYS.items():
             if key not in raw and kinds is None:
                 raise SpecError("[%s] missing required key %r"
                                 % (section, key))
-        fields = {name: parse(section, key, raw[key])
+        values = {name: parse(section, key, raw[key])
                   for key, (name, parse, _) in _KEYS.items() if key in raw}
         spec = ExperimentSpec(name=section, model_overrides=overrides,
-                              **fields)
+                              **values)
         _checked_model(spec)
         owner = owners.setdefault(os.path.abspath(spec.output_dir), section)
         if owner != section:
@@ -419,7 +431,7 @@ def _stepper(spec, model, samples, state0, scheme, grid, **recording):
 
 
 def _lattice(spec, model, n, t1):
-    """Lattice of n steps over [0, t1]; the walk streams its increments."""
+    """Lattice of n steps over [0, t1]; the run streams its increments."""
     return BrownianGrid(seed=spec.seed, t0=0.0, t1=t1, n_steps=n,
                         m=model.m, m_paths=spec.paths, increments=None)
 
@@ -431,8 +443,7 @@ class _ExactReference:
     low_rank = failed = False  # advance_all calls its advance; never fails
 
     def __init__(self, model, grid):
-        self._mu = model.mu
-        self._sigma = model.sigma
+        self._model = model
         self._time = grid.time
         self._node = 0
         self._w = np.zeros((1, grid.m_paths))
@@ -440,30 +451,22 @@ class _ExactReference:
     def advance(self, dw):
         self._w += dw
         self._node += 1
-        return True
 
     def cloud(self):
-        return gbm_exact_value(self._mu, self._sigma,
+        return gbm_exact_value(self._model.mu, self._model.sigma,
                                self._time(self._node), self._w)
 
 
-@dataclass
 class _Level:
-    """Cells, keyed by scheme, stepping on each sum of ``block_sum.factor``
-    lane blocks; in a sweep also the running per-path sups of errors."""
+    """Cells, keyed by scheme, stepping on each sum of ``factor`` fine
+    blocks, and the running per-path sups of references and errors."""
 
-    block_sum: BlockSum
-    cells: dict
-    ref_sup_sq: dict = field(default_factory=dict)
-    cell_sup_sq: dict = field(default_factory=dict)
-
-    def step(self, block, due):
-        """Push a lane block; queue the cells on ``due`` if they step."""
-        dw = self.block_sum.push(block)
-        if dw is not None:
-            due += [(stepper, dw) for stepper in self.cells.values()
-                    if not stepper.failed]
-        return dw is not None
+    def __init__(self, factor, cells, references):
+        self.block_sum = BlockSum(factor)
+        self.cells = cells
+        self.ref_sup_sq = dict.fromkeys(references)
+        self.cell_sup_sq = {scheme: dict.fromkeys(references)
+                            for scheme in cells}
 
     def fold(self, ref_clouds):
         for name, ref in ref_clouds.items():
@@ -477,55 +480,24 @@ class _Level:
                 sups[name] = fold_sup_sq(sups[name], cloud - ref)
 
 
-@dataclass
-class _Lane:
-    """One time lattice of the walk: its references, which step on
-    every block and must not fail, and its levels."""
-
-    grid: BrownianGrid
-    levels: list
-    references: dict = field(default_factory=dict)
-
-    def fold(self, levels):
-        """Fold the references' current clouds into the given levels."""
-        ref_clouds = {name: ref.cloud()
-                      for name, ref in self.references.items()}
-        for level in levels:
-            level.fold(ref_clouds)
-
-    def step(self, block, due):
-        """Queue the steps due on a block; returns the levels it steps."""
-        due += [(ref, block) for ref in self.references.values()]
-        return [level for level in self.levels if level.step(block, due)]
-
-    def settle(self, stepped):
-        """Raise if a reference failed, else fold them into ``stepped``."""
-        for name, ref in self.references.items():
-            if ref.failed:
-                raise StepFailed("fine reference %s failed: %s"
-                                 % (name, ref.error))
-        if stepped and self.references:
-            self.fold(stepped)
+def _failures(cells):
+    """The failure record of each failed (scheme, dt, stepper) cell."""
+    return [{"scheme": scheme, "dt": dt, "error": cell.error}
+            for scheme, dt, cell in cells if cell.failed]
 
 
-def _walk(lanes):
-    """Step every lane on its blocks of ``lattice_blocks``, in lockstep;
-    one ``advance_all`` call takes every step due on a block."""
-    for blocks in lattice_blocks([lane.grid for lane in lanes]):
-        due = []
-        stepped = [(lane, lane.step(block, due))
-                   for lane, block in zip(lanes, blocks) if block is not None]
-        advance_all(due)
-        for lane, levels in stepped:
-            lane.settle(levels)
+def _horizons(cells):
+    """The time each (scheme, dt, stepper) cell's lattice ends at."""
+    return {"%s dt=%s" % (scheme, _g(dt)): cell.grid.t1
+            for scheme, dt, cell in cells}
 
 
 def _run_fixed_dt(spec, model, samples, state0, **recording):
-    """Walk one lane per dt, of n = round(t_final / dt) steps ending at
-    n * dt (with a warning when that is not t_final), whose one level
-    holds a stepper per scheme.  Returns (scheme, dt, stepper) of every
-    cell, scheme-major."""
-    lanes = []
+    """Step a stepper per scheme on the lattice of each dt, of n =
+    round(t_final / dt) steps ending at n * dt (with a warning when that
+    is not t_final), one ``advance_all`` call per step for all live
+    cells.  Returns (scheme, dt, stepper) of every cell, scheme-major."""
+    grids, by_dt = [], []
     for dt in spec.dt_values:
         n = _steps_for(dt, spec.t_final, spec.name)
         horizon = n * dt
@@ -533,27 +505,30 @@ def _run_fixed_dt(spec, model, samples, state0, **recording):
             warnings.warn("[%s] dt=%g does not divide t_final=%g; the run "
                           "ends at t=%.17g" % (spec.name, dt, spec.t_final,
                                                horizon))
-        grid = _lattice(spec, model, n, horizon)
-        cells = {scheme: _stepper(spec, model, samples, state0, scheme,
-                                  grid, **recording)
-                 for scheme in spec.schemes}
-        lanes.append(_Lane(grid, [_Level(BlockSum(1), cells)]))
-    _walk(lanes)
-    return [(scheme, dt, lane.levels[0].cells[scheme])
-            for scheme in spec.schemes
-            for dt, lane in zip(spec.dt_values, lanes)]
+        grids.append(_lattice(spec, model, n, horizon))
+        by_dt.append({scheme: _stepper(spec, model, samples, state0,
+                                      scheme, grids[-1], **recording)
+                      for scheme in spec.schemes})
+    for blocks in lattice_blocks(grids):
+        advance_all([(cell, block)
+                     for cells, block in zip(by_dt, blocks)
+                     if block is not None
+                     for cell in cells.values() if not cell.failed])
+    return [(scheme, dt, cells[scheme]) for scheme in spec.schemes
+            for dt, cells in zip(spec.dt_values, by_dt)]
 
 
 def _convergence(spec, path, model, samples, state0):
     """Coupled step-size sweep with fitted convergence orders.
 
-    The walk has one lane, the fine grid.  The fine references step on
-    each fine block, and each coarse dt sums the blocks left to right
-    into its cells' next increment.  At every coarse node the pathwise
-    squared distance of each cell to each reference, and the
-    reference's own squared norm, are folded into running per-path
-    maxima.  The steppers record nothing (``record_nodes=()``), so
-    memory is O((cells + 2) d M) whatever the horizon.
+    The fine references step on each fine block, and each coarse dt's
+    ``_Level`` sums the blocks left to right into its cells' next
+    increment; one ``advance_all`` call takes the steps due on a block.
+    At every coarse node the pathwise squared distance of each cell to
+    each reference, and the reference's own squared norm, are folded
+    into running per-path maxima.  The steppers record nothing
+    (``record_nodes=()``), so memory is O((cells + 2) d M) whatever the
+    horizon.
 
     Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv and
     status.csv (ok/failed per cell; failed cells are excluded from the
@@ -577,33 +552,43 @@ def _convergence(spec, path, model, samples, state0):
     levels = []
     for n in n_values:
         grid = _lattice(spec, model, n, spec.t_final)
-        levels.append(_Level(
-            block_sum=BlockSum(n_fine // n),
-            cells={scheme: _stepper(spec, model, samples, state0, scheme,
-                                    grid, record_nodes=())
-                   for scheme in spec.schemes},
-            ref_sup_sq=dict.fromkeys(references),
-            cell_sup_sq={scheme: dict.fromkeys(references)
-                         for scheme in spec.schemes}))
-    lane = _Lane(fine, levels, references)
-    lane.fold(levels)
-    _walk([lane])
+        levels.append(_Level(n_fine // n, {
+            scheme: _stepper(spec, model, samples, state0, scheme, grid,
+                             record_nodes=())
+            for scheme in spec.schemes}, references))
 
+    def fold(stepped):
+        ref_clouds = {name: ref.cloud() for name, ref in references.items()}
+        for level in stepped:
+            level.fold(ref_clouds)
+
+    fold(levels)
+    for (block,) in lattice_blocks([fine]):
+        due = [(ref, block) for ref in references.values()]
+        stepped = []
+        for level in levels:
+            dw = level.block_sum.push(block)
+            if dw is not None:
+                stepped.append(level)
+                due += [(cell, dw) for cell in level.cells.values()
+                        if not cell.failed]
+        advance_all(due)
+        for name, ref in references.items():
+            if ref.failed:
+                raise StepFailed("fine reference %s failed: %s"
+                                 % (name, ref.error))
+        if stepped:
+            fold(stepped)
+
+    cells = [(scheme, dt, level.cells[scheme]) for scheme in spec.schemes
+             for dt, level in zip(spec.dt_values, levels)]
+    status_rows = [(scheme, _g(dt), "failed" if cell.failed else "ok")
+                   for scheme, dt, cell in cells]
     reports = {}
-    failures = []
-    status_rows = []
     slope_rows = []
     for scheme in spec.schemes:
-        done = []  # (dt, level) of the scheme's completed cells
-        for dt, level in zip(spec.dt_values, levels):
-            error = level.cells[scheme].error
-            status_rows.append((scheme, _g(dt), "ok" if error is None
-                                else "failed"))
-            if error is None:
-                done.append((dt, level))
-            else:
-                failures.append({"scheme": scheme, "dt": dt,
-                                 "error": error})
+        done = [(dt, level) for dt, level in zip(spec.dt_values, levels)
+                if not level.cells[scheme].failed]
         for ref_name in references:
             pairs = [l2_sup_errors(level.cell_sup_sq[scheme][ref_name],
                                    level.ref_sup_sq[ref_name])
@@ -628,6 +613,7 @@ def _convergence(spec, path, model, samples, state0):
                 slope_rows)
     _write_rows(path("status.csv"), "scheme,dt,status", status_rows)
 
+    failures = _failures(cells)
     summary = {
         "fitted_orders": {"%s vs %s" % key: reports[key].fitted_order
                           for key in reports},
@@ -652,16 +638,12 @@ def _singular_values(spec, path, model, samples, state0):
     results = _run_fixed_dt(spec, model, samples, state0)
 
     violation_rows = []
-    failures = []
     traces = {}
     for scheme, dt, cell in results:
         if scheme == "dlr_em":
             k_bound = k1_bound(cell.grid.t1, e0, c_lgb)
         else:
             k_bound = k4_bound(cell.grid.t1, e0, c_lgb, cell.grid.t1)
-        if cell.error:
-            failures.append({"scheme": scheme, "dt": dt,
-                             "error": cell.error})
         observed = cell.sigma_min_gramians
         valid = np.isfinite(observed)
         last = int(np.max(np.nonzero(valid))) if valid.any() else -1
@@ -702,9 +684,9 @@ def _singular_values(spec, path, model, samples, state0):
     _write_rows(path("violations.csv"), "scheme,dt,t,sigma_k,threshold",
                 violation_rows)
 
+    failures = _failures(results)
     summary = {"violations": len(violation_rows), "failures": failures,
-               "horizons": {"%s dt=%s" % (scheme, _g(dt)): cell.grid.t1
-                            for scheme, dt, cell in results}}
+               "horizons": _horizons(results)}
     return {"traces": traces, "violations": violation_rows,
             "failures": failures}, summary
 
@@ -738,35 +720,24 @@ def _stability(spec, path, model, samples, state0):
 
     class_rows = []
     classifications = {}
-    failures = []
     for scheme, dt, cell in results:
-        msq = cell.mean_square_norms
-        computed = ~np.isnan(msq)
-        last = int(np.max(np.nonzero(computed))) if computed.any() else -1
-        times = cell.grid.times()
-        rows = [("%.17g" % times[i], "%.17g" % msq[i])
-                for i in range(last + 1)]
+        msq = cell.mean_square_norms[:cell.node + 1]  # the nodes reached
+        rows = [("%.17g" % t, "%.17g" % value)
+                for t, value in zip(cell.grid.times(), msq)]
         _write_rows(path("norms_%s_dt%s.csv" % (scheme, _g(dt))),
                     "t,mean_square_norm", rows)
-
-        initial = msq[0] if last >= 0 else np.nan
-        final = msq[last] if last >= 0 else np.nan
         verdict = ("failed" if cell.failed and cell.node == 0 else
-                   classify_stability(initial, final, not cell.failed))
+                   classify_stability(msq[0], msq[-1], not cell.failed))
         classifications[(scheme, dt)] = verdict
         class_rows.append((scheme, _g(dt), verdict))
-        if cell.failed:
-            failures.append({"scheme": scheme, "dt": dt,
-                             "error": cell.error})
 
     _write_rows(path("classification.csv"), "scheme,dt,classification",
                 class_rows)
 
+    failures = _failures(results)
     summary = {"classification": {"%s dt=%s" % (s, _g(dt)): v
                                   for (s, dt), v in classifications.items()},
-               "failures": failures,
-               "horizons": {"%s dt=%s" % (s, _g(dt)): cell.grid.t1
-                            for s, dt, cell in results}}
+               "failures": failures, "horizons": _horizons(results)}
     return {"classifications": classifications,
             "failures": failures}, summary
 
@@ -806,7 +777,7 @@ def _single_run(spec, path, model, samples, state0):
     _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k", trace_rows)
 
     summary = {"final_mean_square_norm": float(cell.mean_square_norms[-1]),
-               "horizons": {"%s dt=%s" % (scheme, _g(dt)): cell.grid.t1}}
+               "horizons": _horizons([(scheme, dt, cell)])}
     return {"trajectory": cell}, summary
 
 

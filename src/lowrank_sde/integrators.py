@@ -322,9 +322,10 @@ def dlr_step(model, state, dt, dw, *, scheme, fast_linear=False, debug=False,
         raise ValueError("unknown low-rank scheme %r" % (scheme,))
     if rank_policy not in RANK_POLICIES:
         raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
-    return _settle([_move(model, state, dt, dw, **_FLAGS[scheme],
-                          fast_linear=fast_linear, debug=debug,
-                          rank_policy=rank_policy)])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # as advance_all
+        return _settle([_move(model, state, dt, dw, **_FLAGS[scheme],
+                              fast_linear=fast_linear, debug=debug,
+                              rank_policy=rank_policy)])[0]
 
 
 # the step of each scheme alone; perfbench/tracer.py wraps these entries

@@ -16,6 +16,8 @@ Six systems plus a closed-form geometric Brownian motion oracle:
   noise (Dirichlet).
 """
 
+import inspect
+
 import numpy as np
 
 from .errors import SpecError
@@ -438,6 +440,9 @@ def laplacian_model(d=26, noise_profile="constant"):
 
 def gbm_oracle(mu=0.05, sigma=0.2):
     """Scalar geometric Brownian motion with a known pathwise solution."""
+    if not np.hypot(mu, sigma) < 1.3e154:  # so mu^2 + sigma^2 is finite
+        raise SpecError("gbm_oracle needs mu^2 + sigma^2 finite, got mu=%g, "
+                        "sigma=%g" % (mu, sigma))
 
     def drift_many(t, x):
         return mu * x
@@ -474,34 +479,31 @@ def gbm_exact_value(mu, sigma, t, w):
 # ---------------------------------------------------------------------------
 # registry
 
-MODEL_BUILDERS = {
-    "toy_example_1": (toy_example_1, {"sigma_b": float}),
-    "toy_example_2": (toy_example_2, {"sigma_b": float}),
-    "toy_example_3": (toy_example_3, {"sigma_b": float}),
-    "stability_model": (stability_model, {"d": int}),
-    "sadr_model": (sadr_model, {"d": int}),
-    "laplacian_model": (laplacian_model, {"d": int, "noise_profile": str}),
-    "gbm_oracle": (gbm_oracle, {"mu": float, "sigma": float}),
-}
+MODEL_BUILDERS = {builder.__name__: builder for builder in (
+    toy_example_1, toy_example_2, toy_example_3, stability_model, sadr_model,
+    laplacian_model, gbm_oracle)}
 
 
 def build_model(name, overrides=None):
-    """(model, law) of a registered model by name, with overrides."""
+    """(model, law) of a registered model by name, with overrides cast to
+    the type of the builder's default for that keyword."""
     if name not in MODEL_BUILDERS:
         raise SpecError(
             "unknown model %r (known: %s)" % (name, ", ".join(sorted(MODEL_BUILDERS)))
         )
-    builder, schema = MODEL_BUILDERS[name]
+    builder = MODEL_BUILDERS[name]
+    params = inspect.signature(builder).parameters
     kwargs = {}
     for key, value in (overrides or {}).items():
-        if key not in schema:
+        if key not in params:
             raise SpecError("model %s does not accept override %r" % (name, key))
+        cast = type(params[key].default)
         try:
-            kwargs[key] = schema[key](value)
+            kwargs[key] = cast(value)
         except (TypeError, ValueError):
             raise SpecError("model %s override %s: expected %s, got %r"
-                            % (name, key, schema[key].__name__, value))
-        if schema[key] is float and not np.isfinite(kwargs[key]):
+                            % (name, key, cast.__name__, value))
+        if cast is float and not np.isfinite(kwargs[key]):
             raise SpecError("model %s override %s: expected a finite "
                             "number, got %r" % (name, key, value))
     return builder(**kwargs)

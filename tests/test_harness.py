@@ -40,12 +40,15 @@ import reference
 
 
 def make_spec(tmp_path, **overrides):
+    """A spec, by default an exact-reference sweep; the sweep's keys are
+    set only for kind convergence, the one kind that reads them."""
     fields = dict(
         name="test", kind="convergence", model="gbm_oracle",
         schemes=("em",), rank=1, paths=200, seed=5, t_final=1.0,
-        dt_values=(0.1, 0.05, 0.025), reference="exact", fine_factor=1,
-        output_dir=str(tmp_path / "out"))
+        dt_values=(0.1, 0.05, 0.025), output_dir=str(tmp_path / "out"))
     fields.update(overrides)
+    if fields["kind"] == "convergence":
+        fields = dict(dict(reference="exact", fine_factor=1), **fields)
     return ExperimentSpec(**fields)
 
 
@@ -263,6 +266,19 @@ class TestExperimentSpecValidation:
                       t_final=t_final, dt_values=(dt,), reference="",
                       snapshot_times=times)
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("stability", dict(reference="em_fine", fine_factor=3,
+                           snapshot_times=(0.5,))),
+        ("singular_values", dict(fine_factor=3)),
+        ("single_run", dict(reference="em_fine")),
+        ("convergence", dict(snapshot_times=(0.5,))),
+    ])
+    def test_field_of_another_kind_rejected(self, tmp_path, kind, fields):
+        # the kind would ignore it, and the manifest would record it
+        with pytest.raises(SpecError, match="only applies to kind"):
+            make_spec(tmp_path, kind=kind, schemes=("dlr_em",),
+                      dt_values=(0.1,), **fields)
+
 
 class TestLoadSpecs:
     def test_round_trip(self, tmp_path):
@@ -460,7 +476,7 @@ class TestRunConvergence:
                 (tmp_path / "b" / name).read_bytes()
 
     def test_cell_set_does_not_change_outputs(self, tmp_path):
-        # all cells step on the shared blocks of one fine walk, so a
+        # all cells step on the shared blocks of one fine lattice, so a
         # scheme's errors do not depend on the other schemes of the sweep
         # nor, row by row, on its coarser dts
         def error_csvs(name, schemes, dt_values):
@@ -661,7 +677,7 @@ class TestRunSingularValues:
         assert out["violations"] == []
 
     def test_cell_set_does_not_change_outputs(self, tmp_path):
-        # every lane scales the same per-step blocks, so a cell's trace
+        # every lattice scales the same per-step blocks, so a cell's trace
         # is the same whichever other schemes and dts run with it
         name = "singular_values_dlr_ps_em_dt0.1.csv"
         run_experiment(self.sv_spec(
@@ -733,7 +749,7 @@ class TestRunStability:
         return ExperimentSpec(**fields)
 
     def test_cell_set_does_not_change_outputs(self, tmp_path):
-        # the cells step in lockstep on shared blocks; a cell whose lane
+        # the cells step in lockstep on shared blocks; a cell whose lattice
         # ends first reads the same bytes as when it runs alone
         def lines(name, csv):
             return (tmp_path / name / csv).read_text().splitlines()
@@ -801,13 +817,13 @@ class TestRunStability:
         run_experiment(self.stab_spec(tmp_path, "stab"))
         assert draws == [(3, step) for step in range(20)]
 
-    def test_one_eigh_and_one_qr_per_walk_step(self, tmp_path,
-                                               monkeypatch):
+    def test_one_eigh_and_one_qr_per_step(self, tmp_path, monkeypatch):
         # the nine cells settle as one stack, and a stability run forms
-        # no node Gramian: the walk factors once per step, all cells
-        # together
+        # no node Gramian: the run factors once per step, all cells
+        # together; counting starts at the first step, after the setup
         calls = dict.fromkeys(("eigh", "eigvalsh", "svd", "qr"), 0)
-        walk = lowrank_sde.harness._walk
+        armed = []
+        advance_all = lowrank_sde.harness.advance_all
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -815,13 +831,16 @@ class TestRunStability:
                 return original(*args, **kwargs)
             return counted
 
-        def counted_walk(lanes):
-            for name in calls:
-                monkeypatch.setattr(np.linalg, name,
-                                    counting(name, getattr(np.linalg, name)))
-            walk(lanes)
+        def counted_advance_all(pairs):
+            if not armed:
+                armed.append(True)
+                for name in calls:
+                    monkeypatch.setattr(np.linalg, name, counting(
+                        name, getattr(np.linalg, name)))
+            advance_all(pairs)
 
-        monkeypatch.setattr(lowrank_sde.harness, "_walk", counted_walk)
+        monkeypatch.setattr(lowrank_sde.harness, "advance_all",
+                            counted_advance_all)
         out = run_experiment(self.stab_spec(tmp_path, "stab"))
         assert len(out["classifications"]) == 9
         assert calls == {"eigh": 20, "eigvalsh": 0, "svd": 0, "qr": 20}
@@ -986,6 +1005,7 @@ class TestCli:
         ("toy_example_1", str(2 ** 70), ""),
         ("gbm_oracle", "3", "model.mu = nan"),
         ("toy_example_2", "3", "model.sigma_b = inf"),
+        ("gbm_oracle", "3", "model.mu = 1e200"),
     ])
     def test_uncastable_override_or_seed_exits_two(self, tmp_path, capsys,
                                                    model, seed, extra):
@@ -1136,6 +1156,8 @@ class TestLoadSpecsProperty:
     @example(dict(FUZZ_BASE, kind="convergence", t_final="1e300",
                   dt="1e-10", **FUZZ_KIND_KEYS["convergence"]))
     @example(dict(FUZZ_BASE, kind="single_run", snapshot_times="nan"))
+    # mu ** 2 in the oracle's growth constant once raised OverflowError
+    @example(dict(FUZZ_BASE, model="gbm_oracle", **{"model.mu": "1e200"}))
     def test_returns_specs_or_raises_spec_error(self, tmp_path, section):
         body = "[fuzz]\n" + "".join("%s = %s\n" % item
                                     for item in section.items())
@@ -1262,11 +1284,11 @@ def stored_cell_rows(spec, scheme, dt):
 
 # rank 3 on toy_example_1 leaves dlr_em's first basis rank deficient,
 # and on toy_example_2 the fine splitting reference's too
-PINNED_SWEEP = dict(
-    name="prop", kind="convergence", model="toy_example_1",
-    model_overrides={}, schemes=SCHEMES, rank=3, paths=16, seed=1,
-    t_final=0.5, dt_values=(0.25, 0.125), reference="em_fine",
-    fine_factor=2)
+PINNED = dict(
+    name="prop", model="toy_example_1", model_overrides={}, schemes=SCHEMES,
+    rank=3, paths=16, seed=1, t_final=0.5, dt_values=(0.25, 0.125))
+PINNED_SWEEP = dict(PINNED, kind="convergence", reference="em_fine",
+                    fine_factor=2)
 
 
 class TestCellProperty:
@@ -1279,8 +1301,8 @@ class TestCellProperty:
     @example((PINNED_SWEEP, "dlr_em", (0.25, 0.125)))
     @example((PINNED_SWEEP, "dlr_ps_em", (0.125,)))
     @example((dict(PINNED_SWEEP, model="toy_example_2"), "em", (0.125,)))
-    @example((dict(PINNED_SWEEP, kind="single_run", schemes=("dlr_em",),
-                   dt_values=(0.125,), reference="", snapshot_times=(0.5,)),
+    @example((dict(PINNED, kind="single_run", schemes=("dlr_em",),
+                   dt_values=(0.125,), snapshot_times=(0.5,)),
               "dlr_em", (0.125,)))
     def test_cells_invariant_to_cell_set_and_equal_stored_runs(self, drawn):
         # a cell writes the same bytes alone as among the spec's other

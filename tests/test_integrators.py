@@ -263,17 +263,20 @@ class TestDlrStepsShared:
         # samples of about 1e150 keep the Gramian finite but overflow
         # the norm of the basis solve's right-hand side: the step fails
         # whatever k is, also when the solve is exact to the last bit
-        # and leaves no residual (common at k = 1 and k = d)
+        # and leaves no residual (common at k = 1 and k = d); dlr_step
+        # alone raises it, not a RuntimeWarning
         d, k, m_paths, dt, rng = setup
         model = linear_model(rng, d, 0.3)
         state = init_rank_k(rng.normal(size=(d, m_paths)) * 1e150, k)
         grid = BrownianGrid(seed=1, t0=0.0, t1=dt, n_steps=1, m=d,
                             m_paths=m_paths, increments=None)
         stepper = Stepper(model, scheme, state, grid)
-        assert not stepper.advance(rng.normal(size=(d, m_paths))
-                                   * np.sqrt(dt))
+        dw = rng.normal(size=(d, m_paths)) * np.sqrt(dt)
+        assert not stepper.advance(dw)
         assert stepper.error.startswith("ModelBlowUp at step 0")
         assert "basis solve overflowed" in stepper.error
+        with pytest.raises(ModelBlowUp, match="basis solve overflowed"):
+            dlr_step(model, state, dt, dw, scheme=scheme)
 
 
 class TestDlrEmStep:
@@ -786,7 +789,7 @@ class TestStackedStep:
                   for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde")],
               "rank", 1, 7))
     def test_stacked_advance_equals_each_cell_alone(self, setup):
-        # the stack of a walk step changes no byte of any cell, and a
+        # the stack of one harness step changes no byte of any cell, and a
         # cell that fails in it fails alone with its own error
         d, cells, failure, victim, seed = setup
         rng = np.random.default_rng(seed)
