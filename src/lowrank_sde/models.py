@@ -141,7 +141,8 @@ def toy_example_1(sigma_b=1e-8):
 
 
 def toy_example_2(sigma_b=1e-19):
-    """Same linear drift, additive diagonal noise with a zero third row."""
+    """Same linear drift, additive noise on the first two components
+    from two channels; the third row of b is zero."""
     if sigma_b < 0:
         raise SpecError("toy_example_2 needs sigma_b >= 0")
     root = np.sqrt(sigma_b)
@@ -159,13 +160,14 @@ def toy_example_2(sigma_b=1e-19):
     model = SdeModel(
         name="toy_example_2",
         d=3,
-        m=3,
+        m=2,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         a_mat=lambda t: _TOY_A,
         sigma_b_lower=None,
         c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=False),
-        description="3-d linear drift, additive degenerate noise",
+        description="3-d linear drift, additive degenerate noise on two "
+        "channels",
     )
     return model, _toy_initial_law(1e-4, 1e-9)
 
@@ -198,12 +200,13 @@ def toy_example_3(sigma_b=1e-19):
     model = SdeModel(
         name="toy_example_3",
         d=3,
-        m=3,
+        m=2,
         drift_many=drift_many,
         diffusion_dw=diffusion_dw,
         sigma_b_lower=None,
         c_lgb=c_lgb,
-        description="3-d nonlinear sine drift, additive degenerate noise",
+        description="3-d nonlinear sine drift, additive degenerate noise on "
+        "two channels",
     )
     return model, _toy_initial_law(1e-4, 1e-9)
 

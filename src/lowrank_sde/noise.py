@@ -14,12 +14,54 @@ that streams the blocks can feed them to a ``BlockSum`` as they come and
 keep no grid at all.
 """
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+# loaded now so the first Philox draw does not pay for the import
+import numpy.random
 
 from .errors import GridMismatch
+
+
+def _load_ndtri():
+    """scipy's ``ndtri`` ufunc, taken from the compiled
+    ``scipy.special._ufuncs`` without running ``scipy.special``'s
+    ``__init__``, which loads scipy's array-API layer and through it
+    ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``unittest``.
+
+    While the extension loads, ``scipy.special`` is a package
+    placeholder that carries only the real search path; it is removed
+    afterwards, so a later ``import scipy.special`` runs the real
+    ``__init__``, which reuses the loaded extension (the same ``ndtri``
+    object).  If ``scipy.special`` is already imported, or scipy lays
+    its modules out otherwise, this is a plain
+    ``from scipy.special import ndtri``.
+    """
+    if "scipy.special" not in sys.modules:
+        found = importlib.util.find_spec("scipy.special")
+        spec = importlib.machinery.ModuleSpec("scipy.special", None,
+                                              is_package=True)
+        spec.submodule_search_locations = found.submodule_search_locations
+        placeholder = importlib.util.module_from_spec(spec)
+        sys.modules["scipy.special"] = placeholder
+        try:
+            from scipy.special._ufuncs import ndtri
+            return ndtri
+        except ImportError:
+            pass
+        finally:
+            # the import system binds no ``scipy.special`` attribute for a
+            # module it did not load, so sys.modules is all to undo
+            if sys.modules.get("scipy.special") is placeholder:
+                del sys.modules["scipy.special"]
+    from scipy.special import ndtri
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 # shifts uniforms from [0, 1) into (0, 1) so ndtri never sees 0
 _OPEN_INTERVAL_SHIFT = 2.0 ** -54

@@ -59,7 +59,7 @@ def _toy_multiplicative(t, x, sigma_b=1e-8):
 
 
 def _toy_additive(t, x, sigma_b=1e-19):
-    return np.sqrt(sigma_b) * np.diag([1.0, 1.0, 0.0])
+    return np.sqrt(sigma_b) * np.eye(3, 2)
 
 
 def _sadr(t, u):

@@ -154,6 +154,34 @@ fine_factor = 1
 output_dir = {out}
 """
 
+# a low-rank sweep against a fine reference and a stability run, to
+# follow GBM_INI in one spec file
+TOY_AND_STABILITY_INI = """
+[toy]
+kind = convergence
+model = toy_example_3
+schemes = dlr_em,dlr_ps_sde
+rank = 2
+paths = 50
+seed = 3
+t_final = 0.1
+dt = 0.02,0.01
+reference = em_fine
+fine_factor = 2
+output_dir = {out}/toy
+
+[stab]
+kind = stability
+model = stability_model
+schemes = dlr_em
+rank = 2
+paths = 50
+seed = 3
+t_final = 0.1
+dt = 0.02
+output_dir = {out}/stab
+"""
+
 
 class TestExperimentSpecValidation:
     def test_valid_spec_accepted(self, tmp_path):
@@ -971,18 +999,79 @@ class TestBlasThreads:
 
 
 class TestCli:
-    def test_import_loads_no_scipy_subpackage_but_special(self):
-        # a fresh `import lowrank_sde.cli` is the setup time of every run;
-        # scipy.special (for ndtri) is the only scipy subpackage it may
-        # load (scipy.linalg alone costs about 0.3 s)
+    @staticmethod
+    def fresh_process(code):
+        """stdout of ``code`` run by a new interpreter that imports
+        lowrank_sde from this checkout."""
         src = os.path.dirname(os.path.dirname(lowrank_sde.cli.__file__))
-        code = ("import sys, lowrank_sde.cli, scipy; "
-                "print(' '.join(sorted(name for name in scipy.__all__ "
-                "if 'scipy.' + name in sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.split() == ["special"]
+        return out.stdout
+
+    def test_import_loads_no_scipy_subpackage_but_special(self):
+        # a fresh `import lowrank_sde.cli` is the setup time of every run;
+        # of scipy it loads only the compiled ufuncs behind ndtri, not
+        # scipy.special's __init__, which pulls in scipy's array-API layer
+        # and numpy.f2py, numpy.testing and numpy.ma (scipy.linalg alone
+        # would cost about 0.3 s)
+        code = ("import json, sys, lowrank_sde.cli, scipy; print(json.dumps("
+                "[sorted(name for name in scipy.__all__ "
+                "if 'scipy.' + name in sys.modules), sorted(sys.modules)]))")
+        subpackages, modules = json.loads(self.fresh_process(code))
+        assert subpackages == []
+        for name in ("scipy.special", "scipy.special._basic",
+                     "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+                     "numpy.ma"):
+            assert name not in modules
+        assert "scipy.special._ufuncs" in modules
+        assert "numpy.random" in modules
+
+    @pytest.mark.parametrize("first, second", [
+        ("lowrank_sde.noise", "scipy.special"),
+        ("scipy.special", "lowrank_sde.noise"),
+    ])
+    def test_scipy_special_imports_either_side(self, first, second):
+        # the real package init runs whenever scipy.special is imported,
+        # before or after the noise module, and shares its ndtri ufunc
+        code = ("import importlib, math\n"
+                "importlib.import_module(%r)\n"
+                "importlib.import_module(%r)\n"
+                "import scipy.special, lowrank_sde.noise\n"
+                "assert scipy.special.ndtri is lowrank_sde.noise.ndtri\n"
+                "assert abs(scipy.special.erf(0.5) - math.erf(0.5)) < 1e-15\n"
+                "assert scipy.special.logsumexp([0.0, 0.0]) == math.log(2)\n"
+                "print('ok')" % (first, second))
+        assert self.fresh_process(code).split() == ["ok"]
+
+    def test_ndtri_falls_back_to_the_package_import(self):
+        # a scipy whose scipy.special holds no _ufuncs module: the direct
+        # load fails and the noise module imports the package instead
+        code = ("import importlib.util, sys\n"
+                "find_spec = importlib.util.find_spec\n"
+                "def elsewhere(name, package=None):\n"
+                "    spec = find_spec(name, package)\n"
+                "    if name == 'scipy.special':\n"
+                "        spec.submodule_search_locations = []\n"
+                "    return spec\n"
+                "importlib.util.find_spec = elsewhere\n"
+                "import lowrank_sde.noise, scipy.special\n"
+                "assert scipy.special.ndtri is lowrank_sde.noise.ndtri\n"
+                "assert 'scipy.special._basic' in sys.modules\n"
+                "print('ok')")
+        assert self.fresh_process(code).split() == ["ok"]
+
+    def test_run_imports_nothing(self, tmp_path):
+        # every import happens before the run starts, so none of its
+        # cost is booked in a run's wall time
+        path = write_ini(tmp_path, GBM_INI.format(out=tmp_path / "gbm")
+                         + TOY_AND_STABILITY_INI.format(out=tmp_path))
+        code = ("import sys, lowrank_sde.cli\n"
+                "before = set(sys.modules)\n"
+                "assert lowrank_sde.cli.main(['run', %r]) == 0\n"
+                "print('imported:', *sorted(set(sys.modules) - before))"
+                % path)
+        assert self.fresh_process(code).splitlines()[-1] == "imported:"
 
     def test_validate_and_run_exit_zero(self, tmp_path, capsys):
         path = write_ini(tmp_path, GBM_INI.format(out=tmp_path / "cli_out"))

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lowrank_sde.errors import SpecError
 from lowrank_sde.models import (
+    MODEL_BUILDERS,
     build_model,
     gbm_oracle,
     laplacian_model,
@@ -364,8 +365,9 @@ class TestPurityAndRegistry:
     def test_vectorized_matches_per_path(self):
         # b(t, x_j) is the test oracle's, written from each model's
         # formula and independent of diffusion_dw
-        for build in (toy_example_1, toy_example_3, stability_model,
-                      sadr_model, laplacian_model, gbm_oracle):
+        for build in (toy_example_1, toy_example_2, toy_example_3,
+                      stability_model, sadr_model, laplacian_model,
+                      gbm_oracle):
             model, law = build()
             rng = np.random.default_rng(14)
             x = rng.standard_normal((model.d, 6))
@@ -381,6 +383,15 @@ class TestPurityAndRegistry:
                     rtol=1e-12,
                     atol=1e-18,
                 )
+
+    def test_every_noise_channel_is_read(self):
+        # a channel b never reads is a row of normals drawn for nothing
+        rng = np.random.default_rng(15)
+        for name in MODEL_BUILDERS:
+            model, _ = build_model(name, {})
+            b = diffusion(model, 0.25, rng.standard_normal(model.d))
+            assert b.shape == (model.d, model.m)
+            assert np.all(np.any(b != 0.0, axis=0)), name
 
     def test_registry_dispatch(self):
         model, _ = build_model("toy_example_1", {"sigma_b": 1e-6})

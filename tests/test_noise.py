@@ -43,6 +43,18 @@ class TestGenerate:
         alone = np.sqrt(g.dt) * _standard_normal_block(seed, step, m, m_paths)
         assert np.array_equal(alone, g.increments[step])
 
+    @PROPERTY
+    @given(seeds, st.integers(0, 2 ** 63 - 1), st.integers(2, 6),
+           path_counts, st.data())
+    def test_fewer_channels_draw_the_leading_rows(self, seed, step, m,
+                                                  m_paths, data):
+        # Philox fills a block row by row, so a model with fewer noise
+        # channels draws exactly the leading rows of a wider model's block
+        fewer = data.draw(st.integers(1, m - 1))
+        wide = _standard_normal_block(seed, step, m, m_paths)
+        assert np.array_equal(
+            _standard_normal_block(seed, step, fewer, m_paths), wide[:fewer])
+
     def test_node_time_equals_times_entry(self):
         for t0, t1, n in ((0.0, 1.0, 10), (-0.3, 2.7, 7), (1e-3, 0.1, 33)):
             g = generate(19, t0, t1, n, 1, 1)
