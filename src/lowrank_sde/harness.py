@@ -36,10 +36,11 @@ the other cells (in a sweep, while the finest dt stays).
 
 ``run_experiment`` runs every kind: it sets up, runs the kind's body and
 writes a ``manifest.json`` recording the resolved spec, the library
-version, wall time, the BLAS thread counts, the body's summary and a
-SHA-256 digest of each file written; re-running a spec reproduces every
-CSV byte for byte.  Outputs are named by the %g labels of dts and
-snapshot times, so values that share a label fail validation.
+version, wall time, the BLAS thread counts, the body's summary (a
+non-finite number as null) and a SHA-256 digest of each file written;
+re-running a spec reproduces every CSV byte for byte.  Outputs are
+named by the %g labels of dts and snapshot times, so values that share
+a label fail validation.
 """
 
 import configparser
@@ -97,18 +98,13 @@ STABLE_FACTOR = 1e-3
 UNSTABLE_FACTOR = 10.0
 GRAMIAN_FLOOR_FRACTION = 0.8
 
-_BOOL_WORDS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
-
 
 def _parse_bool(section, key, raw):
     word = raw.strip().lower()
-    if word not in _BOOL_WORDS:
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
         raise SpecError("[%s] %s: expected a boolean, got %r"
                         % (section, key, raw))
-    return _BOOL_WORDS[word]
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
 def _parse_floats(section, key, raw):
@@ -392,8 +388,13 @@ def _write_manifest(spec, outputs, wall_seconds, summary, blas_threads):
         "summary": summary,
     }
     with open(os.path.join(spec.output_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _json_float(x):
+    """x as a float, or None (JSON null) when it is not finite."""
+    return float(x) if np.isfinite(x) else None
 
 
 def _write_rows(path, header, rows):
@@ -615,7 +616,8 @@ def _convergence(spec, path, model, samples, state0):
 
     failures = _failures(cells)
     summary = {
-        "fitted_orders": {"%s vs %s" % key: reports[key].fitted_order
+        "fitted_orders": {"%s vs %s" % key:
+                          _json_float(reports[key].fitted_order)
                           for key in reports},
         "failures": failures,
         "fine_steps": n_fine,
@@ -776,7 +778,8 @@ def _single_run(spec, path, model, samples, state0):
                   for i in range(n + 1)]
     _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k", trace_rows)
 
-    summary = {"final_mean_square_norm": float(cell.mean_square_norms[-1]),
+    summary = {"final_mean_square_norm":
+               _json_float(cell.mean_square_norms[-1]),
                "horizons": _horizons([(scheme, dt, cell)])}
     return {"trajectory": cell}, summary
 

@@ -162,13 +162,12 @@ _Move = namedtuple("_Move", "t t_next y_moved y_ref c_mat rhs u_new "
 
 def _move(model, state, dt, dw, *, moved_gramian, full_increment,
           fast_linear=False, debug=False, rank_policy="abort",
-          t_next=None, node_gramian=None):
+          t_next=None):
     """Move phase of one low-rank step, all of its d x M work: evaluate
     the model, move the samples by w = a dt + b dW, form the basis solve.
     The flags pick the scheme (module table); the linear shortcut needs
     the old-samples Gramian.  ``t_next`` (default state.t + dt) labels
-    the new state; ``node_gramian`` is ``gramian(state.y)``, if the
-    caller has it."""
+    the new state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if dw.shape != (model.m, state.m_paths):
@@ -187,9 +186,7 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
     y_moved = state.y + u @ w
     _check_finite(y_moved, t, "coefficient samples")
     y_ref = y_moved if moved_gramian else state.y
-    c_mat = node_gramian
-    if moved_gramian or c_mat is None:
-        c_mat = gramian(y_ref)
+    c_mat = gramian(y_ref)
     if not np.isfinite(c_mat).all():
         sq = np.sum(y_ref * y_ref, axis=0)
         j = int(np.argmax(~np.isfinite(sq)))
@@ -399,7 +396,6 @@ class Stepper:
                                    if keep and sigma_min else None)
         self.node_indices, self.node_values, self.node_states = [], [], []
         self.error = None
-        self._node_gramian = None
         self.node = 0
         with np.errstate(over="ignore", invalid="ignore"):
             self._reach_node()
@@ -419,8 +415,7 @@ class Stepper:
         if self.low_rank:
             self.mean_square_norms[i] = mean_square_norm(self.state.y)
             if self.sigma_min_gramians is not None:
-                self._node_gramian = gramian(self.state.y)
-                self.sigma_min_gramians[i] = sigma_min(self._node_gramian)
+                self.sigma_min_gramians[i] = sigma_min(gramian(self.state.y))
         else:
             self.mean_square_norms[i] = mean_square_norm(self.state)
         if i in self._record_set:
@@ -474,7 +469,6 @@ def advance_all(pairs):
             try:
                 move = _move(stepper._model, stepper.state, stepper._dt, dw,
                              t_next=stepper._time(stepper.node + 1),
-                             node_gramian=stepper._node_gramian,
                              **stepper._options)
             except _FAILURES as exc:
                 stepper._fail(exc)

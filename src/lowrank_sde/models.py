@@ -80,135 +80,102 @@ _TOY_A = np.array(
 )
 
 
-def _toy_linear_growth_constant(sigma_b, multiplicative):
-    smax_sq = np.linalg.norm(_TOY_A, 2) ** 2
+def _toy_linear_drift(t, x):
+    return _TOY_A @ x
+
+
+def _toy_sine_drift(t, x):
+    s = np.sin(x[0])
+    r12 = -3.0 * s + 0.1 * x[1] + 0.001 * x[2]
+    out = np.empty_like(x)
+    out[0] = r12
+    out[1] = r12
+    out[2] = -4.0 * s - 4.0 * x[1] - 4.0 * x[2]
+    return out
+
+
+def _toy_model(name, sigma_b, description, multiplicative=False,
+               sine_drift=False, width2=1e-9):
+    """(model, law) of a toy system: the linear drift _TOY_A x or its sine
+    variant, with diagonal multiplicative noise on three channels or
+    additive noise on the first two components from two channels (third
+    row of b zero).  The law is X_i(0) = 0.1 - Uniform(-width_i, width_i)
+    for i = 1, 2 with width_1 = 1e-4, third component 0."""
+    if multiplicative and not sigma_b > 0:
+        raise SpecError("%s needs sigma_b > 0" % name)
+    if sigma_b < 0:
+        raise SpecError("%s needs sigma_b >= 0" % name)
+    root = np.sqrt(sigma_b)
+    if sine_drift:
+        # |row12|^2 <= 3(9 + 0.01 x2^2 + 1e-6 x3^2),
+        # |row3|^2 <= 3(16 + 16 x2^2 + 16 x3^2)
+        c_drift = 102.0
+    else:
+        c_drift = np.linalg.norm(_TOY_A, 2) ** 2
+
     if multiplicative:
+        def diffusion_dw(t, x, dw):
+            g = 1.0 + 6.0 * (np.abs(x[0]) + np.abs(x[1]))
+            out = np.empty_like(x)
+            out[0] = root * g * dw[0]
+            out[1] = root * g * dw[1]
+            out[2] = root * dw[2]
+            return out
+
         # (1 + 6(|x1|+|x2|))^2 <= 2 + 144 |x|^2, two such diagonal entries
         # plus the constant third one
-        return smax_sq + 288.0 * sigma_b + 5.0 * sigma_b
-    return smax_sq + 2.0 * sigma_b
+        c_lgb = c_drift + 288.0 * sigma_b + 5.0 * sigma_b
+    else:
+        def diffusion_dw(t, x, dw):
+            out = np.empty_like(x)
+            out[0] = root * dw[0]
+            out[1] = root * dw[1]
+            out[2] = 0.0
+            return out
 
+        c_lgb = c_drift + 2.0 * sigma_b
 
-def _toy_initial_law(width1, width2):
     def sampler(seed, m_paths):
-        """X_i(0) = 0.1 - Uniform(-width_i, width_i) for i = 1, 2; third
-        component 0."""
         gen = _init_generator(seed)
-        un = np.vstack(
-            [
-                gen.uniform(-width1, width1, size=m_paths),
-                gen.uniform(-width2, width2, size=m_paths),
-            ]
-        )
+        un = np.vstack([gen.uniform(-1e-4, 1e-4, size=m_paths),
+                        gen.uniform(-width2, width2, size=m_paths)])
         samples = np.zeros((3, m_paths))
-        samples[0] = 0.1 - un[0]
-        samples[1] = 0.1 - un[1]
+        samples[:2] = 0.1 - un
         return samples
 
-    return sampler
+    model = SdeModel(
+        name=name,
+        d=3,
+        m=3 if multiplicative else 2,
+        drift_many=_toy_sine_drift if sine_drift else _toy_linear_drift,
+        diffusion_dw=diffusion_dw,
+        a_mat=None if sine_drift else (lambda t: _TOY_A),
+        sigma_b_lower=sigma_b if multiplicative else None,
+        c_lgb=c_lgb,
+        description=description,
+    )
+    return model, sampler
 
 
 def toy_example_1(sigma_b=1e-8):
     """Linear drift with state-dependent diagonal noise, uniformly elliptic."""
-    if not sigma_b > 0:
-        raise SpecError("toy_example_1 needs sigma_b > 0")
-    root = np.sqrt(sigma_b)
-
-    def drift_many(t, x):
-        return _TOY_A @ x
-
-    def diffusion_dw(t, x, dw):
-        g = 1.0 + 6.0 * (np.abs(x[0]) + np.abs(x[1]))
-        out = np.empty_like(x)
-        out[0] = root * g * dw[0]
-        out[1] = root * g * dw[1]
-        out[2] = root * dw[2]
-        return out
-
-    model = SdeModel(
-        name="toy_example_1",
-        d=3,
-        m=3,
-        drift_many=drift_many,
-        diffusion_dw=diffusion_dw,
-        a_mat=lambda t: _TOY_A,
-        sigma_b_lower=sigma_b,
-        c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=True),
-        description="3-d linear drift, diagonal multiplicative noise with "
-        "uniform ellipticity sigma_b",
-    )
-    return model, _toy_initial_law(1e-4, 1e-4)
+    return _toy_model("toy_example_1", sigma_b, "3-d linear drift, diagonal "
+                      "multiplicative noise with uniform ellipticity sigma_b",
+                      multiplicative=True, width2=1e-4)
 
 
 def toy_example_2(sigma_b=1e-19):
     """Same linear drift, additive noise on the first two components
     from two channels; the third row of b is zero."""
-    if sigma_b < 0:
-        raise SpecError("toy_example_2 needs sigma_b >= 0")
-    root = np.sqrt(sigma_b)
-
-    def drift_many(t, x):
-        return _TOY_A @ x
-
-    def diffusion_dw(t, x, dw):
-        out = np.empty_like(x)
-        out[0] = root * dw[0]
-        out[1] = root * dw[1]
-        out[2] = 0.0
-        return out
-
-    model = SdeModel(
-        name="toy_example_2",
-        d=3,
-        m=2,
-        drift_many=drift_many,
-        diffusion_dw=diffusion_dw,
-        a_mat=lambda t: _TOY_A,
-        sigma_b_lower=None,
-        c_lgb=_toy_linear_growth_constant(sigma_b, multiplicative=False),
-        description="3-d linear drift, additive degenerate noise on two "
-        "channels",
-    )
-    return model, _toy_initial_law(1e-4, 1e-9)
+    return _toy_model("toy_example_2", sigma_b, "3-d linear drift, additive "
+                      "degenerate noise on two channels")
 
 
 def toy_example_3(sigma_b=1e-19):
     """Nonlinear (sine) drift variant of toy_example_2."""
-    if sigma_b < 0:
-        raise SpecError("toy_example_3 needs sigma_b >= 0")
-    root = np.sqrt(sigma_b)
-
-    def drift_many(t, x):
-        s = np.sin(x[0])
-        r12 = -3.0 * s + 0.1 * x[1] + 0.001 * x[2]
-        out = np.empty_like(x)
-        out[0] = r12
-        out[1] = r12
-        out[2] = -4.0 * s - 4.0 * x[1] - 4.0 * x[2]
-        return out
-
-    def diffusion_dw(t, x, dw):
-        out = np.empty_like(x)
-        out[0] = root * dw[0]
-        out[1] = root * dw[1]
-        out[2] = 0.0
-        return out
-
-    # |row12|^2 <= 3(9 + 0.01 x2^2 + 1e-6 x3^2), |row3|^2 <= 3(16 + 16 x2^2 + 16 x3^2)
-    c_lgb = 102.0 + 2.0 * sigma_b
-
-    model = SdeModel(
-        name="toy_example_3",
-        d=3,
-        m=2,
-        drift_many=drift_many,
-        diffusion_dw=diffusion_dw,
-        sigma_b_lower=None,
-        c_lgb=c_lgb,
-        description="3-d nonlinear sine drift, additive degenerate noise on "
-        "two channels",
-    )
-    return model, _toy_initial_law(1e-4, 1e-9)
+    return _toy_model("toy_example_3", sigma_b, "3-d nonlinear sine drift, "
+                      "additive degenerate noise on two channels",
+                      sine_drift=True)
 
 
 # ---------------------------------------------------------------------------

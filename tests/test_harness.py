@@ -1,5 +1,7 @@
 """Tests for the INI-driven experiment harness and its CLI."""
 
+import configparser
+import hashlib
 import json
 import os
 import subprocess
@@ -438,14 +440,35 @@ output_dir = {out}
             == ["first", "second"]
 
     def test_boolean_words(self, tmp_path):
-        body = GBM_INI.format(out=tmp_path) + "debug_identities = on\n"
-        assert load_specs(write_ini(tmp_path, body))[0].debug_identities
-        bad = GBM_INI.format(out=tmp_path) + "debug_identities = maybe\n"
-        with pytest.raises(SpecError, match="boolean"):
-            load_specs(write_ini(tmp_path, bad))
+        for word, value in configparser.ConfigParser.BOOLEAN_STATES.items():
+            for raw in (word, word.upper(), "  %s  " % word):
+                body = (GBM_INI.format(out=tmp_path)
+                        + "debug_identities = %s\n" % raw)
+                spec = load_specs(write_ini(tmp_path, body))[0]
+                assert spec.debug_identities is value, raw
+        for raw in ("2", "maybe"):
+            bad = GBM_INI.format(out=tmp_path) + "debug_identities = %s\n" % raw
+            with pytest.raises(SpecError, match="boolean"):
+                load_specs(write_ini(tmp_path, bad))
 
 
 class TestRunConvergence:
+    def test_unfitted_orders_are_json_null(self, tmp_path):
+        # two points fit no order; the manifest must stay strict JSON
+        spec = make_spec(tmp_path, model="toy_example_2", schemes=("dlr_em",),
+                         rank=2, paths=50, dt_values=(0.1, 0.05),
+                         reference="em_fine", fine_factor=2)
+        run_experiment(spec)
+
+        def reject(constant):
+            raise ValueError("non-standard JSON constant %s" % constant)
+
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        orders = json.loads(text, parse_constant=reject)["summary"][
+            "fitted_orders"]
+        assert orders == {"dlr_em vs em_fine": None,
+                          "dlr_em vs dlr_ps_sde_fine": None}
+
     def test_exact_reference_recovers_half_order(self, tmp_path):
         spec = make_spec(tmp_path, paths=400,
                          dt_values=(0.1, 0.05, 0.025, 0.0125))
@@ -1191,6 +1214,9 @@ output_dir = {out}
                       "toy_example_3", "stability_model", "sadr_model",
                       "laplacian_model"):
             assert name in out
+        # the whole listing: names, d, m and descriptions, byte for byte
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ab3cdba051d81789244e67f42704de53770f2b74cd730f3813a92b394cc3bff3")
 
 
 FUZZ_BASE = {"kind": "stability", "model": "toy_example_1",

@@ -854,3 +854,34 @@ class TestStackedStep:
         with pytest.raises(ValueError, match="non-finite"):
             dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
                      scheme="dlr_ps_sde")
+
+    @staticmethod
+    def skewed_qr(deficient_on_requr):
+        """``reduced_qr`` whose stacked call returns a basis 1e-9 off
+        orthonormal, so the settle must re-orthonormalize; the second,
+        2-d call optionally reports column 1 deficient."""
+        def qr(a):
+            q, r, deficient = reduced_qr(a)
+            if np.ndim(a) == 3:
+                return q + 1e-9, r, deficient
+            return q, r, 1 if deficient_on_requr else deficient
+        return qr
+
+    def test_lost_orthonormality_is_restored(self, monkeypatch):
+        monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
+                            self.skewed_qr(False))
+        model, state = toy_state(m_paths=50)
+        with pytest.warns(UserWarning, match="basis lost orthonormality"):
+            new = dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
+                           scheme="dlr_ps_sde")
+        assert np.linalg.norm(new.u @ new.u.T - np.eye(2)) < 1e-14
+
+    def test_rank_deficient_reorthonormalization_fails(self, monkeypatch):
+        monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
+                            self.skewed_qr(True))
+        model, state = toy_state(m_paths=50)
+        with pytest.warns(UserWarning, match="basis lost orthonormality"):
+            with pytest.raises(StepFailed, match=r"re-orthonormalization "
+                               r"found a rank-deficient basis \(column 1\)"):
+                dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
+                         scheme="dlr_ps_sde")

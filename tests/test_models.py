@@ -399,6 +399,16 @@ class TestPurityAndRegistry:
         model, _ = build_model("stability_model", {"d": 12})
         assert model.d == 12
 
+    @pytest.mark.parametrize("builder, sigma_b, message", [
+        (toy_example_1, 0.0, "toy_example_1 needs sigma_b > 0"),
+        (toy_example_2, -1.0, "toy_example_2 needs sigma_b >= 0"),
+        (toy_example_3, -1.0, "toy_example_3 needs sigma_b >= 0"),
+    ])
+    def test_toy_sigma_b_checks(self, builder, sigma_b, message):
+        with pytest.raises(SpecError) as info:
+            builder(sigma_b=sigma_b)
+        assert str(info.value) == message
+
     def test_registry_rejects_unknown(self):
         with pytest.raises(SpecError):
             build_model("no_such_model")
