@@ -44,6 +44,24 @@ class ModelBlowUp(LowRankSdeError):
         self.path = path
 
 
+class EnsembleUnderflow(LowRankSdeError):
+    """The sample Gramian fell below the range the basis solve can
+    resolve: the ensemble contracted towards the float underflow limit.
+
+    Attributes
+    ----------
+    t : float
+        Time of the step that found it.
+    path : int
+        Index of the path with the largest samples.
+    """
+
+    def __init__(self, message, t, path):
+        super().__init__(message)
+        self.t = t
+        self.path = path
+
+
 class StepFailed(LowRankSdeError):
     """An integrator step could not complete (rank-deficient QR,
     non-finite intermediate, or a debug identity violation)."""

@@ -29,8 +29,12 @@ identity (``_move``).
 A step moves each cell alone (``_move``, all its d x M work), then
 settles all cells that step together as one stack (``_settle``): one
 eigh and one QR outside debug mode, whatever the rank verdicts, and an
-SVD only for a basis the QR reports rank deficient; ``dlr_step`` is a
-stack of one.  Overflow is ``ModelBlowUp``.
+SVD only for a basis the QR reports rank deficient, then one pass per
+cell; ``dlr_step`` is a stack of one.  Each array is checked once: the
+move scans its moved samples and, only when that scan fails, names the
+drift, the diffusion increment or the samples; the solve's guard reads
+the solve itself.  Overflow is ``ModelBlowUp``; a Gramian below the range
+the solve can resolve is ``EnsembleUnderflow``.
 
 ``Stepper`` is one run of one scheme, fed one Brownian increment at a
 time, and its record; ``advance_all`` steps many at once, and
@@ -52,7 +56,8 @@ from .ensemble import (
     reconstruct,
     sigma_min,
 )
-from .errors import LowRankSdeError, ModelBlowUp, StepFailed
+from .errors import (EnsembleUnderflow, LowRankSdeError, ModelBlowUp,
+                     StepFailed)
 from .linalg import (DEFAULT_PINV_RELATIVE_THRESHOLD, reduced_qr,
                      solve_spsd_minnorm)
 
@@ -64,6 +69,10 @@ _IDENTITY_TOL = 1e-8
 # solve keeps the full spectrum; truncated directions contribute up to
 # sqrt(k * relative threshold) ~ 1e-5 of the cloud norm
 _IDENTITY_TOL_TRUNCATED = 1e-5
+# below this largest entry the Gramian's kept eigenvalues (those above
+# DEFAULT_PINV_RELATIVE_THRESHOLD times the largest) can be subnormal
+# and their inverses overflow, so the basis solve cannot resolve it
+_UNDERFLOW_GRAMIAN = np.finfo(float).tiny / DEFAULT_PINV_RELATIVE_THRESHOLD
 
 RANK_POLICIES = ("abort", "svd")
 
@@ -179,20 +188,26 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
     a = model.drift_many(t, x)
     bdw = model.diffusion_dw(t, x, dw)
     w = a * dt + bdw
-    if not np.isfinite(w).all():
-        # a non-finite a or b dW makes w non-finite: one scan clears both
+    y_moved = state.y + u @ w
+    if not np.isfinite(y_moved).all():
+        # 0 * inf is NaN: a non-finite w spoils its whole column of u @ w
         _check_finite(a, t, "drift")
         _check_finite(bdw, t, "diffusion increment")
-    y_moved = state.y + u @ w
-    _check_finite(y_moved, t, "coefficient samples")
+        _check_finite(y_moved, t, "coefficient samples")
     y_ref = y_moved if moved_gramian else state.y
     c_mat = gramian(y_ref)
-    if not np.isfinite(c_mat).all():
+    c_max = np.max(np.abs(c_mat))  # NaN or inf if any entry is
+    if not np.isfinite(c_max):
         sq = np.sum(y_ref * y_ref, axis=0)
         j = int(np.argmax(~np.isfinite(sq)))
         raise ModelBlowUp(
             "sample second moments overflowed at t=%.6g on path %d"
             % (t, j), t=t, path=j)
+    if c_max < _UNDERFLOW_GRAMIAN and np.any(y_ref):
+        j = int(np.argmax(np.max(np.abs(y_ref), axis=0)))
+        raise EnsembleUnderflow(
+            "ensemble underflowed at t=%.6g: largest Gramian entry %.3e; "
+            "largest samples on path %d" % (t, c_max, j), t=t, path=j)
     rhs = u_new = None
     if fast_linear and not moved_gramian and model.is_linear_drift:
         u_new = u + _without_row_span(u @ model.a_mat(t).T, u) * dt
@@ -243,13 +258,11 @@ def _settle(moves):
         c_mat = np.array([moves[j].c_mat for j in solving])
         rhs = np.array([moves[j].rhs for j in solving])
         solved = solve_spsd_minnorm(c_mat, rhs)
-        residuals = np.linalg.norm(c_mat @ solved - rhs, axis=(1, 2))
-        for j, u_j, res, scale in zip(solving, solved, residuals,
-                                      np.linalg.norm(rhs, axis=(1, 2))):
+        for j, u_j, scale in zip(solving, solved,
+                                 np.linalg.norm(rhs, axis=(1, 2))):
             move = moves[j]
-            if not np.isfinite(scale) or (scale > 0.0
-                                          and not np.isfinite(res / scale)):
-                # ||B|| overflows once samples pass ~1e77, residual or not
+            if not (np.isfinite(scale) and np.isfinite(u_j).all()):
+                # ||B|| overflows past samples of ~1e77, C^+ B if B outgrows C
                 p = int(np.argmax(np.max(np.abs(move.y_ref), axis=0)))
                 raise ModelBlowUp(
                     "basis solve overflowed at t=%.6g; largest samples on "
@@ -257,15 +270,11 @@ def _settle(moves):
             u_new[j] = u_j
 
     q, r, deficient = reduced_qr(np.array([u.T for u in u_new]))
-    new = [(q_j.T, r_j @ move.y_moved) if column < 0
-           else _svd_refactor(u_j, move, column)
-           for u_j, move, q_j, r_j, column in zip(u_new, moves, q, r,
-                                                   deficient)]
-    u_plus = np.array([u for u, _ in new])
-    defects = np.linalg.norm(u_plus @ np.swapaxes(u_plus, 1, 2)
-                             - np.eye(u_plus.shape[1]), axis=(1, 2))
     states = []
-    for move, u_n, (u_p, y_p), defect in zip(moves, u_new, new, defects):
+    for move, u_n, q_j, r_j, column in zip(moves, u_new, q, r, deficient):
+        u_p, y_p = ((q_j.T, r_j @ move.y_moved) if column < 0
+                    else _svd_refactor(u_n, move, column))
+        defect = np.linalg.norm(u_p @ u_p.T - np.eye(u_p.shape[0]))
         if defect > ORTHONORMALITY_TOL:
             warnings.warn("basis lost orthonormality (defect %.3e), "
                           "re-orthonormalizing" % defect)

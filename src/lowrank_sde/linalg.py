@@ -96,8 +96,6 @@ def solve_spsd_minnorm(c, b):
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
-    if b.ndim == c.ndim - 1:
-        b = b[..., np.newaxis]
     if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
         raise DimensionMismatch("c must be square, got shape %r" % (c.shape,))
     if b.shape[:-1] != c.shape[:-1]:

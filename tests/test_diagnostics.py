@@ -14,6 +14,7 @@ from lowrank_sde.diagnostics import (
     k1_bound,
     k4_bound,
     l2_sup_error,
+    l2_sup_errors,
     relative_l2_sup_error,
     write_bound_trace_csv,
     write_error_report_csv,
@@ -97,6 +98,12 @@ class TestGramianBounds:
             closed = gramian_bound_refined(sigma_0, sigma_b, c, k_bound,
                                            dt, n + 1)
             assert_allclose(value, closed, rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma_0, dt, n", [
+        (-1.0, 0.1, 0), (1.0, 0.0, 0), (1.0, 0.1, -1)])
+    def test_refined_bound_rejects_bad_inputs(self, sigma_0, dt, n):
+        with pytest.raises(ValueError, match="non-negative with dt > 0"):
+            gramian_bound_refined(sigma_0, 1e-3, 1.0, 1.0, dt, n)
 
     def test_refined_bound_monotone_in_n(self):
         # A/dt = 10 here, so the geometric term is far from saturation
@@ -242,6 +249,13 @@ class TestL2SupError:
         ref = synthetic_trajectory([3], base, 3)
         assert_allclose(relative_l2_sup_error(a, ref), 0.25, rtol=1e-12)
         assert relative_l2_sup_error(ref, ref) == 0.0
+
+    def test_folded_errors_on_a_zero_reference(self):
+        # a zero reference leaves the relative error 0 for a zero
+        # difference and inf for any other
+        assert l2_sup_errors(np.zeros(4), np.zeros(4)) == (0.0, 0.0)
+        assert l2_sup_errors(np.full(4, 4.0), np.zeros(4)) == (2.0, np.inf)
+        assert l2_sup_errors(np.full(4, 4.0), np.full(4, 16.0)) == (2.0, 0.5)
 
 
 class TestFitOrder:

@@ -4,8 +4,9 @@ A fixed spec set runs through the INI parser and ``run_experiment``, and
 the sha256 of every CSV it writes is compared with a pinned value and
 with the digests its manifest lists.  The set
 covers all four experiment kinds, all four schemes, all three
-references, both rank policies, the linear-drift shortcut, the debug
-identities and failing cells (``dlr_em`` collapsing on
+references, both rank policies, the refined Gramian floor's node-0 cap
+(``toy1_sv``; ``sadr_sv``'s model has no sigma_b), the linear-drift
+shortcut, the debug identities and failing cells (``dlr_em`` collapsing on
 ``toy_example_3``; the rank-deficient ``sadr_model`` start under the
 ``abort`` policy).  A refactor that keeps the numerical behaviour keeps
 these digests; a change that alters an output on purpose re-pins them
@@ -73,6 +74,16 @@ seed = 34
 t_final = 0.5
 dt = 0.05, 0.025
 rank_policy = svd
+
+[toy1_sv]
+kind = singular_values
+model = toy_example_1
+schemes = dlr_em, dlr_ps_em, dlr_ps_sde
+rank = 2
+paths = 200
+seed = 38
+t_final = 0.1
+dt = 0.02, 0.01
 
 [stab]
 kind = stability
@@ -166,6 +177,25 @@ GOLDEN = {
             "1cfa07a9a33f8afd364f4cd425fe8616d66201830c1c71b094dd5015f284d503",
         "trace.csv":
             "7825fa35d2f8ee82c52ed25e508951ad5d951a62277783ae671476e7a2b715b6",
+    },
+    "toy1_sv": {
+        # sigma_b > 0, so node 0 of bound_refined is the floor's cap
+        # sigma_b^2 / (4 c (1 + K)); T = 0.1 keeps K small enough
+        # (k1 ~ 4e14, k4 ~ 3e4) that 1 + K differs from K
+        "singular_values_dlr_em_dt0.01.csv":
+            "fd3daed21ad9fe0d654e11ccf5aeafbacea0bedecb72ed94da8ad867eceb45ed",
+        "singular_values_dlr_em_dt0.02.csv":
+            "50f7ac7586db68c625fcb48ac4ce6a6fe4d0ad00da68b0953f17b10269dd7b19",
+        "singular_values_dlr_ps_em_dt0.01.csv":
+            "7999cddeb7e2a188053ee1927cd82e3e87a16c45a86bb30ba1b9758ac0703d8f",
+        "singular_values_dlr_ps_em_dt0.02.csv":
+            "609ca274ea7d93614e6cd15936a8fb5ab5059a4a4257147cdf266633703ab398",
+        "singular_values_dlr_ps_sde_dt0.01.csv":
+            "1de22e68e89adc4879bbbf120694d5e61a0c6647315712df3e529d3dbc194fc1",
+        "singular_values_dlr_ps_sde_dt0.02.csv":
+            "af084c843f60d42d8a99e5168a4d86e19511cf520dfbcfbfb1f2c26e34439b36",
+        "violations.csv":
+            "97d961df5a0b0a7f410b6a51fd61cd58b8a848eee35965b037a40be979341fd1",
     },
     "toy2_conv": {
         "errors_dlr_em_vs_dlr_ps_sde_fine.csv":

@@ -454,20 +454,27 @@ output_dir = {out}
 
 class TestRunConvergence:
     def test_unfitted_orders_are_json_null(self, tmp_path):
-        # two points fit no order; the manifest must stay strict JSON
-        spec = make_spec(tmp_path, model="toy_example_2", schemes=("dlr_em",),
-                         rank=2, paths=50, dt_values=(0.1, 0.05),
-                         reference="em_fine", fine_factor=2)
-        run_experiment(spec)
-
+        # the manifest must stay strict JSON
         def reject(constant):
             raise ValueError("non-standard JSON constant %s" % constant)
 
-        text = (tmp_path / "out" / "manifest.json").read_text()
-        orders = json.loads(text, parse_constant=reject)["summary"][
-            "fitted_orders"]
-        assert orders == {"dlr_em vs em_fine": None,
-                          "dlr_em vs dlr_ps_sde_fine": None}
+        for name, overrides, expected in [
+                # two points fit no order
+                ("two", dict(model="toy_example_2", schemes=("dlr_em",),
+                             rank=2, paths=50, dt_values=(0.1, 0.05),
+                             reference="em_fine", fine_factor=2),
+                 {"dlr_em vs em_fine": None,
+                  "dlr_em vs dlr_ps_sde_fine": None}),
+                # nor do errors that are exactly zero (constant paths),
+                # which fit_order would reject in the middle of the run
+                ("zero", dict(model_overrides={"mu": 0.0, "sigma": 0.0}),
+                 {"em vs exact": None})]:
+            run_experiment(make_spec(tmp_path, output_dir=str(
+                tmp_path / name), **overrides))
+            text = (tmp_path / name / "manifest.json").read_text()
+            orders = json.loads(text, parse_constant=reject)["summary"][
+                "fitted_orders"]
+            assert orders == expected
 
     def test_exact_reference_recovers_half_order(self, tmp_path):
         spec = make_spec(tmp_path, paths=400,
@@ -764,6 +771,9 @@ class TestClassifyStability:
         assert classify_stability(1.0, 1e-4, True) == "stable"
         assert classify_stability(1.0, 50.0, True) == "unstable"
         assert classify_stability(1.0, 0.5, True) == "inconclusive"
+        # both cuts are strict
+        assert classify_stability(1.0, 1e-3, True) == "inconclusive"
+        assert classify_stability(1.0, 10.0, True) == "inconclusive"
         assert classify_stability(1.0, np.inf, True) == "unstable"
         assert classify_stability(1.0, np.nan, True) == "unstable"
         # failure after contracting below threshold still counts stable
@@ -841,6 +851,24 @@ class TestRunStability:
                                output_dir=str(tmp_path / "svd")))
         assert json.loads((tmp_path / "svd" / "manifest.json").read_text())[
             "summary"]["failures"] == []
+
+    def test_underflowing_cells_are_stable_and_report_underflow(self,
+                                                                tmp_path):
+        # every scheme contracts this ensemble towards the float underflow
+        # limit (t ~ 7.4 at dt 0.05, ~ 11.8 at dt 0.02); each cell is
+        # stable, and its failure is the underflow, not a blow-up of the
+        # basis solve or a rank-deficient basis built from subnormals
+        spec = self.stab_spec(tmp_path, "under", paths=200, seed=35,
+                              t_final=20.0, dt_values=(0.05, 0.02))
+        out = run_experiment(spec)
+        summary = json.loads(
+            (tmp_path / "under" / "manifest.json").read_text())["summary"]
+        assert list(summary["classification"].values()) == ["stable"] * 6
+        assert [(f["scheme"], f["dt"]) for f in summary["failures"]] == [
+            (scheme, dt) for scheme in spec.schemes for dt in (0.05, 0.02)]
+        for failure in summary["failures"]:
+            assert failure["error"].startswith("EnsembleUnderflow at step ")
+        assert out["failures"] == summary["failures"]
 
     def test_cell_matches_integrate_over_generate(self, tmp_path):
         spec = self.stab_spec(tmp_path, "stab")

@@ -14,7 +14,7 @@ from lowrank_sde.ensemble import (
     mean_square_norm,
     reconstruct,
 )
-from lowrank_sde.errors import ModelBlowUp, StepFailed
+from lowrank_sde.errors import EnsembleUnderflow, ModelBlowUp, StepFailed
 import lowrank_sde.integrators
 from lowrank_sde.integrators import (
     Stepper,
@@ -147,8 +147,12 @@ class TestEmStep:
             em_step(model, np.zeros((4, 5)), 0.0, 0.1, np.zeros((2, 5)))
         with pytest.raises(ValueError):
             em_step(model, np.zeros((3, 5)), 0.0, 0.1, np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            em_step(model, np.zeros((3, 5)), 0.0, -0.1, np.zeros((2, 5)))
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                em_step(model, np.zeros((3, 5)), 0.0, dt, np.zeros((2, 5)))
+            with pytest.raises(ValueError, match="dt must be positive"):
+                dlr_step(model, init_rank_k(np.ones((3, 5)), 1), dt,
+                         np.zeros((2, 5)), scheme="dlr_em")
 
 
 class TestDlrStepsShared:
@@ -256,15 +260,70 @@ class TestDlrStepsShared:
         with pytest.raises(ModelBlowUp):
             dlr_step(model, state, 0.5, np.zeros((1, 3)), scheme="dlr_ps_em")
 
+    @pytest.mark.parametrize("fault, error, what", [
+        ("drift", ModelBlowUp, "non-finite drift"),
+        ("diffusion", ModelBlowUp, "non-finite diffusion increment"),
+        ("moved", ModelBlowUp, "non-finite coefficient samples"),
+        ("moments", ModelBlowUp, "sample second moments overflowed"),
+        ("underflow", EnsembleUnderflow, "ensemble underflowed")])
+    def test_failure_names_its_cause_and_path(self, fault, error, what):
+        # path 2 of 4 goes bad.  The drift and diffusion faults lie in the
+        # row outside the basis span, which u @ w still carries into the
+        # scanned y_moved, as 0 * inf is NaN; "moved" overflows y + u w
+        # with a finite w, "moments" the Gramian with finite samples, and
+        # "underflow" leaves the Gramian near 1e-300, where the solve's
+        # kept eigenvalues can be subnormal (path 2 has the largest)
+        def bad_row(x):
+            out = np.zeros_like(x)
+            out[1, 2] = np.inf
+            return out
+
+        drift = {"drift": bad_row, "moved": np.copy}.get(fault, np.zeros_like)
+        noise = bad_row if fault == "diffusion" else np.zeros_like
+        model = SdeModel(name="faulty", d=2, m=1,
+                         drift_many=lambda t, x: drift(x),
+                         diffusion_dw=lambda t, x, dw: noise(x))
+        y = np.full((1, 4), 1e-160 if fault == "underflow" else 1.0)
+        y[0, 2] = {"moved": 1e308, "moments": 1e160,
+                   "underflow": 1e-150}.get(fault, 1.0)
+        state = EnsembleState(t=0.5, u=np.array([[1.0, 0.0]]), y=y)
+        for scheme in DLR_SCHEMES:
+            with pytest.raises(error, match=what) as info:
+                dlr_step(model, state, 1.0, np.zeros((1, 4)), scheme=scheme)
+            assert (info.value.t, info.value.path) == (0.5, 2)
+
+    def test_truncating_solve_passes_debug_under_loosened_tolerance(
+            self, monkeypatch):
+        # the second sample direction is 1e-7 of the first, so the moved
+        # Gramian's eigenvalues are ~1e-14 apart, the solve drops that
+        # direction and the projected-update identity misses by ~1e-7 of
+        # the cloud: inside the truncated tolerance, outside the exact
+        # one.  Samples of ~100 keep lambda_max far from 1.
+        rng = np.random.default_rng(3)
+        model = linear_model(rng, 3, 0.3)
+        u = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        y = 100.0 * np.vstack([rng.normal(size=40),
+                               1e-7 * rng.normal(size=40)])
+        state = EnsembleState(t=0.0, u=u, y=y)
+        dw = np.zeros((3, 40))
+        for scheme in ("dlr_ps_em", "dlr_ps_sde"):
+            dlr_step(model, state, 0.05, dw, scheme=scheme, debug=True,
+                     rank_policy="svd")
+        monkeypatch.setattr(lowrank_sde.integrators,
+                            "_IDENTITY_TOL_TRUNCATED",
+                            lowrank_sde.integrators._IDENTITY_TOL)
+        with pytest.raises(StepFailed, match="projected-update identity"):
+            dlr_step(model, state, 0.05, dw, scheme="dlr_ps_sde", debug=True,
+                     rank_policy="svd")
+
     @PROPERTY
     @given(step_setups(), st.sampled_from(DLR_SCHEMES))
     def test_overflowing_basis_solve_raises_at_every_rank(self, setup,
                                                           scheme):
         # samples of about 1e150 keep the Gramian finite but overflow
         # the norm of the basis solve's right-hand side: the step fails
-        # whatever k is, also when the solve is exact to the last bit
-        # and leaves no residual (common at k = 1 and k = d); dlr_step
-        # alone raises it, not a RuntimeWarning
+        # whatever k is, also when the solve itself stays finite;
+        # dlr_step alone raises it, not a RuntimeWarning
         d, k, m_paths, dt, rng = setup
         model = linear_model(rng, d, 0.3)
         state = init_rank_k(rng.normal(size=(d, m_paths)) * 1e150, k)
@@ -856,20 +915,20 @@ class TestStackedStep:
                      scheme="dlr_ps_sde")
 
     @staticmethod
-    def skewed_qr(deficient_on_requr):
+    def skewed_qr(requr_column=None):
         """``reduced_qr`` whose stacked call returns a basis 1e-9 off
         orthonormal, so the settle must re-orthonormalize; the second,
-        2-d call optionally reports column 1 deficient."""
+        2-d call optionally reports ``requr_column`` deficient."""
         def qr(a):
             q, r, deficient = reduced_qr(a)
             if np.ndim(a) == 3:
                 return q + 1e-9, r, deficient
-            return q, r, 1 if deficient_on_requr else deficient
+            return q, r, deficient if requr_column is None else requr_column
         return qr
 
     def test_lost_orthonormality_is_restored(self, monkeypatch):
         monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
-                            self.skewed_qr(False))
+                            self.skewed_qr())
         model, state = toy_state(m_paths=50)
         with pytest.warns(UserWarning, match="basis lost orthonormality"):
             new = dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
@@ -877,11 +936,14 @@ class TestStackedStep:
         assert np.linalg.norm(new.u @ new.u.T - np.eye(2)) < 1e-14
 
     def test_rank_deficient_reorthonormalization_fails(self, monkeypatch):
-        monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
-                            self.skewed_qr(True))
         model, state = toy_state(m_paths=50)
-        with pytest.warns(UserWarning, match="basis lost orthonormality"):
-            with pytest.raises(StepFailed, match=r"re-orthonormalization "
-                               r"found a rank-deficient basis \(column 1\)"):
-                dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
-                         scheme="dlr_ps_sde")
+        for column in (0, 1):
+            monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
+                                self.skewed_qr(column))
+            with pytest.warns(UserWarning,
+                              match="basis lost orthonormality"):
+                with pytest.raises(StepFailed, match=r"re-orthonormalization "
+                                   r"found a rank-deficient basis "
+                                   r"\(column %d\)" % column):
+                    dlr_step(model, state, 0.01, np.zeros((model.m, 50)),
+                             scheme="dlr_ps_sde")

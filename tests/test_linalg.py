@@ -232,5 +232,10 @@ class TestSolveSpsdMinnorm:
     def test_shape_checks(self):
         with pytest.raises(DimensionMismatch):
             solve_spsd_minnorm(np.eye(2), np.ones((3, 1)))
+        # a right-hand side is a (k, d) block, never a vector
+        with pytest.raises(DimensionMismatch):
+            solve_spsd_minnorm(np.eye(2), np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            solve_spsd_minnorm(np.stack([np.eye(2)] * 3), np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             solve_spsd_minnorm(np.ones((2, 3)), np.ones((2, 1)))
