@@ -27,15 +27,15 @@ class GridMismatch(LowRankSdeError):
     or grids with different spans/dimensions)."""
 
 
-class ModelBlowUp(LowRankSdeError):
-    """A model evaluation returned a non-finite value.
+class _AtPath(LowRankSdeError):
+    """An error found at one time on one sample path.
 
     Attributes
     ----------
     t : float
-        Time at which the evaluation failed.
+        Time at which it was found.
     path : int
-        Index of the first offending sample path.
+        Index of the sample path it names.
     """
 
     def __init__(self, message, t, path):
@@ -44,22 +44,15 @@ class ModelBlowUp(LowRankSdeError):
         self.path = path
 
 
-class EnsembleUnderflow(LowRankSdeError):
+class ModelBlowUp(_AtPath):
+    """A model evaluation returned a non-finite value; ``path`` is the
+    first offending sample path."""
+
+
+class EnsembleUnderflow(_AtPath):
     """The sample Gramian fell below the range the basis solve can
     resolve: the ensemble contracted towards the float underflow limit.
-
-    Attributes
-    ----------
-    t : float
-        Time of the step that found it.
-    path : int
-        Index of the path with the largest samples.
-    """
-
-    def __init__(self, message, t, path):
-        super().__init__(message)
-        self.t = t
-        self.path = path
+    ``path`` is the path with the largest samples."""
 
 
 class StepFailed(LowRankSdeError):

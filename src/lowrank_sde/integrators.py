@@ -203,14 +203,14 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
         raise ModelBlowUp(
             "sample second moments overflowed at t=%.6g on path %d"
             % (t, j), t=t, path=j)
-    if c_max < _UNDERFLOW_GRAMIAN and np.any(y_ref):
+    rhs = u_new = None
+    if fast_linear and not moved_gramian and model.is_linear_drift:
+        u_new = u + _without_row_span(u @ model.a_mat(t).T, u) * dt
+    elif c_max < _UNDERFLOW_GRAMIAN and np.any(y_ref):  # no solve resolves it
         j = int(np.argmax(np.max(np.abs(y_ref), axis=0)))
         raise EnsembleUnderflow(
             "ensemble underflowed at t=%.6g: largest Gramian entry %.3e; "
             "largest samples on path %d" % (t, c_max, j), t=t, path=j)
-    rhs = u_new = None
-    if fast_linear and not moved_gramian and model.is_linear_drift:
-        u_new = u + _without_row_span(u @ model.a_mat(t).T, u) * dt
     else:
         g = (expectation_outer(y_ref, w) if full_increment
              else expectation_outer(y_ref, a) * dt)

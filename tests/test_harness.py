@@ -870,6 +870,22 @@ class TestRunStability:
             assert failure["error"].startswith("EnsembleUnderflow at step ")
         assert out["failures"] == summary["failures"]
 
+    def test_linear_shortcut_steps_through_underflow(self, tmp_path):
+        # the dlr_em shortcut forms no basis solve, so the same contracting
+        # ensemble runs to t_final, its norms reaching zero
+        spec = self.stab_spec(tmp_path, "fast", schemes=("dlr_em",),
+                              linear_fast_path=True, paths=200, seed=35,
+                              t_final=20.0, dt_values=(0.05, 0.02))
+        out = run_experiment(spec)
+        assert out["failures"] == []
+        assert list(out["classifications"].values()) == ["stable"] * 2
+        for dt in spec.dt_values:
+            data = np.loadtxt(tmp_path / "fast" / ("norms_dlr_em_dt%g.csv"
+                                                   % dt),
+                              delimiter=",", skiprows=1)
+            assert data.shape == (round(20.0 / dt) + 1, 2)
+            assert data[-1, 0] == 20.0 and data[-1, 1] == 0.0
+
     def test_cell_matches_integrate_over_generate(self, tmp_path):
         spec = self.stab_spec(tmp_path, "stab")
         run_experiment(spec)

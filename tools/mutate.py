@@ -1,6 +1,6 @@
 """Mutation gauge for the numerical contract.
 
-Draws ``--count`` mutants at random (``random.Random(--seed)``) from
+Draws ``--count`` mutants at random (``random.Random(SEED)``) from
 every mutation site of the modules in ``MODULES`` and runs the test
 suite once per mutant, one at a time, each in a fresh temporary copy
 of the checkout; the checkout itself is never written.  The unmutated
@@ -17,14 +17,13 @@ run is
 
     python -m pytest -x -q tests --deselect <test_05>
 
-under ``--timeout`` seconds.  A mutant is *killed* when that run fails,
+under ``TIMEOUT`` seconds.  A mutant is *killed* when that run fails,
 *survived* when it passes and *timed out* when the timeout stops it.
 A surviving mutant costs a whole suite run, so the gauge stays outside
 the suite.
 
-    python3 tools/mutate.py                 # 24 mutants of seed 7
-    python3 tools/mutate.py --list          # print them, run nothing
-    python3 tools/mutate.py --count 100 --seed 1 --timeout 300
+    python3 tools/mutate.py                 # 24 mutants
+    python3 tools/mutate.py --count 100
 
 Only the standard library is used.
 """
@@ -47,6 +46,8 @@ MODULES = ("diagnostics.py", "ensemble.py", "harness.py", "integrators.py",
            "linalg.py", "noise.py")
 KNOWN_FAILURE = \
     "tests/test_acceptance.py::test_05_multiplicative_noise_convergence_order"
+SEED = 7
+TIMEOUT = 600.0  # seconds per suite run
 
 _SWAPS = {
     ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
@@ -123,16 +124,16 @@ def sites(module, text):
     return sorted(found, key=lambda m: (m.line, m.col))
 
 
-def draw(root, seed, count):
+def draw(root, count):
     """``count`` mutants drawn without replacement from all sites."""
     every = []
     for module in MODULES:
         with open(os.path.join(root, PACKAGE, module)) as fh:
             every.extend(sites(module, fh.read()))
-    return random.Random(seed).sample(every, min(count, len(every)))
+    return random.Random(SEED).sample(every, min(count, len(every)))
 
 
-def run(root, mutant, timeout):
+def run(root, mutant):
     """Run the suite on a temporary copy of the checkout carrying
     ``mutant`` (None: no edit); returns ("killed" | "survived" |
     "timed out", seconds)."""
@@ -155,7 +156,7 @@ def run(root, mutant, timeout):
                  "-p", "no:cacheprovider", "tests",
                  "--deselect", KNOWN_FAILURE],
                 cwd=tree, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL, timeout=timeout,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT,
                 env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
         except subprocess.TimeoutExpired:
             return "timed out", time.perf_counter() - start
@@ -165,31 +166,22 @@ def run(root, mutant, timeout):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--count", type=int, default=24)
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per suite run")
-    parser.add_argument("--list", action="store_true",
-                        help="print the drawn mutants and run nothing")
     args = parser.parse_args(argv)
-    mutants = draw(ROOT, args.seed, args.count)
-    if args.list:
-        for i, mutant in enumerate(mutants, 1):
-            print("%2d  %s" % (i, mutant))
-        return
+    mutants = draw(ROOT, args.count)
     # a kill means something only if the unmutated copy passes
-    verdict, seconds = run(ROOT, None, args.timeout)
+    verdict, seconds = run(ROOT, None)
     if verdict != "survived":
         sys.exit("the unmutated copy did not pass (%s after %.1f s)"
                  % (verdict, seconds))
     tally = dict.fromkeys(("killed", "survived", "timed out"), 0)
     for i, mutant in enumerate(mutants, 1):
-        verdict, seconds = run(ROOT, mutant, args.timeout)
+        verdict, seconds = run(ROOT, mutant)
         tally[verdict] += 1
         print("%2d  %-9s %6.1f s  %s" % (i, verdict, seconds, mutant),
               flush=True)
     print("seed %d: %d mutants, %s" % (
-        args.seed, len(mutants),
+        SEED, len(mutants),
         ", ".join("%d %s" % (n, v) for v, n in tally.items())))
 
 
