@@ -41,6 +41,7 @@ time, and its record; ``advance_all`` steps many at once, and
 ``integrate`` drives one over a stored increment grid and returns it.
 """
 
+import math
 import warnings
 from collections import namedtuple
 from functools import partial
@@ -196,8 +197,8 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
         _check_finite(y_moved, t, "coefficient samples")
     y_ref = y_moved if moved_gramian else state.y
     c_mat = gramian(y_ref)
-    c_max = np.max(np.abs(c_mat))  # NaN or inf if any entry is
-    if not np.isfinite(c_max):
+    c_max = np.abs(c_mat).max()  # NaN or inf if any entry is
+    if not math.isfinite(c_max):
         sq = np.sum(y_ref * y_ref, axis=0)
         j = int(np.argmax(~np.isfinite(sq)))
         raise ModelBlowUp(
@@ -258,11 +259,12 @@ def _settle(moves):
         c_mat = np.array([moves[j].c_mat for j in solving])
         rhs = np.array([moves[j].rhs for j in solving])
         solved = solve_spsd_minnorm(c_mat, rhs)
-        for j, u_j, scale in zip(solving, solved,
-                                 np.linalg.norm(rhs, axis=(1, 2))):
+        for j, u_j, b in zip(solving, solved, rhs):
             move = moves[j]
-            if not (np.isfinite(scale) and np.isfinite(u_j).all()):
-                # ||B|| overflows past samples of ~1e77, C^+ B if B outgrows C
+            b = b.ravel()
+            # ||B||^2, whose root np.linalg.norm takes, overflows past
+            # samples of ~1e77, C^+ B if B outgrows C
+            if not (math.isfinite(np.dot(b, b)) and np.isfinite(u_j).all()):
                 p = int(np.argmax(np.max(np.abs(move.y_ref), axis=0)))
                 raise ModelBlowUp(
                     "basis solve overflowed at t=%.6g; largest samples on "
@@ -274,7 +276,10 @@ def _settle(moves):
     for move, u_n, q_j, r_j, column in zip(moves, u_new, q, r, deficient):
         u_p, y_p = ((q_j.T, r_j @ move.y_moved) if column < 0
                     else _svd_refactor(u_n, move, column))
-        defect = np.linalg.norm(u_p @ u_p.T - np.eye(u_p.shape[0]))
+        e = u_p @ u_p.T
+        e = e.reshape(-1)  # a view: e is a new contiguous array
+        e[::u_p.shape[0] + 1] -= 1.0
+        defect = math.sqrt(np.dot(e, e))  # as np.linalg.norm forms it
         if defect > ORTHONORMALITY_TOL:
             warnings.warn("basis lost orthonormality (defect %.3e), "
                           "re-orthonormalizing" % defect)
@@ -284,7 +289,7 @@ def _settle(moves):
                                  "rank-deficient basis (column %d)" % column)
             u_p, y_p = q2.T, r2 @ y_p
         _check_finite(y_p, move.t_next, "coefficient samples")
-        if np.isnan(defect):  # a non-finite basis passes the test above
+        if math.isnan(defect):  # a non-finite basis passes the test above
             raise ValueError("ensemble state contains non-finite entries")
         states.append(EnsembleState.checked(move.t_next, u_p, y_p))
         if move.debug:

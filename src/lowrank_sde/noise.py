@@ -6,7 +6,10 @@ isolation.  A step's block is the same standard normal block on every
 lattice, scaled by that lattice's sqrt(dt).  ``lattice_blocks`` streams
 the increments of one or several lattices one step at a time and draws
 each step's block once for all of them, and ``generate`` stores the
-blocks of one grid as one array.
+blocks of one grid as one array.  A walk builds one Philox generator
+and re-keys it to [seed, step] at each step, which puts it in the state
+of a fresh ``Philox(key=[seed, step])`` without building one, and draws
+the block in place in one buffer.
 Coarse increments are flat left-to-right sums of the finest grid's
 blocks (``BlockSum``), which makes repeated coarsening exactly
 associative; ``coarsen`` applies that sum to a stored grid, and a caller
@@ -105,17 +108,30 @@ class BrownianGrid:
         return self.t0 + self.dt * np.float64(i)
 
 
-def standard_normals(gen, shape):
+def standard_normals(gen, shape, out=None):
     """Standard normals by the inverse CDF of ``gen``'s uniforms, branch
-    free; shared by the step blocks and the initial laws."""
-    return ndtri(gen.random(shape) + _OPEN_INTERVAL_SHIFT)
+    free, drawn in place (into ``out`` if given); shared by the step
+    blocks and the initial laws."""
+    z = gen.random(shape, out=out)
+    z += _OPEN_INTERVAL_SHIFT
+    return ndtri(z, out=z)
 
 
-def _standard_normal_block(seed, step, m, m_paths):
-    # fresh Philox stream per step block; (component, path) indexes the
-    # counter positions of that stream in row-major order
-    gen = np.random.Generator(np.random.Philox(key=[seed, step]))
-    return standard_normals(gen, (m, m_paths))
+def _standard_normal_block(gen, seed_word, step, out):
+    """Draw the standard normal block of ``step`` into ``out`` from
+    ``gen``, the walk's Philox generator, re-keyed to [seed_word, step].
+
+    The re-keyed state (counter 0, empty buffer, no spare 32-bit half)
+    is that of a fresh ``Philox(key=[seed, step])`` when ``seed_word`` is
+    the first key word of a ``Philox(key=[seed, 0])``, so the block is
+    that generator's; (component, path) indexes the counter positions
+    of its stream in row-major order."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed_word, step)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return standard_normals(gen, out.shape, out)
 
 
 def lattice_blocks(lattices):
@@ -130,8 +146,14 @@ def lattice_blocks(lattices):
     if len({(grid.seed, grid.m, grid.m_paths) for grid in lattices}) > 1:
         raise GridMismatch("lattices must share seed, m and m_paths")
     scales = [np.sqrt(grid.dt) for grid in lattices]
+    # one generator and one buffer serve the whole walk.  Philox reads
+    # [seed, step] as one array, which is float64 for a seed of 2**63 or
+    # more, so each step is keyed with the first key word it made here
+    gen = np.random.Generator(np.random.Philox(key=[first.seed, 0]))
+    seed_word = int(gen.bit_generator.state["state"]["key"][0])
+    z = np.empty((first.m, first.m_paths))
     for step in range(max(grid.n_steps for grid in lattices)):
-        z = _standard_normal_block(first.seed, step, first.m, first.m_paths)
+        _standard_normal_block(gen, seed_word, step, z)
         yield [scale * z if step < grid.n_steps else None
                for grid, scale in zip(lattices, scales)]
 

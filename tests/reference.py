@@ -10,17 +10,100 @@ of a model over a sample cloud.  ``stability_ams_matrices`` and
 analytic mean-square stability margin.  ``recorded`` presents stored
 node clouds as a run that the error metrics of
 ``lowrank_sde.diagnostics`` accept, and ``offset_solve`` is a basis solve
-that adds a chosen offset to each solution.  The tests import this
-module as ``reference``.
+that adds a chosen offset to each solution.  ``philox_block`` is a step
+block drawn from a fresh Philox generator, and ``np_reduced_qr``,
+``np_sym_eig`` and ``np_solve_spsd_minnorm`` are the ``lowrank_sde.linalg``
+kernels written on the public ``np.linalg`` wrappers; the package must
+match all four bit for bit.  ``count_factorizations`` counts the
+factorizations the package runs.  The tests import this module as
+``reference``.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from lowrank_sde.errors import DimensionMismatch
-from lowrank_sde.linalg import solve_spsd_minnorm
+import lowrank_sde.linalg
+from lowrank_sde.errors import DimensionMismatch, NotPSD
+from lowrank_sde.linalg import (DEFAULT_PINV_RELATIVE_THRESHOLD,
+                                solve_spsd_minnorm)
 from lowrank_sde.models import gbm_exact_value
+from lowrank_sde.noise import ndtri
+
+
+def philox_block(seed, step, m, m_paths):
+    """The standard normal block of ``step`` on ``seed``, drawn from a
+    fresh ``Philox(key=[seed, step])``: the inverse CDF of its uniforms,
+    shifted into (0, 1) by 2**-54."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, step]))
+    return ndtri(gen.random((m, m_paths)) + 2.0 ** -54)
+
+
+def np_reduced_qr(a):
+    """``linalg.reduced_qr`` on ``np.linalg.qr`` and ``np.linalg.norm``."""
+    a = np.asarray(a, dtype=float)
+    q, r = np.linalg.qr(a, mode="reduced")
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    small = np.abs(diag) <= 1e-14 * scale[..., np.newaxis]
+    deficient = np.where(small.any(axis=-1), np.argmax(small, axis=-1), -1)
+    signs = np.where(diag < 0.0, -1.0, 1.0)
+    q = q * signs[..., np.newaxis, :]
+    r = r * signs[..., :, np.newaxis]
+    return q, r, deficient if a.ndim == 3 else int(deficient)
+
+
+def np_sym_eig(c):
+    """``linalg.sym_eig`` on ``np.linalg.eigh``."""
+    c = np.asarray(c, dtype=float)
+    sym = 0.5 * (c + np.swapaxes(c, -1, -2))
+    w, v = np.linalg.eigh(sym)
+    order = np.arange(w.shape[-1] - 1, -1, -1)
+    return w[..., order], v[..., order]
+
+
+def np_solve_spsd_minnorm(c, b):
+    """``linalg.solve_spsd_minnorm`` on ``np_sym_eig``."""
+    lam, v = np_sym_eig(c)
+    b = np.asarray(b, dtype=float)
+    lam_max = np.maximum(lam[..., :1], 0.0)
+    negative = lam[..., -1:] < -1e-10 * lam_max
+    if negative.any():
+        first = int(np.argmax(negative))
+        raise NotPSD(
+            "matrix has negative eigenvalue %.3e (lambda_max = %.3e)"
+            % (lam[..., -1].flat[first], lam_max.flat[first]))
+    keep = lam > DEFAULT_PINV_RELATIVE_THRESHOLD * lam_max
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return v @ (inv[..., np.newaxis] * (np.swapaxes(v, -1, -2) @ b))
+
+
+# the LAPACK gufunc behind each factorization lowrank_sde.linalg runs
+_GUFUNCS = {"eigh": "eigh_lo", "qr": "qr_r_raw"}
+
+
+def count_factorizations(monkeypatch, calls):
+    """Count into ``calls`` (a dict from some of "eigh", "eigvalsh",
+    "svd" and "qr" to 0) every such factorization run from now on,
+    through ``np.linalg`` or, for eigh and qr, through the LAPACK gufunc
+    (``eigh_lo``, ``qr_r_raw``) that ``lowrank_sde.linalg`` calls on its
+    ``_umath_linalg`` reference."""
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    gufuncs = {name: getattr(_umath_linalg, name)
+               for name in ("eigh_lo", "qr_r_raw", "qr_reduced")}
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+        if name in _GUFUNCS:
+            gufuncs[_GUFUNCS[name]] = counting(name, gufuncs[_GUFUNCS[name]])
+    monkeypatch.setattr(lowrank_sde.linalg, "_umath_linalg",
+                        SimpleNamespace(**gufuncs))
 
 
 def recorded(grid, node_indices, node_values):

@@ -903,9 +903,9 @@ class TestRunStability:
         draws = []
         block = lowrank_sde.noise._standard_normal_block
 
-        def counting_block(seed, step, m, m_paths):
-            draws.append((seed, step))
-            return block(seed, step, m, m_paths)
+        def counting_block(gen, seed_word, step, out):
+            draws.append((seed_word, step))
+            return block(gen, seed_word, step, out)
 
         monkeypatch.setattr(lowrank_sde.noise, "_standard_normal_block",
                             counting_block)
@@ -920,18 +920,10 @@ class TestRunStability:
         armed = []
         advance_all = lowrank_sde.harness.advance_all
 
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
         def counted_advance_all(pairs):
             if not armed:
                 armed.append(True)
-                for name in calls:
-                    monkeypatch.setattr(np.linalg, name, counting(
-                        name, getattr(np.linalg, name)))
+                reference.count_factorizations(monkeypatch, calls)
             advance_all(pairs)
 
         monkeypatch.setattr(lowrank_sde.harness, "advance_all",

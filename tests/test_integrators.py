@@ -771,16 +771,7 @@ class TestIntegrate:
         grid = generate(71, 0.0, 0.2, n, model.m, 200)
         stepper = Stepper(model, scheme, state, grid, record_nodes=())
         calls = dict.fromkeys(("eigh", "eigvalsh", "svd", "qr"), 0)
-
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name,
-                                counting(name, getattr(np.linalg, name)))
+        reference.count_factorizations(monkeypatch, calls)
         for dw in grid.increments:
             assert stepper.advance(dw)
         assert calls == {"eigh": n, "eigvalsh": 0, "svd": 0, "qr": n}
@@ -886,16 +877,7 @@ class TestStackedStep:
                                          ("dlr_ps_em", "rank"),
                                          ("dlr_ps_sde", None))]
         calls = dict.fromkeys(("qr", "svd"), 0)
-
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name,
-                                counting(name, getattr(np.linalg, name)))
+        reference.count_factorizations(monkeypatch, calls)
         for step in range(2):
             advance_all([(stepper, dws[step]) for stepper, _, dws in cells])
             assert calls == {"qr": step + 1, "svd": step + 1}

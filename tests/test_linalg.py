@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from lowrank_sde.errors import DimensionMismatch, NotPSD
 from lowrank_sde.linalg import reduced_qr, solve_spsd_minnorm, sym_eig
 
+import reference
+
 # derandomized so every tier-1 run checks the same examples
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -239,3 +241,99 @@ class TestSolveSpsdMinnorm:
             solve_spsd_minnorm(np.stack([np.eye(2)] * 3), np.ones((3, 2)))
         with pytest.raises(DimensionMismatch):
             solve_spsd_minnorm(np.ones((2, 3)), np.ones((2, 1)))
+
+
+def bits(x):
+    """Shape, dtype and bytes of x: equal only when bit for bit equal."""
+    x = np.asarray(x)
+    return x.shape, x.dtype.str, x.tobytes()
+
+
+def outcome(fn, *args):
+    """The bits of each array fn returns, or the error it raises."""
+    try:
+        result = fn(*args)
+    except (NotPSD, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return [bits(x) for x in (result if isinstance(result, tuple)
+                              else (result,))]
+
+
+def spoil(rng, a):
+    """a with one to three entries set to NaN, inf or -inf."""
+    a = a.copy()
+    for _ in range(rng.integers(1, 4)):
+        a[tuple(rng.integers(0, n) for n in a.shape)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
+    return a
+
+
+def tall_matrix(rng, kind, n, k):
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind == "deficient":  # rank below k, zero matrix included
+        r = rng.integers(0, k)
+        return scale * rng.standard_normal((n, r)) @ rng.standard_normal(
+            (r, k))
+    a = scale * rng.standard_normal((n, k))
+    if kind == "repeated":
+        a[:, rng.integers(0, k)] = a[:, rng.integers(0, k)]
+    elif kind == "tiny":
+        a *= 1e-160
+    elif kind == "non-finite":
+        a = spoil(rng, a)
+    return a
+
+
+def gramian_matrix(rng, kind, k):
+    g = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(
+        (k, rng.integers(1, k + 1)))
+    c = g @ g.T
+    if kind == "asymmetric":
+        c += 1e-16 * np.abs(c).max() * rng.standard_normal((k, k))
+    elif kind == "negative":
+        c -= rng.uniform(0.0, 1e-2) * np.abs(c).max() * np.eye(k)
+    elif kind == "non-finite":
+        c = spoil(rng, c)
+    return c
+
+
+@st.composite
+def linalg_inputs(draw):
+    """(a, c, b): a tall matrix, a Gramian and a right-hand side, each
+    alone (``stack`` None) or as a stack of S <= 6, k <= 6; each matrix
+    of a kind drawn for it, rank-deficient and non-finite ones among
+    them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = draw(st.none() | st.integers(1, 6))
+    k = draw(st.integers(1, 6))
+    n = k + draw(st.integers(0, 3))
+    cols = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(
+        ("full", "deficient", "repeated", "tiny", "asymmetric", "negative",
+         "non-finite")), min_size=stack or 1, max_size=stack or 1))
+    a = np.array([tall_matrix(rng, kind, n, k) for kind in kinds])
+    c = np.array([gramian_matrix(rng, kind, k) for kind in kinds])
+    b = rng.standard_normal((len(kinds), k, cols))
+    if stack is None:
+        return a[0], c[0], b[0]
+    return a, c, b
+
+
+class TestAgainstNumpyLinalg:
+    @PROPERTY
+    @given(linalg_inputs())
+    def test_bit_identical_to_the_np_linalg_wrappers(self, inputs):
+        # the kernels call the LAPACK gufuncs behind np.linalg.eigh and
+        # np.linalg.qr directly; arrays, rank verdicts and errors are
+        # those of the same kernels written on the wrappers, and no
+        # input is written to
+        a, c, b = inputs
+        before = [bits(x) for x in inputs]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = [outcome(reduced_qr, a), outcome(sym_eig, c),
+                   outcome(solve_spsd_minnorm, c, b)]
+            want = [outcome(reference.np_reduced_qr, a),
+                    outcome(reference.np_sym_eig, c),
+                    outcome(reference.np_solve_spsd_minnorm, c, b)]
+        assert got == want
+        assert [bits(x) for x in inputs] == before

@@ -14,6 +14,8 @@ from lowrank_sde.noise import (
     lattice_blocks,
 )
 
+import reference
+
 # derandomized so every tier-1 run checks the same examples
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -40,7 +42,7 @@ class TestGenerate:
         for step, block in enumerate(blocks):
             assert np.array_equal(block, g.increments[step])
         step = data.draw(st.integers(0, n - 1))
-        alone = np.sqrt(g.dt) * _standard_normal_block(seed, step, m, m_paths)
+        alone = np.sqrt(g.dt) * reference.philox_block(seed, step, m, m_paths)
         assert np.array_equal(alone, g.increments[step])
 
     @PROPERTY
@@ -51,9 +53,11 @@ class TestGenerate:
         # Philox fills a block row by row, so a model with fewer noise
         # channels draws exactly the leading rows of a wider model's block
         fewer = data.draw(st.integers(1, m - 1))
-        wide = _standard_normal_block(seed, step, m, m_paths)
-        assert np.array_equal(
-            _standard_normal_block(seed, step, fewer, m_paths), wide[:fewer])
+        gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        wide = _standard_normal_block(gen, seed, step, np.empty((m, m_paths)))
+        narrow = _standard_normal_block(gen, seed, step,
+                                        np.empty((fewer, m_paths)))
+        assert np.array_equal(narrow, wide[:fewer])
 
     def test_node_time_equals_times_entry(self):
         for t0, t1, n in ((0.0, 1.0, 10), (-0.3, 2.7, 7), (1e-3, 0.1, 33)):
@@ -130,6 +134,48 @@ class TestLatticeBlocks:
                     assert np.array_equal(blocks[j], alone[step])
                 else:
                     assert blocks[j] is None
+
+    @PROPERTY
+    @given(st.one_of(st.sampled_from((0, 2 ** 64 - 1)),
+                     st.integers(0, 2 ** 64 - 1)),
+           noise_dims, path_counts,
+           st.lists(st.tuples(st.floats(0.01, 10.0), st.integers(1, 8)),
+                    min_size=1, max_size=3))
+    def test_rekeyed_walk_draws_fresh_philox_blocks(self, seed, m, m_paths,
+                                                    shapes):
+        # Philox stream identity under re-keying: each step's block is
+        # that of a fresh Philox(key=[seed, step]), also past a block
+        # that left the buffer half used (odd m * M), and two walks on
+        # one seed, advanced in turn, share no generator state.  Philox
+        # casts a seed of 2**63 or more through float64, and 2**64 - 1
+        # overflows that cast; the walk keys its steps as Philox did
+        grids = [lattice(seed, t1, n, m, m_paths) for t1, n in shapes]
+        with np.errstate(invalid="ignore"):
+            walks = zip(lattice_blocks(grids), lattice_blocks(grids))
+            for step, (blocks, twins) in enumerate(walks):
+                z = reference.philox_block(seed, step, m, m_paths)
+                for grid, block, twin in zip(grids, blocks, twins):
+                    if step < grid.n_steps:
+                        assert np.array_equal(block, np.sqrt(grid.dt) * z)
+                        assert np.array_equal(twin, block)
+                    else:
+                        assert block is None and twin is None
+        assert step == max(n for _, n in shapes) - 1
+
+    @PROPERTY
+    @given(seeds, st.integers(0, 2 ** 63 - 1), noise_dims, path_counts)
+    def test_rekeying_resets_a_used_generator(self, seed, step, m, m_paths):
+        # a generator that drew a 32-bit half and left its buffer part
+        # used draws, once re-keyed, the block of a fresh generator
+        gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        gen.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        gen.random(3)
+        state = gen.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        block = _standard_normal_block(gen, seed, step,
+                                       np.empty((m, m_paths)))
+        assert np.array_equal(block,
+                              reference.philox_block(seed, step, m, m_paths))
 
     def test_lattices_must_share_the_stream(self):
         for other in (lattice(5, 1.0, 4, 2, 3), lattice(4, 1.0, 4, 1, 3),
