@@ -114,7 +114,10 @@ def em_step(model, x, t, dt, dw):
     with np.errstate(over="ignore", invalid="ignore"):
         a = model.drift_many(t, x)
         bdw = model.diffusion_dw(t, x, dw)
-        out = x + a * dt + bdw
+        # x + a dt + b dW, summed in that order in one new array
+        out = a * dt
+        out += x
+        out += bdw
     if not np.isfinite(out).all():
         # a non-finite a or b dW makes out non-finite: one scan clears all
         _check_finite(a, t, "drift")
@@ -188,8 +191,10 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
     x = reconstruct(state)
     a = model.drift_many(t, x)
     bdw = model.diffusion_dw(t, x, dw)
-    w = a * dt + bdw
-    y_moved = state.y + u @ w
+    w = a * dt
+    w += bdw
+    y_moved = u @ w
+    y_moved += state.y
     if not np.isfinite(y_moved).all():
         # 0 * inf is NaN: a non-finite w spoils its whole column of u @ w
         _check_finite(a, t, "drift")
