@@ -114,7 +114,7 @@ def em_step(model, x, t, dt, dw):
     with np.errstate(over="ignore", invalid="ignore"):
         a = model.drift_many(t, x)
         bdw = model.diffusion_dw(t, x, dw)
-        # x + a dt + b dW, summed in that order in one new array
+        # x + a dt + b dW in one new array; a dt + x rounds as x + a dt
         out = a * dt
         out += x
         out += bdw

@@ -30,6 +30,7 @@ from lowrank_sde.errors import ModelBlowUp, SpecError, StepFailed
 from lowrank_sde.harness import (
     KINDS,
     ExperimentSpec,
+    _off_node,
     classify_stability,
     load_specs,
     run_experiment,
@@ -1011,6 +1012,15 @@ class TestHorizon:
         for name in names:
             assert (tmp_path / "long" / name).read_bytes() == \
                 (tmp_path / "exact" / name).read_bytes()
+
+    @pytest.mark.parametrize("t_final", [0.5, 1.0, 4.0])
+    def test_a_time_at_the_tolerance_is_on_the_node(self, t_final):
+        # a time is off its node only when it misses by more than
+        # 1e-9 max(1, t_final): at exactly that distance it is on it
+        tol = 1e-9 * max(1.0, t_final)
+        assert not _off_node(tol, 0.0, t_final)
+        assert not _off_node(-tol, 0.0, t_final)
+        assert _off_node(2.0 * tol, 0.0, t_final)
 
 
 class TestBlasThreads:

@@ -1,5 +1,7 @@
 """Tests for the one-step integrators and the stepping loop."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -292,6 +294,26 @@ class TestDlrStepsShared:
                 dlr_step(model, state, 1.0, np.zeros((1, 4)), scheme=scheme)
             assert (info.value.t, info.value.path) == (0.5, 2)
 
+    def test_gramian_at_the_underflow_bound_is_solved(self):
+        # the bound is exclusive: a Gramian whose largest entry is exactly
+        # _UNDERFLOW_GRAMIAN is solved, one a float below it underflows
+        bound = lowrank_sde.integrators._UNDERFLOW_GRAMIAN
+        model = zero_model(d=2, m=1)
+        y = np.sqrt(bound)
+        assert gramian(np.array([[y]]))[0, 0] == bound
+        for scheme in DLR_SCHEMES:
+            for sample, fails in ((y, False), (np.nextafter(y, 0.0), True)):
+                state = EnsembleState(t=0.0, u=np.array([[1.0, 0.0]]),
+                                      y=np.array([[sample]]))
+                if fails:
+                    with pytest.raises(EnsembleUnderflow):
+                        dlr_step(model, state, 1.0, np.zeros((1, 1)),
+                                 scheme=scheme)
+                else:
+                    new = dlr_step(model, state, 1.0, np.zeros((1, 1)),
+                                   scheme=scheme)
+                    assert np.array_equal(new.y, state.y)
+
     def test_truncating_solve_passes_debug_under_loosened_tolerance(
             self, monkeypatch):
         # the second sample direction is 1e-7 of the first, so the moved
@@ -309,12 +331,19 @@ class TestDlrStepsShared:
         for scheme in ("dlr_ps_em", "dlr_ps_sde"):
             dlr_step(model, state, 0.05, dw, scheme=scheme, debug=True,
                      rank_policy="svd")
+        exact = lowrank_sde.integrators._IDENTITY_TOL
+        loose = lowrank_sde.integrators._IDENTITY_TOL_TRUNCATED
         monkeypatch.setattr(lowrank_sde.integrators,
-                            "_IDENTITY_TOL_TRUNCATED",
-                            lowrank_sde.integrators._IDENTITY_TOL)
-        with pytest.raises(StepFailed, match="projected-update identity"):
+                            "_IDENTITY_TOL_TRUNCATED", exact)
+        with pytest.raises(StepFailed,
+                           match="projected-update identity") as info:
             dlr_step(model, state, 0.05, dw, scheme="dlr_ps_sde", debug=True,
                      rank_policy="svd")
+        # the reported error is relative to the cloud's norm (~600 here),
+        # so it lies between the two tolerances
+        reported = float(re.search(r"relative error (\S+)\)",
+                                   str(info.value)).group(1))
+        assert exact < reported < loose
 
     @PROPERTY
     @given(step_setups(), st.sampled_from(DLR_SCHEMES))
