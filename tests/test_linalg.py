@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
+import numpy.linalg._linalg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lowrank_sde.linalg
 from lowrank_sde.errors import DimensionMismatch, NotPSD
 from lowrank_sde.linalg import reduced_qr, solve_spsd_minnorm, sym_eig
 
@@ -337,3 +341,27 @@ class TestAgainstNumpyLinalg:
                     outcome(reference.np_solve_spsd_minnorm, c, b)]
         assert got == want
         assert [bits(x) for x in inputs] == before
+
+    def test_a_failing_gufunc_raises_np_linalg_error(self, monkeypatch):
+        # a LAPACK gufunc reports failure by flagging invalid; with each
+        # gufunc made to flag it, the kernels raise the LinAlgError, and
+        # the message, that np.linalg.eigh and np.linalg.qr raise, also
+        # inside the error state a run steps under
+        real = numpy.linalg._linalg._umath_linalg
+
+        def failing(name):
+            def call(*args, **kwargs):
+                np.sqrt(np.array(-1.0))  # flags invalid
+                return getattr(real, name)(*args, **kwargs)
+            return call
+
+        fake = SimpleNamespace(**{name: failing(name) for name in (
+            "eigh_lo", "qr_r_raw", "qr_reduced")})
+        monkeypatch.setattr(lowrank_sde.linalg, "_umath_linalg", fake)
+        monkeypatch.setattr(numpy.linalg._linalg, "_umath_linalg", fake)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kernel, wrapper in ((sym_eig, np.linalg.eigh),
+                                    (reduced_qr, np.linalg.qr)):
+                got, want = outcome(kernel, np.eye(2)), outcome(wrapper,
+                                                                np.eye(2))
+                assert got[0] is np.linalg.LinAlgError and got == want
