@@ -267,8 +267,9 @@ def _settle(moves):
         for j, u_j, b in zip(solving, solved, rhs):
             move = moves[j]
             b = b.ravel()
-            # ||B||^2, whose root np.linalg.norm takes, overflows past
-            # samples of ~1e77, C^+ B if B outgrows C
+            # ||B||^2 overflows past samples of ~1e77, C^+ B if B
+            # outgrows C; this BLAS dot and np.linalg.norm's pairwise
+            # sum can disagree only within rounding of the largest float
             if not (math.isfinite(np.dot(b, b)) and np.isfinite(u_j).all()):
                 p = int(np.argmax(np.max(np.abs(move.y_ref), axis=0)))
                 raise ModelBlowUp(

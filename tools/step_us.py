@@ -12,17 +12,16 @@ of the benchmark workloads, reports
 
 and per model one ``noise`` block, the cost of one step of
 ``noise.lattice_blocks`` on one lattice.  Each figure is the minimum
-over ``--repeat`` rounds of the mean over ``--number`` calls, taken
-warm, so it measures the fixed cost of a call and not the host's noise.
+over ``REPEAT`` (60) rounds of the mean over ``NUMBER`` (20) calls,
+taken warm, so it measures the fixed cost of a call and not the host's
+noise.
 
     PYTHONPATH=src python3 tools/step_us.py
-    PYTHONPATH=src python3 tools/step_us.py --repeat 60 --number 50
 
 Only the standard library and NumPy are used besides the package; the
 tool stays outside the test suite.
 """
 
-import argparse
 import time
 import warnings
 
@@ -41,29 +40,31 @@ CASES = (
     ("sadr_model", 18, 1000, 0.002, "svd"),
 )
 SEED = 20240817
+REPEAT = 60
+NUMBER = 20
 
 
-def min_mean_us(fn, repeat, number):
-    """Smallest mean time of ``number`` calls of fn over ``repeat``
+def min_mean_us(fn):
+    """Smallest mean time of ``NUMBER`` calls of fn over ``REPEAT``
     rounds, in microseconds."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter_ns()
-        for _ in range(number):
+        for _ in range(NUMBER):
             fn()
-        best = min(best, (time.perf_counter_ns() - start) / number)
+        best = min(best, (time.perf_counter_ns() - start) / NUMBER)
     return best / 1e3
 
 
-def case_rows(name, rank, m_paths, dt, rank_policy, repeat, number):
+def case_rows(name, rank, m_paths, dt, rank_policy):
     model, law = build_model(name)
     state = init_rank_k(law(SEED, m_paths), rank)
-    steps = repeat * number + 1
+    steps = REPEAT * NUMBER + 1
     grid = BrownianGrid(SEED, 0.0, steps * dt, steps, model.m, m_paths, None)
     blocks = lattice_blocks([grid])
     dw = next(blocks)[0]
     rows = [(name, rank, "noise", "-",
-             min_mean_us(lambda: next(blocks), repeat, number))]
+             min_mean_us(lambda: next(blocks)))]
     for scheme, flags in _FLAGS.items():
         def move():
             return _move(model, state, dt, dw, **flags,
@@ -71,17 +72,13 @@ def case_rows(name, rank, m_paths, dt, rank_policy, repeat, number):
 
         moved = move()
         rows.append((name, rank, "move", scheme,
-                     min_mean_us(move, repeat, number)))
+                     min_mean_us(move)))
         rows.append((name, rank, "settle", scheme,
-                     min_mean_us(lambda: _settle([moved]), repeat, number)))
+                     min_mean_us(lambda: _settle([moved]))))
     return rows
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeat", type=int, default=30)
-    parser.add_argument("--number", type=int, default=20)
-    args = parser.parse_args(argv)
+def main():
     print("%-16s %4s  %-7s %-11s %10s" % ("model", "k", "layer", "scheme",
                                            "us"))
     with warnings.catch_warnings(), np.errstate(over="ignore",
@@ -89,7 +86,7 @@ def main(argv=None):
         # the harness steps under this error state (integrators.advance_all)
         warnings.simplefilter("ignore")
         for case in CASES:
-            for row in case_rows(*case, args.repeat, args.number):
+            for row in case_rows(*case):
                 print("%-16s %4d  %-7s %-11s %10.1f" % row, flush=True)
 
 
