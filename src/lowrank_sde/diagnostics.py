@@ -95,7 +95,8 @@ def dt_condition(sigma_k_n, c_lgb, sup_ex_sq):
 
 
 def _matched_node_pairs(traj_a, traj_b):
-    """Indices of recorded nodes at identical physical times.
+    """The recorded clouds of two runs at identical physical times, as
+    (cloud_a, cloud_b) pairs; each run's ``node_values`` is read once.
 
     Node i of an n-step grid sits at the exact fraction i/n of the
     horizon, so two nodes coincide iff i_a * n_b == i_b * n_a.
@@ -108,18 +109,17 @@ def _matched_node_pairs(traj_a, traj_b):
     if grid_a.n_steps * grid_a.coarsen_factor \
             != grid_b.n_steps * grid_b.coarsen_factor:
         raise IncomparableTrajectories("different root noise grids")
-    lookup = {}
-    for j, ib in enumerate(traj_b.node_indices):
-        lookup[int(ib) * grid_a.n_steps] = j
+    lookup = {int(ib) * grid_a.n_steps: cloud for ib, cloud
+              in zip(traj_b.node_indices, traj_b.node_values)}
     pairs = []
-    for i, ia in enumerate(traj_a.node_indices):
-        j = lookup.get(int(ia) * grid_b.n_steps)
-        if j is not None:
-            pairs.append((i, j))
+    for ia, cloud in zip(traj_a.node_indices, traj_a.node_values):
+        other = lookup.get(int(ia) * grid_b.n_steps)
+        if other is not None:
+            pairs.append((cloud, other))
     if not pairs:
         raise IncomparableTrajectories("no recorded nodes in common")
-    for i, j in pairs:
-        if traj_a.node_values[i].shape != traj_b.node_values[j].shape:
+    for cloud, other in pairs:
+        if cloud.shape != other.shape:
             raise IncomparableTrajectories(
                 "sample clouds have different shapes at a shared node")
     return pairs
@@ -164,18 +164,16 @@ def l2_sup_error(traj_a, traj_b):
         record no common nodes.
     """
     sup_sq = None
-    for i, j in _matched_node_pairs(traj_a, traj_b):
-        sup_sq = fold_sup_sq(sup_sq,
-                             traj_a.node_values[i] - traj_b.node_values[j])
+    for cloud, other in _matched_node_pairs(traj_a, traj_b):
+        sup_sq = fold_sup_sq(sup_sq, cloud - other)
     return float(np.sqrt(np.mean(sup_sq)))
 
 
 def relative_l2_sup_error(traj_a, traj_ref):
     """``l2_sup_error`` divided by the same functional of the reference."""
     diff_sup_sq = ref_sup_sq = None
-    for i, j in _matched_node_pairs(traj_a, traj_ref):
-        ref = traj_ref.node_values[j]
-        diff_sup_sq = fold_sup_sq(diff_sup_sq, traj_a.node_values[i] - ref)
+    for cloud, ref in _matched_node_pairs(traj_a, traj_ref):
+        diff_sup_sq = fold_sup_sq(diff_sup_sq, cloud - ref)
         ref_sup_sq = fold_sup_sq(ref_sup_sq, ref)
     return l2_sup_errors(diff_sup_sq, ref_sup_sq)[1]
 

@@ -439,9 +439,8 @@ def _lattice(spec, model, n, t1):
 
 class _ExactReference:
     """Pathwise exact oracle values on the fine grid, from a running
-    Brownian sum of the streamed increments."""
-
-    low_rank = failed = False  # advance_all calls its advance; never fails
+    Brownian sum of the streamed increments.  It is no ``Stepper``:
+    ``_convergence`` adds each fine block to it, and it never fails."""
 
     def __init__(self, model, grid):
         self._model = model
@@ -524,7 +523,8 @@ def _convergence(spec, path, model, samples, state0):
 
     The fine references step on each fine block, and each coarse dt's
     ``_Level`` sums the blocks left to right into its cells' next
-    increment; one ``advance_all`` call takes the steps due on a block.
+    increment; one ``advance_all`` call takes the steps due on a block,
+    and the exact oracle adds the block to its Brownian sum.
     At every coarse node the pathwise squared distance of each cell to
     each reference, and the reference's own squared norm, are folded
     into running per-path maxima.  The steppers record nothing
@@ -541,9 +541,11 @@ def _convergence(spec, path, model, samples, state0):
     n_fine = spec.fine_factor * n_values[-1]
     fine = _lattice(spec, model, n_fine, spec.t_final)
     if spec.reference == "exact":
-        references = {"exact": _ExactReference(model, fine)}
+        exact, fine_steppers = _ExactReference(model, fine), {}
+        references = {"exact": exact}
     else:
-        references = {
+        exact = None
+        references = fine_steppers = {
             "em_fine": Stepper(model, "em", samples, fine, record_nodes=()),
             "dlr_ps_sde_fine": Stepper(model, "dlr_ps_sde", state0, fine,
                                        record_nodes=(),
@@ -565,7 +567,9 @@ def _convergence(spec, path, model, samples, state0):
 
     fold(levels)
     for (block,) in lattice_blocks([fine]):
-        due = [(ref, block) for ref in references.values()]
+        if exact is not None:
+            exact.advance(block)
+        due = [(ref, block) for ref in fine_steppers.values()]
         stepped = []
         for level in levels:
             dw = level.block_sum.push(block)
@@ -574,7 +578,7 @@ def _convergence(spec, path, model, samples, state0):
                 due += [(cell, dw) for cell in level.cells.values()
                         if not cell.failed]
         advance_all(due)
-        for name, ref in references.items():
+        for name, ref in fine_steppers.items():
             if ref.failed:
                 raise StepFailed("fine reference %s failed: %s"
                                  % (name, ref.error))
@@ -763,9 +767,7 @@ def _single_run(spec, path, model, samples, state0):
         raise StepFailed("single run failed: %s" % cell.error)
 
     times = cell.grid.times()
-    by_node = dict(zip(cell.node_indices,
-                       cell.node_states if scheme != "em"
-                       else cell.node_values))
+    by_node = dict(zip(cell.node_indices, cell.node_states))
     for node in snapshot_nodes:
         entry = by_node[node]
         if scheme == "em":

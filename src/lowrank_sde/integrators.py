@@ -36,9 +36,10 @@ drift, the diffusion increment or the samples; the solve's guard reads
 the solve itself.  Overflow is ``ModelBlowUp``; a Gramian below the range
 the solve can resolve is ``EnsembleUnderflow``.
 
-``Stepper`` is one run of one scheme, fed one Brownian increment at a
-time, and its record; ``advance_all`` steps many at once, and
-``integrate`` drives one over a stored increment grid and returns it.
+``Stepper`` is one run of one scheme and its record; ``advance_all``
+steps any number of them, each on its own Brownian increment, and is
+the only code that steps one; ``integrate`` drives one over a stored
+increment grid and returns it.
 """
 
 import math
@@ -350,22 +351,22 @@ _DLR_STEPS = {scheme: partial(dlr_step, scheme=scheme) for scheme in _FLAGS}
 
 
 class Stepper:
-    """One run of one scheme on one time lattice: the step loop, fed one
-    Brownian increment at a time, and its record.
+    """One run of one scheme on one time lattice: its state and record,
+    stepped by ``advance_all``, one Brownian increment at a time.
 
     ``grid`` is the lattice, and with it the run's lineage; its
     increments are not read, so a caller that streams them passes a grid
-    that stores none and calls ``advance`` with each in turn, or
-    ``advance_all`` to step many steppers at once.  The keyword arguments
-    are those of ``integrate``, which drives a stepper over a stored grid,
-    plus ``sigma_min=False``, which keeps no smallest Gramian eigenvalue
-    per node and so forms no node Gramian.
+    that stores none.  The keyword arguments are those of ``integrate``,
+    which drives a stepper over a stored grid, plus ``sigma_min=False``,
+    which keeps no smallest Gramian eigenvalue per node and so forms no
+    node Gramian.
 
     ``state`` is the state at the last node reached, ``error`` None
     unless a step failed.  Reaching a node records its scalars
     (``mean_square_norms``, ``sigma_min_gramians``; NaN where not
-    reached) and, at ``record_nodes``, its cloud (``node_values``) and
-    low-rank state (``node_states``, by reference).  With
+    reached) and, at ``record_nodes``, its state, by reference
+    (``node_states``: an EnsembleState, or the (d, M) cloud for "em");
+    ``node_values`` forms the clouds from them.  With
     ``record_nodes=()`` nothing is recorded per node, not even the
     scalars (None), so memory does not grow with the step count.
     """
@@ -414,7 +415,7 @@ class Stepper:
         self.mean_square_norms = np.full(n + 1, np.nan) if keep else None
         self.sigma_min_gramians = (np.full(n + 1, np.nan)
                                    if keep and sigma_min else None)
-        self.node_indices, self.node_values, self.node_states = [], [], []
+        self.node_indices, self.node_states = [], []
         self.error = None
         self.node = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -424,9 +425,18 @@ class Stepper:
     def failed(self):
         return self.error is not None
 
+    def _cloud(self, state):
+        return reconstruct(state) if self.low_rank else state
+
     def cloud(self):
         """The (d, M) sample cloud at the current node."""
-        return reconstruct(self.state) if self.low_rank else self.state
+        return self._cloud(self.state)
+
+    @property
+    def node_values(self):
+        """The (d, M) cloud of each recorded node, formed from
+        ``node_states`` at each read."""
+        return tuple(map(self._cloud, self.node_states))
 
     def _reach_node(self):
         if self.mean_square_norms is None:
@@ -440,11 +450,7 @@ class Stepper:
             self.mean_square_norms[i] = mean_square_norm(self.state)
         if i in self._record_set:
             self.node_indices.append(i)
-            if self.low_rank:
-                self.node_values.append(reconstruct(self.state))
-                self.node_states.append(self.state)
-            else:
-                self.node_values.append(self.state.copy())
+            self.node_states.append(self.state)
 
     def _reach(self, state):
         self.state, self.node = state, self.node + 1
@@ -454,47 +460,32 @@ class Stepper:
         self.error = "%s at step %d (t=%.6g): %s" % (
             type(exc).__name__, self.node, self._time(self.node), exc)
 
-    def advance(self, dw):
-        """Step from the current node to the next one on increment dw.
-
-        Returns True on success.  A step that raises a LowRankSdeError
-        or a LinAlgError sets ``error`` and returns False; the stepper
-        must not be advanced after that, nor past the last node of its
-        grid.  A low-rank step is ``advance_all`` on this stepper alone.
-        """
-        if self.low_rank:
-            advance_all([(self, dw)])
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    self._reach(em_step(self._model, self.state,
-                                        self._time(self.node), self._dt, dw))
-                except _FAILURES as exc:
-                    self._fail(exc)
-        return not self.failed
-
 
 def advance_all(pairs):
     """Advance the stepper of each (stepper, increment) pair one step.
 
-    Low-rank steppers move one by one and settle as one stack per basis
-    shape (``_settle``); the others call their own ``advance``.  Each
-    ends exactly as if advanced alone, failures included."""
+    An "em" stepper takes its ``em_step``; low-rank steppers move one by
+    one and settle as one stack per basis shape (``_settle``).  A step
+    that raises a LowRankSdeError or a LinAlgError sets the stepper's
+    ``error``; it must not be advanced after that, nor past the last
+    node of its grid.  Each ends exactly as if advanced alone, failures
+    included."""
     stacks = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for stepper, dw in pairs:
-            if not stepper.low_rank:
-                stepper.advance(dw)
-                continue
             try:
-                move = _move(stepper._model, stepper.state, stepper._dt, dw,
-                             t_next=stepper._time(stepper.node + 1),
-                             **stepper._options)
+                if stepper.low_rank:
+                    move = _move(stepper._model, stepper.state, stepper._dt,
+                                 dw, t_next=stepper._time(stepper.node + 1),
+                                 **stepper._options)
+                    stacks.setdefault(stepper.state.u.shape, []).append(
+                        (stepper, move))
+                else:
+                    stepper._reach(em_step(stepper._model, stepper.state,
+                                           stepper._time(stepper.node),
+                                           stepper._dt, dw))
             except _FAILURES as exc:
                 stepper._fail(exc)
-            else:
-                stacks.setdefault(stepper.state.u.shape, []).append(
-                    (stepper, move))
         for stack in stacks.values():
             results = _settle_each([move for _, move in stack])
             for (stepper, _), result in zip(stack, results):
@@ -520,10 +511,10 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
         Must match the model's noise dimension and the ensemble's path
         count.
     record_nodes : iterable of int, optional
-        Grid node indices at which the reconstructed cloud, and for a
-        low-rank scheme the factored state, is stored.  The default,
-        None, stores no cloud but keeps the per-node scalar diagnostics.
-        An empty iterable records nothing, not even those.
+        Grid node indices at which the state is stored (``node_states``;
+        ``node_values`` forms their clouds).  The default, None, stores
+        no state but keeps the per-node scalar diagnostics.  An empty
+        iterable records nothing, not even those.
     debug : bool
         Enable the per-step identity checks (roughly doubles cost).
     fast_linear : bool
@@ -548,6 +539,7 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
                       debug=debug, fast_linear=fast_linear,
                       rank_policy=rank_policy)
     for dw in grid.increments:
-        if not stepper.advance(dw):
+        advance_all([(stepper, dw)])
+        if stepper.failed:
             break
     return stepper

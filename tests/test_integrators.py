@@ -360,7 +360,8 @@ class TestDlrStepsShared:
                             m_paths=m_paths, increments=None)
         stepper = Stepper(model, scheme, state, grid)
         dw = rng.normal(size=(d, m_paths)) * np.sqrt(dt)
-        assert not stepper.advance(dw)
+        advance_all([(stepper, dw)])
+        assert stepper.failed
         assert stepper.error.startswith("ModelBlowUp at step 0")
         assert "basis solve overflowed" in stepper.error
         with pytest.raises(ModelBlowUp, match="basis solve overflowed"):
@@ -725,8 +726,9 @@ class TestIntegrate:
                 integrate(model, scheme, init, grid)
 
     def test_recorded_states_round_trip(self):
-        # a low-rank run keeps the factored state of each recorded node,
-        # the very object it stepped from; a full-order run has none
+        # a run keeps the state of each recorded node, the very object it
+        # stepped from: the factored state of a low-rank run, the cloud
+        # of a full-order run, which node_values hands out uncopied
         model, state = toy_state(m_paths=120)
         grid = generate(66, 0.0, 0.2, 4, model.m, 120)
         traj = integrate(model, "dlr_ps_sde", state, grid,
@@ -739,7 +741,11 @@ class TestIntegrate:
         assert last.t == grid.times()[-1]
         full = integrate(model, "em", reconstruct(state), grid,
                          record_nodes=(0, 4))
-        assert full.node_states == [] and len(full.node_values) == 2
+        assert len(full.node_states) == 2
+        assert full.node_states[-1] is full.state
+        assert all(value is state for value, state
+                   in zip(full.node_values, full.node_states))
+        assert_allclose(full.node_states[0], reconstruct(state), atol=1e-12)
 
     def test_rank_policy_threads_through(self):
         model, law = sadr_model()
@@ -782,8 +788,9 @@ class TestIntegrate:
                              record_nodes=(0, grid.n_steps))
             stepper = Stepper(model, scheme, init, grid, record_nodes=())
             for dw in grid.increments:
-                assert stepper.advance(dw)
-            assert stepper.node_values == []
+                advance_all([(stepper, dw)])
+                assert not stepper.failed
+            assert stepper.node_states == [] and stepper.node_values == ()
             assert stepper.mean_square_norms is None
             assert stepper.sigma_min_gramians is None
             assert np.array_equal(stepper.cloud(), full.node_values[-1])
@@ -802,18 +809,52 @@ class TestIntegrate:
         calls = dict.fromkeys(("eigh", "eigvalsh", "svd", "qr"), 0)
         reference.count_factorizations(monkeypatch, calls)
         for dw in grid.increments:
-            assert stepper.advance(dw)
+            advance_all([(stepper, dw)])
+            assert not stepper.failed
         assert calls == {"eigh": n, "eigvalsh": 0, "svd": 0, "qr": n}
+
+    def test_em_records_every_node_unwritten(self):
+        # an em run records its clouds by reference, so no later step may
+        # write into one: each recorded cloud is the one an independent
+        # em_step loop reaches at that node
+        model, state = toy_state(m_paths=60)
+        grid = generate(72, 0.0, 0.3, 6, model.m, 60)
+        x = reconstruct(state)
+        traj = integrate(model, "em", x, grid, record_nodes=range(7))
+        assert traj.node_indices == list(range(7))
+        for i, dw in enumerate(grid.increments):
+            assert np.array_equal(traj.node_states[i], x)
+            x = em_step(model, x.copy(), grid.time(i), grid.dt, dw)
+        assert np.array_equal(traj.node_states[-1], x)
+
+    def test_em_step_enters_one_error_state_of_its_own(self, monkeypatch):
+        # advance_all holds one error state for the whole call; an em
+        # cell-step adds only em_step's own
+        model, state = toy_state(m_paths=30)
+        grid = generate(73, 0.0, 0.1, 1, model.m, 30)
+        stepper = Stepper(model, "em", reconstruct(state), grid)
+        entries = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entries.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        advance_all([(stepper, grid.increments[0])])
+        assert stepper.node == 1 and not stepper.failed
+        assert len(entries) == 2
 
 
 @st.composite
 def stacked_cells(draw):
-    """Up to six low-rank cells on one d <= 6, each with its own rank
-    (from at most two), path count M <= 64, scheme, dt, rank policy and
-    linear shortcut.  When ``failure`` is set, cell ``victim`` is made
-    to fail in the stacked phase of its first step, or, if its basis
-    goes rank deficient under rank_policy "svd", to take the SVD
-    fallback there."""
+    """Up to six cells on one d <= 6, each with its own rank (from at
+    most two), path count M <= 64, scheme ("em" among them), dt, rank
+    policy and linear shortcut.  When ``failure`` is set, cell ``victim``
+    is made to fail in the stacked phase of its first step, or, if its
+    basis goes rank deficient under rank_policy "svd", to take the SVD
+    fallback there; an "em" victim fails its first step on non-finite
+    samples and has no rank to lose."""
     d = draw(st.integers(1, 6))
     ranks = draw(st.lists(st.integers(1, d), min_size=1, max_size=2))
     cells = []
@@ -821,8 +862,7 @@ def stacked_cells(draw):
         k = draw(st.sampled_from(ranks))
         cells.append(dict(
             k=k, m_paths=draw(st.integers(k, 64)),
-            scheme=draw(st.sampled_from(("dlr_em", "dlr_ps_em",
-                                         "dlr_ps_sde"))),
+            scheme=draw(st.sampled_from(("em",) + DLR_SCHEMES)),
             dt=draw(st.floats(1e-3, 0.2)),
             rank_policy=draw(st.sampled_from(("abort", "svd"))),
             fast_linear=draw(st.booleans())))
@@ -840,7 +880,8 @@ class TestStackedStep:
         solve returns a zero basis that QR finds rank deficient;
         "non-finite" scales the samples to about 1e150, so the Gramian
         stays finite but the norms of the basis solve overflow (as in
-        ``test_overflowing_basis_solve_fails_the_run``)."""
+        ``test_overflowing_basis_solve_fails_the_run``), or, for "em",
+        to infinity, so the drift is not finite."""
         k, m_paths, dt = cell["k"], cell["m_paths"], cell["dt"]
         options = dict(rank_policy=cell["rank_policy"],
                        fast_linear=cell["fast_linear"])
@@ -849,15 +890,16 @@ class TestStackedStep:
         else:
             model = linear_model(rng, d, 0.3)
             samples = rng.normal(size=(d, m_paths))
+        low_rank = cell["scheme"] != "em"
         if failure == "non-finite":
             # the linear shortcut would skip the solve
             options["fast_linear"] = False
-            samples = samples * 1e150
-        state = init_rank_k(samples, k)
+            samples = samples * (1e150 if low_rank else np.inf)
+        init = init_rank_k(samples, k) if low_rank else samples
         grid = BrownianGrid(seed=1, t0=0.0, t1=2 * dt, n_steps=2, m=d,
                             m_paths=m_paths, increments=None)
         dws = rng.normal(size=(2, d, m_paths)) * np.sqrt(dt)
-        return [Stepper(model, cell["scheme"], state, grid, **options)
+        return [Stepper(model, cell["scheme"], init, grid, **options)
                 for _ in range(2)] + [dws]
 
     @PROPERTY
@@ -867,9 +909,15 @@ class TestStackedStep:
                        rank_policy="svd", fast_linear=False)
                   for scheme in ("dlr_em", "dlr_ps_em", "dlr_ps_sde")],
               "rank", 1, 7))
+    # em cells share the call with a low-rank cell that fails in the stack
+    @example((3, [dict(k=2, m_paths=20, scheme=scheme, dt=0.05,
+                       rank_policy="abort", fast_linear=False)
+                  for scheme in ("em", "dlr_ps_sde", "em", "dlr_em")],
+              "non-finite", 1, 7))
     def test_stacked_advance_equals_each_cell_alone(self, setup):
-        # the stack of one harness step changes no byte of any cell, and a
-        # cell that fails in it fails alone with its own error
+        # the stack of one harness step changes no byte of any cell, em
+        # cells stepping in the same call included, and a cell that fails
+        # in it fails alone with its own error
         d, cells, failure, victim, seed = setup
         rng = np.random.default_rng(seed)
         runs = [self.twin_steppers(rng, d, cell,
@@ -880,19 +928,26 @@ class TestStackedStep:
                          for stacked, _, dws in runs if not stacked.failed])
             for _, alone, dws in runs:
                 if not alone.failed:
-                    alone.advance(dws[step])
+                    advance_all([(alone, dws[step])])
         for stacked, alone, _ in runs:
             assert stacked.error == alone.error
-            assert stacked.state.t == alone.state.t
-            assert np.array_equal(stacked.state.u, alone.state.u)
-            assert np.array_equal(stacked.state.y, alone.state.y)
+            assert stacked.node == alone.node
+            if stacked.low_rank:
+                assert stacked.state.t == alone.state.t
+                assert np.array_equal(stacked.state.u, alone.state.u)
+                assert np.array_equal(stacked.state.y, alone.state.y)
+            else:
+                assert np.array_equal(stacked.state, alone.state)
+        stacked = runs[victim][0]
         if failure == "non-finite" or (
-                failure == "rank" and cells[victim]["rank_policy"] == "abort"):
-            assert runs[victim][0].node == 0 and runs[victim][0].failed
+                failure == "rank" and stacked.low_rank
+                and cells[victim]["rank_policy"] == "abort"):
+            assert stacked.node == 0 and stacked.failed
             if failure == "non-finite":
-                assert "basis solve overflowed" in runs[victim][0].error
+                assert ("basis solve overflowed" if stacked.low_rank
+                        else "non-finite drift") in stacked.error
         elif failure:
-            assert runs[victim][0].node == 2
+            assert stacked.node == 2
 
     def test_one_qr_per_settle_with_a_rank_deficient_cell(self,
                                                            monkeypatch):

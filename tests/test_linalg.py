@@ -85,6 +85,15 @@ class TestReducedQR:
         assert deficient == 1 and isinstance(deficient, int)
         assert_allclose(q @ r, a, atol=1e-14)
 
+    def test_exactly_zero_pivot_keeps_its_row(self):
+        # a zero leading column leaves r[0, 0] == 0.0 exactly; only a
+        # negative pivot flips its row, so row 0 of r is LAPACK's own
+        a = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        q, r, deficient = reduced_qr(a)
+        assert deficient == 0
+        assert r[0, 0] == 0.0 and r[0, 1] == 1.0 and r[1, 1] > 0
+        assert_allclose(q @ r, a, atol=1e-14)
+
     def test_duplicated_column_reported(self):
         col = np.array([1.0, 2.0, 3.0])
         a = np.stack([col, col], axis=1)
