@@ -237,9 +237,10 @@ class ExperimentSpec:
             raise SpecError("%s rank must be >= 1" % where)
         if self.paths < 1:
             raise SpecError("%s paths must be >= 1" % where)
-        if not 0 <= self.seed < 2 ** 64:
-            raise SpecError("%s seed must lie in [0, 2^64), the range of "
-                            "a Philox key" % where)
+        if not 0 <= self.seed < 2 ** 53:
+            raise SpecError("%s seed must lie in [0, 2^53): the Philox key "
+                            "holds it as a float64, so larger seeds can "
+                            "share a stream" % where)
         if not np.isfinite(self.t_final) or self.t_final <= 0.0:
             raise SpecError("%s t_final must be positive" % where)
         if not self.dt_values:
@@ -437,26 +438,6 @@ def _lattice(spec, model, n, t1):
                         m=model.m, m_paths=spec.paths, increments=None)
 
 
-class _ExactReference:
-    """Pathwise exact oracle values on the fine grid, from a running
-    Brownian sum of the streamed increments.  It is no ``Stepper``:
-    ``_convergence`` adds each fine block to it, and it never fails."""
-
-    def __init__(self, model, grid):
-        self._model = model
-        self._time = grid.time
-        self._node = 0
-        self._w = np.zeros((1, grid.m_paths))
-
-    def advance(self, dw):
-        self._w += dw
-        self._node += 1
-
-    def cloud(self):
-        return gbm_exact_value(self._model.mu, self._model.sigma,
-                               self._time(self._node), self._w)
-
-
 class _Level:
     """Cells, keyed by scheme, stepping on each sum of ``factor`` fine
     blocks, and the running per-path sups of references and errors."""
@@ -521,15 +502,16 @@ def _run_fixed_dt(spec, model, samples, state0, **recording):
 def _convergence(spec, path, model, samples, state0):
     """Coupled step-size sweep with fitted convergence orders.
 
-    The fine references step on each fine block, and each coarse dt's
-    ``_Level`` sums the blocks left to right into its cells' next
-    increment; one ``advance_all`` call takes the steps due on a block,
-    and the exact oracle adds the block to its Brownian sum.
-    At every coarse node the pathwise squared distance of each cell to
-    each reference, and the reference's own squared norm, are folded
-    into running per-path maxima.  The steppers record nothing
-    (``record_nodes=()``), so memory is O((cells + 2) d M) whatever the
-    horizon.
+    The fine reference steppers step on each fine block, or the exact
+    oracle's Brownian motion adds it to one running sum; each coarse
+    dt's ``_Level`` sums the blocks left to right into its cells' next
+    increment, and one ``advance_all`` call takes the steps due on a
+    block.  At every coarse node the pathwise squared distance of each
+    cell to each reference, and the reference's own squared norm, are
+    folded into running per-path maxima; the exact reference there is
+    ``gbm_exact_value`` at the node's lattice time and that sum.  The
+    steppers record nothing (``record_nodes=()``), so memory is
+    O((cells + 2) d M) whatever the horizon.
 
     Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv and
     status.csv (ok/failed per cell; failed cells are excluded from the
@@ -540,17 +522,15 @@ def _convergence(spec, path, model, samples, state0):
                 for dt in spec.dt_values]
     n_fine = spec.fine_factor * n_values[-1]
     fine = _lattice(spec, model, n_fine, spec.t_final)
-    if spec.reference == "exact":
-        exact, fine_steppers = _ExactReference(model, fine), {}
-        references = {"exact": exact}
-    else:
-        exact = None
-        references = fine_steppers = {
-            "em_fine": Stepper(model, "em", samples, fine, record_nodes=()),
-            "dlr_ps_sde_fine": Stepper(model, "dlr_ps_sde", state0, fine,
-                                       record_nodes=(),
-                                       rank_policy=spec.rank_policy),
-        }
+    exact = spec.reference == "exact"
+    fine_steppers = {} if exact else {
+        "em_fine": Stepper(model, "em", samples, fine, record_nodes=()),
+        "dlr_ps_sde_fine": Stepper(model, "dlr_ps_sde", state0, fine,
+                                   record_nodes=(),
+                                   rank_policy=spec.rank_policy),
+    }
+    ref_names = ["exact"] if exact else list(fine_steppers)
+    w = np.zeros((1, spec.paths))  # W at the fine node, for "exact"
 
     levels = []
     for n in n_values:
@@ -558,17 +538,20 @@ def _convergence(spec, path, model, samples, state0):
         levels.append(_Level(n_fine // n, {
             scheme: _stepper(spec, model, samples, state0, scheme, grid,
                              record_nodes=())
-            for scheme in spec.schemes}, references))
+            for scheme in spec.schemes}, ref_names))
 
-    def fold(stepped):
-        ref_clouds = {name: ref.cloud() for name, ref in references.items()}
+    def fold(stepped, node):
+        ref_clouds = {name: ref.cloud() for name, ref in fine_steppers.items()}
+        if exact:
+            ref_clouds["exact"] = gbm_exact_value(model.mu, model.sigma,
+                                                  fine.time(node), w)
         for level in stepped:
             level.fold(ref_clouds)
 
-    fold(levels)
-    for (block,) in lattice_blocks([fine]):
-        if exact is not None:
-            exact.advance(block)
+    fold(levels, 0)
+    for node, (block,) in enumerate(lattice_blocks([fine]), 1):
+        if exact:
+            w += block
         due = [(ref, block) for ref in fine_steppers.values()]
         stepped = []
         for level in levels:
@@ -583,7 +566,7 @@ def _convergence(spec, path, model, samples, state0):
                 raise StepFailed("fine reference %s failed: %s"
                                  % (name, ref.error))
         if stepped:
-            fold(stepped)
+            fold(stepped, node)
 
     cells = [(scheme, dt, level.cells[scheme]) for scheme in spec.schemes
              for dt, level in zip(spec.dt_values, levels)]
@@ -594,7 +577,7 @@ def _convergence(spec, path, model, samples, state0):
     for scheme in spec.schemes:
         done = [(dt, level) for dt, level in zip(spec.dt_values, levels)
                 if not level.cells[scheme].failed]
-        for ref_name in references:
+        for ref_name in ref_names:
             pairs = [l2_sup_errors(level.cell_sup_sq[scheme][ref_name],
                                    level.ref_sup_sq[ref_name])
                      for _, level in done]

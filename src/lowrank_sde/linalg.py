@@ -52,8 +52,8 @@ def _upper(k):
 
 
 def reduced_qr(a):
-    """Reduced QR factorization with strictly positive diag(R), and its
-    rank verdict.
+    """Reduced QR factorization with non-negative diag(R), and its rank
+    verdict.
 
     Parameters
     ----------
@@ -62,7 +62,8 @@ def reduced_qr(a):
     Returns
     -------
     q : (n, k) array with orthonormal columns.
-    r : (k, k) upper triangular with positive diagonal.
+    r : (k, k) upper triangular with non-negative diagonal: positive
+        but for an exactly zero pivot, which stays 0.0.
     deficient : int, the first column i with |r[i, i]| <= 1e-14 *
         ||a||_F, or -1 when a has numerically full column rank.
     All three carry the leading stack axis of a stacked input; each

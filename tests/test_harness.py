@@ -414,6 +414,29 @@ output_dir = {out}
             with pytest.raises(SpecError, match="expected"):
                 load_specs(write_ini(tmp_path, body))
 
+    @pytest.mark.parametrize("seed, valid", [
+        (0, True), (2 ** 53 - 1, True),
+        (-1, False), (2 ** 53, False), (2 ** 64 - 1, False)])
+    def test_seed_bound(self, tmp_path, capsys, seed, valid):
+        body = GBM_INI.format(out=tmp_path / "out").replace(
+            "seed = 11", "seed = %d" % seed)
+        path = write_ini(tmp_path, body)
+        if valid:
+            assert load_specs(path)[0].seed == seed
+            assert cli_main(["validate", path]) == 0
+        else:
+            with pytest.raises(SpecError, match=r"\[0, 2\^53\)"):
+                load_specs(path)
+            assert cli_main(["validate", path]) == 2
+            assert "spec error" in capsys.readouterr().err
+
+    def test_seeds_past_the_bound_share_a_law(self):
+        # the reason for the bound: the initial law's Philox key
+        # [seed, 2**63] is a float64 array, which rounds 2**53 + 1
+        _, law = build_model("toy_example_1")
+        assert np.array_equal(law(2 ** 53, 50), law(2 ** 53 + 1, 50))
+        assert not np.array_equal(law(2 ** 53 - 1, 50), law(2 ** 53, 50))
+
     def test_sections_sharing_output_dir_rejected(self, tmp_path):
         # the second section would overwrite classification.csv and the
         # manifest, and leave the first one's norms files unlisted; paths
@@ -565,6 +588,7 @@ class TestRunConvergence:
     @pytest.mark.parametrize("model, reference, fine_factor", [
         ("toy_example_2", "em_fine", 2),
         ("gbm_oracle", "exact", 1),
+        ("gbm_oracle", "exact", 3),
     ])
     def test_cells_match_integrate_over_coarsened_grids(
             self, tmp_path, model, reference, fine_factor):
