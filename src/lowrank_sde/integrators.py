@@ -30,7 +30,10 @@ A step moves each cell alone (``_move``, all its d x M work), then
 settles all cells that step together as one stack (``_settle``): one
 eigh and one QR outside debug mode, whatever the rank verdicts, and an
 SVD only for a basis the QR reports rank deficient, then one pass per
-cell; ``dlr_step`` is a stack of one.  Each array is checked once: the
+cell, which writes the cell's new samples over its moved samples.  A
+cell failing in that pass fails alone; a failure of the stacked solve
+or QR, before any sample is written, settles each cell again alone.
+``dlr_step`` is a stack of one.  Each array is checked once: the
 move scans its moved samples and, only when that scan fails, names the
 drift, the diffusion increment or the samples; the solve's guard reads
 the solve itself.  Overflow is ``ModelBlowUp``; a Gramian below the range
@@ -236,7 +239,7 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
 def _svd_refactor(u_new, move, column):
     """Refactor a basis that QR found rank deficient at ``column``: fail
     under "abort"; under "svd" keep u^T y exact and zero the dead
-    directions' rows."""
+    directions' rows.  The new samples take the moved samples' buffer."""
     if move.rank_policy == "abort":
         raise StepFailed(
             "basis refactorization found a rank-deficient basis "
@@ -244,21 +247,25 @@ def _svd_refactor(u_new, move, column):
             "with dead directions zeroed" % column)
     w, s, vt = np.linalg.svd(u_new.T, full_matrices=False)
     u_plus = w.T
-    y_plus = (s[:, np.newaxis] * vt) @ move.y_moved
+    y_plus = np.matmul(s[:, np.newaxis] * vt, move.y_moved,
+                       out=move.y_moved)
     # canonical signs: largest-magnitude entry of each basis row positive
     lead = np.argmax(np.abs(u_plus), axis=1)
     signs = np.where(u_plus[np.arange(u_plus.shape[0]), lead] < 0.0, -1.0, 1.0)
-    return signs[:, np.newaxis] * u_plus, signs[:, np.newaxis] * y_plus
+    signs = signs[:, np.newaxis]
+    y_plus *= signs
+    return signs * u_plus, y_plus
 
 
 def _settle(moves):
     """Stacked k x k phase of the steps of ``moves``, which share k and d.
 
-    One eigh-based solve and one QR serve all cells; a basis the QR
-    reports rank deficient takes ``_svd_refactor`` instead of its QR
-    factors.  The rest runs per cell, and each new state is validated
-    once, here.  Returns the new states or raises the first failing
-    cell's error."""
+    One eigh-based solve and one QR serve all cells.  A failure of this
+    stacked phase (the solve, its overflow guard, the QR) raises before
+    any cell's samples are written.  The rest runs per cell
+    (``_settle_cell``) and writes each cell's new samples over its moved
+    samples, so a move settles once.  Returns, per cell, its new state
+    or the error that failed it there."""
     u_new = [move.u_new for move in moves]
     solving = [j for j, move in enumerate(moves) if move.rhs is not None]
     if solving:
@@ -279,39 +286,56 @@ def _settle(moves):
             u_new[j] = u_j
 
     q, r, deficient = reduced_qr(np.array([u.T for u in u_new]))
-    states = []
-    for move, u_n, q_j, r_j, column in zip(moves, u_new, q, r, deficient):
-        u_p, y_p = ((q_j.T, r_j @ move.y_moved) if column < 0
-                    else _svd_refactor(u_n, move, column))
-        e = u_p @ u_p.T
-        e = e.reshape(-1)  # a view: e is a new contiguous array
-        e[::u_p.shape[0] + 1] -= 1.0
-        defect = math.sqrt(np.dot(e, e))  # as np.linalg.norm forms it
-        if defect > ORTHONORMALITY_TOL:
-            warnings.warn("basis lost orthonormality (defect %.3e), "
-                          "re-orthonormalizing" % defect)
-            q2, r2, column = reduced_qr(u_p.T)
-            if column >= 0:
-                raise StepFailed("re-orthonormalization found a "
-                                 "rank-deficient basis (column %d)" % column)
-            u_p, y_p = q2.T, r2 @ y_p
-        _check_finite(y_p, move.t_next, "coefficient samples")
-        if math.isnan(defect):  # a non-finite basis passes the test above
-            raise ValueError("ensemble state contains non-finite entries")
-        states.append(EnsembleState.checked(move.t_next, u_p, y_p))
-        if move.debug:
-            _check_identity(u_n.T @ move.y_moved, u_p.T @ y_p,
-                            "sample product of the refactorization",
-                            _FACTORIZATION_TOL)
-        if move.predicted is not None:
-            _check_identity(reconstruct(states[-1]), move.predicted[0],
-                            "projected-update identity", move.predicted[1])
-    return states
+    results = []
+    for cell in zip(moves, u_new, q, r, deficient):
+        try:
+            results.append(_settle_cell(*cell))
+        except _FAILURES as exc:
+            results.append(exc)
+    return results
+
+
+def _settle_cell(move, u_n, q_j, r_j, column):
+    """Per-cell phase of ``_settle``: the new state from the solved basis
+    u_n and its QR factors, or ``_svd_refactor`` for a basis the QR
+    reports rank deficient at ``column``; the new samples take the moved
+    samples' buffer.  The state is validated once, here."""
+    if move.debug:  # before the moved samples are overwritten
+        product = u_n.T @ move.y_moved
+    u_p, y_p = ((q_j.T, np.matmul(r_j, move.y_moved, out=move.y_moved))
+                if column < 0 else _svd_refactor(u_n, move, column))
+    e = u_p @ u_p.T
+    e = e.reshape(-1)  # a view: e is a new contiguous array
+    e[::u_p.shape[0] + 1] -= 1.0
+    defect = math.sqrt(np.dot(e, e))  # as np.linalg.norm forms it
+    if defect > ORTHONORMALITY_TOL:
+        warnings.warn("basis lost orthonormality (defect %.3e), "
+                      "re-orthonormalizing" % defect)
+        q2, r2, column = reduced_qr(u_p.T)
+        if column >= 0:
+            raise StepFailed("re-orthonormalization found a "
+                             "rank-deficient basis (column %d)" % column)
+        u_p, y_p = q2.T, r2 @ y_p
+    _check_finite(y_p, move.t_next, "coefficient samples")
+    if math.isnan(defect):  # a non-finite basis passes the test above
+        raise ValueError("ensemble state contains non-finite entries")
+    state = EnsembleState.checked(move.t_next, u_p, y_p)
+    if move.debug:
+        _check_identity(product, u_p.T @ y_p,
+                        "sample product of the refactorization",
+                        _FACTORIZATION_TOL)
+    if move.predicted is not None:
+        _check_identity(reconstruct(state), move.predicted[0],
+                        "projected-update identity", move.predicted[1])
+    return state
 
 
 def _settle_each(moves):
-    """``_settle`` the moves as one stack or, if a cell fails, each alone,
-    so it gets its own error and the others keep their bytes."""
+    """``_settle`` the moves as one stack or, if its stacked phase fails,
+    each alone, so the failing cell gets its own error and the others
+    keep their bytes.  A failure of the per-cell phase stays with its
+    cell, whose move is spent; no buffer is written before the stacked
+    phase ends, so a stack it fails can be settled again."""
     try:
         return _settle(moves)
     except _FAILURES as exc:
@@ -341,9 +365,12 @@ def dlr_step(model, state, dt, dw, *, scheme, fast_linear=False, debug=False,
     if rank_policy not in RANK_POLICIES:
         raise ValueError("rank_policy must be one of %r" % (RANK_POLICIES,))
     with np.errstate(over="ignore", invalid="ignore"):  # as advance_all
-        return _settle([_move(model, state, dt, dw, **_FLAGS[scheme],
-                              fast_linear=fast_linear, debug=debug,
-                              rank_policy=rank_policy)])[0]
+        result, = _settle([_move(model, state, dt, dw, **_FLAGS[scheme],
+                                 fast_linear=fast_linear, debug=debug,
+                                 rank_policy=rank_policy)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # the step of each scheme alone; perfbench/tracer.py wraps these entries

@@ -274,6 +274,11 @@ class TestExperimentSpecValidation:
                          dt_values=(0.1,), reference="", fine_factor=10,
                          snapshot_times=(0.5, 1.0))
         assert spec.snapshot_times == (0.5, 1.0)
+        # t / dt overflows to inf (t * dt would not): no node, not a crash
+        with pytest.raises(SpecError, match="not a grid node"):
+            make_spec(tmp_path, kind="single_run", schemes=("em",),
+                      t_final=1e-9, dt_values=(1e-10,), reference="",
+                      snapshot_times=(1e300,))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_dt_values_sharing_a_label_rejected(self, tmp_path, kind):
@@ -804,6 +809,28 @@ class TestClassifyStability:
         # failure after contracting below threshold still counts stable
         assert classify_stability(1.0, 1e-200, False) == "stable"
         assert classify_stability(1.0, 0.5, False) == "unstable"
+
+    def test_cuts_scale_with_the_initial_norm(self):
+        # at initial 1.0 a cut of STABLE_FACTOR * initial and one of
+        # STABLE_FACTOR / initial agree; at 4.0 they do not
+        assert classify_stability(4.0, 1e-3, True) == "stable"
+        assert classify_stability(4.0, 4e-3, True) == "inconclusive"
+        assert classify_stability(4.0, 20.0, True) == "inconclusive"
+        assert classify_stability(4.0, 41.0, True) == "unstable"
+        assert classify_stability(0.25, 1e-3, True) == "inconclusive"
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(initial=st.floats(1e-100, 1e100),
+           final=st.one_of(st.floats(1e-150, 1e150), st.sampled_from(
+               (0.0, np.inf, np.nan))),
+           completed=st.booleans(), power=st.integers(-60, 60))
+    def test_label_unchanged_when_both_norms_scale_by_a_power_of_two(
+            self, initial, final, completed, power):
+        # scaling by 2^power is exact here, so it must not move a label
+        scale = 2.0 ** power
+        assert classify_stability(initial * scale, final * scale,
+                                  completed) \
+            == classify_stability(initial, final, completed)
 
 
 class TestRunStability:

@@ -1,6 +1,7 @@
 """Tests for the one-step integrators and the stepping loop."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -827,6 +828,24 @@ class TestIntegrate:
             x = em_step(model, x.copy(), grid.time(i), grid.dt, dw)
         assert np.array_equal(traj.node_states[-1], x)
 
+    @pytest.mark.parametrize("scheme", DLR_SCHEMES)
+    def test_low_rank_records_every_node_unwritten(self, scheme):
+        # a step forms its new samples in the buffer of its moved samples
+        # and a run records its states by reference, so no later step may
+        # write into a recorded state: each holds the u and y an
+        # independent dlr_step loop reaches at that node
+        model, state = toy_state(m_paths=60)
+        grid = generate(72, 0.0, 0.3, 6, model.m, 60)
+        traj = integrate(model, scheme, state, grid, record_nodes=range(7))
+        assert traj.node_indices == list(range(7))
+        for i, dw in enumerate(grid.increments):
+            assert np.array_equal(traj.node_states[i].u, state.u)
+            assert np.array_equal(traj.node_states[i].y, state.y)
+            new = dlr_step(model, state, grid.dt, dw, scheme=scheme)
+            state = EnsembleState(grid.time(i + 1), new.u, new.y)
+        assert np.array_equal(traj.node_states[-1].u, state.u)
+        assert np.array_equal(traj.node_states[-1].y, state.y)
+
     def test_em_step_enters_one_error_state_of_its_own(self, monkeypatch):
         # advance_all holds one error state for the whole call; an em
         # cell-step adds only em_step's own
@@ -966,6 +985,50 @@ class TestStackedStep:
             advance_all([(stepper, dws[step]) for stepper, _, dws in cells])
             assert calls == {"qr": step + 1, "svd": step + 1}
         assert all(stepper.node == 2 for stepper, _, _ in cells)
+
+    @pytest.mark.parametrize("skewed", (False, True))
+    def test_cell_failing_after_the_stacked_qr_fails_alone(self, skewed,
+                                                           monkeypatch):
+        # a cell whose refactorization fails after the stacked QR, here
+        # by rank_policy "abort", fails alone: the stack is not settled
+        # again, so a step makes one QR (and one more per re-QR, each
+        # after its warning), and the other cells keep their bytes
+        rng = np.random.default_rng(7)
+        cells = [self.twin_steppers(rng, 3, dict(
+                     k=2, m_paths=20, scheme=scheme, dt=0.05,
+                     rank_policy="abort", fast_linear=False), failure)
+                 for scheme, failure in (("dlr_em", None),
+                                         ("dlr_ps_em", "rank"),
+                                         ("dlr_ps_sde", None))]
+        if skewed:
+            monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
+                                self.skewed_qr())
+        calls = dict(qr=0)
+        reference.count_factorizations(monkeypatch, calls)
+        for step in range(2):
+            live = [(stepper, dws[step]) for stepper, _, dws in cells
+                    if not stepper.failed]
+            calls["qr"] = 0
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                advance_all(live)
+            # each healthy cell re-orthonormalizes once under the skew
+            assert len(warned) == (2 if skewed else 0)
+            assert all("basis lost orthonormality" in str(w.message)
+                       for w in warned)
+            assert calls["qr"] == 1 + len(warned)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for _, alone, dws in cells:
+                    if not alone.failed:
+                        advance_all([(alone, dws[step])])
+        for stacked, alone, _ in cells:
+            assert stacked.error == alone.error
+            assert stacked.node == alone.node
+            assert np.array_equal(stacked.state.u, alone.state.u)
+            assert np.array_equal(stacked.state.y, alone.state.y)
+        assert [stepper.node for stepper, _, _ in cells] == [2, 0, 2]
+        assert "rank-deficient basis (column 0)" in cells[1][0].error
 
     def test_non_finite_basis_rejected(self, monkeypatch):
         # the refactorization's orthonormality defect is the only check

@@ -7,8 +7,10 @@ of the benchmark workloads, reports
 * ``move``: one ``integrators._move`` on a stack of one, the step's d x M
   work (model evaluation, the moved samples, the basis solve's Gramian
   and right-hand side);
-* ``settle``: one ``integrators._settle`` of that move, the k x k phase
-  (basis solve, QR refactorization) and the settle's bookkeeping;
+* ``settle``: one ``integrators._settle`` of such a move, the k x k
+  phase (basis solve, QR refactorization) and the settle's bookkeeping;
+  a settle writes the new samples over its move's moved samples, so
+  each timed call settles a fresh move, made before the clock starts;
 
 and per model one ``noise`` block, the cost of one step of
 ``noise.lattice_blocks`` on one lattice.  Each figure is the minimum
@@ -44,14 +46,16 @@ REPEAT = 60
 NUMBER = 20
 
 
-def min_mean_us(fn):
+def min_mean_us(fn, setup=None):
     """Smallest mean time of ``NUMBER`` calls of fn over ``REPEAT``
-    rounds, in microseconds."""
+    rounds, in microseconds.  With ``setup``, each call takes its own
+    ``setup()`` result, all made before the round's clock starts."""
     best = float("inf")
     for _ in range(REPEAT):
+        args = [(setup(),) if setup else () for _ in range(NUMBER)]
         start = time.perf_counter_ns()
-        for _ in range(NUMBER):
-            fn()
+        for arg in args:
+            fn(*arg)
         best = min(best, (time.perf_counter_ns() - start) / NUMBER)
     return best / 1e3
 
@@ -70,11 +74,10 @@ def case_rows(name, rank, m_paths, dt, rank_policy):
             return _move(model, state, dt, dw, **flags,
                          rank_policy=rank_policy)
 
-        moved = move()
         rows.append((name, rank, "move", scheme,
                      min_mean_us(move)))
         rows.append((name, rank, "settle", scheme,
-                     min_mean_us(lambda: _settle([moved]))))
+                     min_mean_us(lambda moved: _settle([moved]), move)))
     return rows
 
 
