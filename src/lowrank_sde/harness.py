@@ -21,7 +21,7 @@ instead of being ignored.  Four experiment kinds exist:
     Runs the low-rank schemes at each dt and classifies each run as
     stable (final mean-square norm < 1e-3 x initial), unstable (> 10 x
     initial, or overflow/failure), inconclusive, or failed (no step
-    completed); the summary lists each failed cell's error.
+    completed).
 ``single_run``
     One scheme on one grid, serializing factored snapshots at
     configured times.
@@ -37,7 +37,8 @@ the other cells (in a sweep, while the finest dt stays).
 ``run_experiment`` runs every kind: it sets up, runs the kind's body and
 writes a ``manifest.json`` recording the resolved spec, the library
 version, wall time, the BLAS thread counts, the body's summary (a
-non-finite number as null) and a SHA-256 digest of each file written;
+non-finite number as null) with each cell's ``failures`` entry and
+lattice end (``horizons``), and a SHA-256 digest of each file written;
 re-running a spec reproduces every CSV byte for byte.  Outputs are
 named by the %g labels of dts and snapshot times, so values that share
 a label fail validation.
@@ -192,7 +193,9 @@ def _off_node(t, node, t_final):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Resolved description of one experiment section."""
+    """Resolved description of one experiment section, and its plan:
+    ``n_steps`` per dt and, for single_run, ``snapshot_nodes`` per
+    snapshot time; not fields, so ``asdict`` echoes the section alone."""
 
     name: str
     kind: str
@@ -258,8 +261,8 @@ class ExperimentSpec:
         if not self.output_dir:
             raise SpecError("%s output_dir must not be empty" % where)
         # every kind steps each dt, so validation fails where a run would
-        n_values = [_steps_for(dt, self.t_final, where)
-                    for dt in self.dt_values]
+        object.__setattr__(self, "n_steps", tuple(
+            _steps_for(dt, self.t_final, where) for dt in self.dt_values))
         # output file names and rows carry %g labels of the dts
         _check_labels(where, "dt values", self.dt_values, self.dt_values)
         if self.kind == "convergence":
@@ -274,12 +277,12 @@ class ExperimentSpec:
             if self.reference != "exact" and self.fine_factor < 2:
                 raise SpecError("%s fine references need fine_factor >= 2"
                                 % where)
-            for dt, n in zip(self.dt_values, n_values):
+            for dt, n in zip(self.dt_values, self.n_steps):
                 if _off_node(n * dt, self.t_final, self.t_final):
                     raise SpecError("%s dt=%g does not divide t_final=%g"
                                     % (where, dt, self.t_final))
             n_fine = self.fine_steps()
-            for dt, n in zip(self.dt_values, n_values):
+            for dt, n in zip(self.dt_values, self.n_steps):
                 if n_fine % n:
                     raise SpecError(
                         "%s fine grid of %d steps is not a multiple of the "
@@ -290,7 +293,7 @@ class ExperimentSpec:
                                 % where)
             if len(self.dt_values) != 1:
                 raise SpecError("%s single_run takes exactly one dt" % where)
-            dt, n = self.dt_values[0], n_values[0]
+            dt, n = self.dt_values[0], self.n_steps[0]
             nodes = []
             for t in self.snapshot_times:
                 i = round(t / dt) if np.isfinite(t / dt) else -1
@@ -301,11 +304,11 @@ class ExperimentSpec:
             # snapshots are named by their node's time on the run's lattice
             _check_labels(where, "snapshot times", self.snapshot_times,
                           [n * dt / n * i for i in nodes])
+            object.__setattr__(self, "snapshot_nodes", tuple(nodes))
 
     def fine_steps(self):
         """Number of steps of the shared fine grid (convergence only)."""
-        return self.fine_factor * _steps_for(
-            self.dt_values[-1], self.t_final, self.name)
+        return self.fine_factor * self.n_steps[-1]
 
 
 def _checked_model(spec):
@@ -461,26 +464,13 @@ class _Level:
                 sups[name] = fold_sup_sq(sups[name], cloud - ref)
 
 
-def _failures(cells):
-    """The failure record of each failed (scheme, dt, stepper) cell."""
-    return [{"scheme": scheme, "dt": dt, "error": cell.error}
-            for scheme, dt, cell in cells if cell.failed]
-
-
-def _horizons(cells):
-    """The time each (scheme, dt, stepper) cell's lattice ends at."""
-    return {"%s dt=%s" % (scheme, _g(dt)): cell.grid.t1
-            for scheme, dt, cell in cells}
-
-
 def _run_fixed_dt(spec, model, samples, state0, **recording):
-    """Step a stepper per scheme on the lattice of each dt, of n =
-    round(t_final / dt) steps ending at n * dt (with a warning when that
+    """Step a stepper per scheme on the lattice of each dt, of its n in
+    ``spec.n_steps`` ending at n * dt (with a warning when that
     is not t_final), one ``advance_all`` call per step for all live
     cells.  Returns (scheme, dt, stepper) of every cell, scheme-major."""
     grids, by_dt = [], []
-    for dt in spec.dt_values:
-        n = _steps_for(dt, spec.t_final, spec.name)
+    for dt, n in zip(spec.dt_values, spec.n_steps):
         horizon = n * dt
         if _off_node(horizon, spec.t_final, spec.t_final):
             warnings.warn("[%s] dt=%g does not divide t_final=%g; the run "
@@ -516,11 +506,9 @@ def _convergence(spec, path, model, samples, state0):
     Writes errors_<scheme>_vs_<reference>.csv per pair, slopes.csv and
     status.csv (ok/failed per cell; failed cells are excluded from the
     fits).  A failing fine reference raises StepFailed before any file
-    is written.
+    is written.  Like every body, returns (result, summary, cells).
     """
-    n_values = [_steps_for(dt, spec.t_final, spec.name)
-                for dt in spec.dt_values]
-    n_fine = spec.fine_factor * n_values[-1]
+    n_fine = spec.fine_steps()
     fine = _lattice(spec, model, n_fine, spec.t_final)
     exact = spec.reference == "exact"
     fine_steppers = {} if exact else {
@@ -533,7 +521,7 @@ def _convergence(spec, path, model, samples, state0):
     w = np.zeros((1, spec.paths))  # W at the fine node, for "exact"
 
     levels = []
-    for n in n_values:
+    for n in spec.n_steps:
         grid = _lattice(spec, model, n, spec.t_final)
         levels.append(_Level(n_fine // n, {
             scheme: _stepper(spec, model, samples, state0, scheme, grid,
@@ -601,15 +589,11 @@ def _convergence(spec, path, model, samples, state0):
                 slope_rows)
     _write_rows(path("status.csv"), "scheme,dt,status", status_rows)
 
-    failures = _failures(cells)
-    summary = {
-        "fitted_orders": {"%s vs %s" % key:
-                          _json_float(reports[key].fitted_order)
-                          for key in reports},
-        "failures": failures,
-        "fine_steps": n_fine,
-    }
-    return {"reports": reports, "failures": failures}, summary
+    summary = {"fitted_orders": {"%s vs %s" % key:
+                                 _json_float(reports[key].fitted_order)
+                                 for key in reports},
+               "fine_steps": n_fine}
+    return {"reports": reports}, summary, cells
 
 
 def _singular_values(spec, path, model, samples, state0):
@@ -673,11 +657,8 @@ def _singular_values(spec, path, model, samples, state0):
     _write_rows(path("violations.csv"), "scheme,dt,t,sigma_k,threshold",
                 violation_rows)
 
-    failures = _failures(results)
-    summary = {"violations": len(violation_rows), "failures": failures,
-               "horizons": _horizons(results)}
-    return {"traces": traces, "violations": violation_rows,
-            "failures": failures}, summary
+    return ({"traces": traces, "violations": violation_rows},
+            {"violations": len(violation_rows)}, results)
 
 
 def classify_stability(initial, final, completed):
@@ -702,8 +683,7 @@ def _stability(spec, path, model, samples, state0):
 
     Writes norms_<scheme>_dt<dt>.csv (t, mean_square_norm over the
     computed prefix) and classification.csv; a run that fails at its
-    first step is failed, any other as ``classify_stability`` says, and
-    each failure's error goes to the summary.
+    first step is failed, any other as ``classify_stability`` says.
     """
     results = _run_fixed_dt(spec, model, samples, state0, sigma_min=False)
 
@@ -723,12 +703,9 @@ def _stability(spec, path, model, samples, state0):
     _write_rows(path("classification.csv"), "scheme,dt,classification",
                 class_rows)
 
-    failures = _failures(results)
     summary = {"classification": {"%s dt=%s" % (s, _g(dt)): v
-                                  for (s, dt), v in classifications.items()},
-               "failures": failures, "horizons": _horizons(results)}
-    return {"classifications": classifications,
-            "failures": failures}, summary
+                                  for (s, dt), v in classifications.items()}}
+    return {"classifications": classifications}, summary, results
 
 
 def _single_run(spec, path, model, samples, state0):
@@ -739,19 +716,16 @@ def _single_run(spec, path, model, samples, state0):
     an identity basis so snapshots share one format.
     """
     scheme = spec.schemes[0]
-    dt = spec.dt_values[0]
-    n = _steps_for(dt, spec.t_final, spec.name)
-    snapshot_nodes = [int(round(t / dt)) for t in spec.snapshot_times]
-    record = sorted({0, n, *snapshot_nodes})
-
-    [(_, _, cell)] = _run_fixed_dt(spec, model, samples, state0,
-                                   record_nodes=record)
+    n = spec.n_steps[0]
+    cells = _run_fixed_dt(spec, model, samples, state0,
+                          record_nodes=sorted({0, n, *spec.snapshot_nodes}))
+    [(_, _, cell)] = cells
     if cell.error:
         raise StepFailed("single run failed: %s" % cell.error)
 
     times = cell.grid.times()
     by_node = dict(zip(cell.node_indices, cell.node_states))
-    for node in snapshot_nodes:
+    for node in spec.snapshot_nodes:
         entry = by_node[node]
         if scheme == "em":
             entry = EnsembleState(t=times[node], u=np.eye(model.d), y=entry)
@@ -764,9 +738,8 @@ def _single_run(spec, path, model, samples, state0):
     _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k", trace_rows)
 
     summary = {"final_mean_square_norm":
-               _json_float(cell.mean_square_norms[-1]),
-               "horizons": _horizons([(scheme, dt, cell)])}
-    return {"trajectory": cell}, summary
+               _json_float(cell.mean_square_norms[-1])}
+    return {"trajectory": cell}, summary, cells
 
 
 _BODIES = {
@@ -814,9 +787,11 @@ def run_experiment(spec):
 
     The kind's body gets the spec, ``path(name)``, which records a file
     name and returns its path in the output directory, and the model,
-    initial samples and state of ``_prepare``.  The run holds OpenBLAS
+    initial samples and state of ``_prepare``; it returns its result,
+    its summary and its (scheme, dt, stepper) cells, whose ``failures``
+    and ``horizons`` this adds to the summary.  The run holds OpenBLAS
     to one thread (``_one_blas_thread``).  Returns the body's result
-    plus ``output_dir``."""
+    plus ``failures`` and ``output_dir``."""
     started = time.monotonic()
     names = []
 
@@ -825,7 +800,13 @@ def run_experiment(spec):
         return os.path.join(spec.output_dir, name)
 
     with _one_blas_thread() as blas_threads:
-        result, summary = _BODIES[spec.kind](spec, path, *_prepare(spec))
+        result, summary, cells = _BODIES[spec.kind](spec, path,
+                                                    *_prepare(spec))
+        failures = [{"scheme": scheme, "dt": dt, "error": cell.error}
+                    for scheme, dt, cell in cells if cell.failed]
+        summary = dict(summary, failures=failures, horizons={
+            "%s dt=%s" % (scheme, _g(dt)): cell.grid.t1
+            for scheme, dt, cell in cells})
         _write_manifest(spec, names, time.monotonic() - started, summary,
                         blas_threads)
-    return dict(result, output_dir=spec.output_dir)
+    return dict(result, failures=failures, output_dir=spec.output_dir)

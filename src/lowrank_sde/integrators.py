@@ -30,14 +30,16 @@ A step moves each cell alone (``_move``, all its d x M work), then
 settles all cells that step together as one stack (``_settle``): one
 eigh and one QR outside debug mode, whatever the rank verdicts, and an
 SVD only for a basis the QR reports rank deficient, then one pass per
-cell, which writes the cell's new samples over its moved samples.  A
-cell failing in that pass fails alone; a failure of the stacked solve
-or QR, before any sample is written, settles each cell again alone.
-``dlr_step`` is a stack of one.  Each array is checked once: the
-move scans its moved samples and, only when that scan fails, names the
-drift, the diffusion increment or the samples; the solve's guard reads
-the solve itself.  Overflow is ``ModelBlowUp``; a Gramian below the range
-the solve can resolve is ``EnsembleUnderflow``.
+cell, which writes the cell's new samples into its moved samples'
+buffer (NumPy copies that input first, as it overlaps the output, so
+only the cell in the pass holds a third k x M block).  A cell failing
+in that pass fails alone; a failure of the stacked solve or QR, before
+any sample is written, settles each cell again alone.  ``dlr_step`` is
+a stack of one.  Each array is checked once: the move scans its moved
+samples and, only when that scan fails, names the drift, the diffusion
+increment or the samples; the solve's guard reads the solve itself.
+Overflow is ``ModelBlowUp``; a Gramian below the range the solve can
+resolve is ``EnsembleUnderflow``.
 
 ``Stepper`` is one run of one scheme and its record; ``advance_all``
 steps any number of them, each on its own Brownian increment, and is
@@ -263,9 +265,10 @@ def _settle(moves):
     One eigh-based solve and one QR serve all cells.  A failure of this
     stacked phase (the solve, its overflow guard, the QR) raises before
     any cell's samples are written.  The rest runs per cell
-    (``_settle_cell``) and writes each cell's new samples over its moved
-    samples, so a move settles once.  Returns, per cell, its new state
-    or the error that failed it there."""
+    (``_settle_cell``) and writes each cell's new samples into its moved
+    samples' buffer (copied while that cell settles), so a move settles
+    once.  Returns, per cell, its new state or the error that failed it
+    there."""
     u_new = [move.u_new for move in moves]
     solving = [j for j, move in enumerate(moves) if move.rhs is not None]
     if solving:
@@ -299,7 +302,8 @@ def _settle_cell(move, u_n, q_j, r_j, column):
     """Per-cell phase of ``_settle``: the new state from the solved basis
     u_n and its QR factors, or ``_svd_refactor`` for a basis the QR
     reports rank deficient at ``column``; the new samples take the moved
-    samples' buffer.  The state is validated once, here."""
+    samples' buffer, which NumPy copies first as it overlaps ``out``.
+    The state is validated once, here."""
     if move.debug:  # before the moved samples are overwritten
         product = u_n.T @ move.y_moved
     u_p, y_p = ((q_j.T, np.matmul(r_j, move.y_moved, out=move.y_moved))

@@ -9,7 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -722,6 +722,28 @@ class TestRunSingularValues:
         lines = (tmp_path / "sv" / "violations.csv").read_text().splitlines()
         assert lines == ["scheme,dt,t,sigma_k,threshold"]
 
+    def test_singular_start_violates_only_the_forward_scheme(self, tmp_path):
+        # k = 3 on the rank-2 initial law starts from a singular Gramian:
+        # dlr_em stays at sigma_k = 0 on every node after t = 0, while the
+        # splitting schemes regain the floor 0.8 sigma_B dt at once
+        spec = self.sv_spec(tmp_path, rank=3, rank_policy="svd", seed=38,
+                            paths=200, t_final=0.1, dt_values=(0.02, 0.01))
+        out = run_experiment(spec)
+        rows = [line.split(",") for line in (
+            tmp_path / "sv" / "violations.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 15
+        for dt, n in zip(spec.dt_values, (5, 10)):
+            mine = [row for row in rows if row[1] == "%g" % dt]
+            times = out["traces"][("dlr_em", dt)].times[1:]
+            assert len(mine) == n
+            assert [row[0] for row in mine] == ["dlr_em"] * n
+            assert [row[2] for row in mine] == ["%.17g" % t for t in times]
+            for row in mine:
+                assert row[3:] == ["0", "%.17g" % (0.8e-8 * dt)]
+        manifest = json.loads((tmp_path / "sv" / "manifest.json").read_text())
+        assert manifest["summary"]["violations"] == 15
+        assert manifest["summary"]["failures"] == []
+
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1), paths=st.integers(16, 64),
            rank=st.integers(1, 2),
@@ -1071,7 +1093,43 @@ class TestHorizon:
         tol = 1e-9 * max(1.0, t_final)
         assert not _off_node(tol, 0.0, t_final)
         assert not _off_node(-tol, 0.0, t_final)
-        assert _off_node(2.0 * tol, 0.0, t_final)
+        assert _off_node(1.2 * tol, 0.0, t_final)
+
+
+class TestCellRecord:
+    # the ExperimentSpec fields, which the manifest echoes and no more
+    FIELDS = ("name", "kind", "model", "model_overrides", "schemes", "rank",
+              "paths", "seed", "t_final", "dt_values", "reference",
+              "fine_factor", "output_dir", "debug_identities",
+              "linear_fast_path", "rank_policy", "snapshot_times")
+
+    def test_validation_keeps_the_plan(self, tmp_path):
+        spec = make_spec(tmp_path, fine_factor=3)
+        assert spec.n_steps == (10, 20, 40)
+        assert spec.fine_steps() == 120
+        single = make_spec(tmp_path, kind="single_run", dt_values=(0.3,),
+                           snapshot_times=(0.6, 0.0, 0.9))
+        assert single.n_steps == (3,)
+        assert single.snapshot_nodes == (2, 0, 3)
+        # a replaced spec is validated, and planned, again
+        assert replace(spec, dt_values=(0.5,)).n_steps == (2,)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_summary_carries_failures_and_horizons(self, tmp_path,
+                                                         kind):
+        extra = {"single_run": dict(dt_values=(0.25,),
+                                    snapshot_times=(0.5,))}.get(kind, {})
+        spec = make_spec(tmp_path, kind=kind, schemes=("dlr_em",), **extra)
+        out = run_experiment(spec)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        summary = manifest["summary"]
+        assert summary["failures"] == out["failures"] == []
+        assert summary["horizons"] == {
+            "dlr_em dt=%g" % dt: pytest.approx(1.0, rel=1e-15)
+            for dt in spec.dt_values}
+        # the echo is the section: the plan is not a field
+        assert sorted(manifest["spec"]) == sorted(self.FIELDS)
+        assert manifest["spec"] == json.loads(json.dumps(asdict(spec)))
 
 
 class TestBlasThreads:

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -156,6 +157,33 @@ class TestEmStep:
             with pytest.raises(ValueError, match="dt must be positive"):
                 dlr_step(model, init_rank_k(np.ones((3, 5)), 1), dt,
                          np.zeros((2, 5)), scheme="dlr_em")
+
+    def test_dlr_step_rejects_bad_arguments(self):
+        model = zero_model()
+        state = init_rank_k(np.ones((3, 5)), 1)
+        with pytest.raises(ValueError, match="unknown low-rank scheme 'em'"):
+            dlr_step(model, state, 0.1, np.zeros((2, 5)), scheme="em")
+        with pytest.raises(ValueError, match=r"dw must have shape \(m, M\)"):
+            dlr_step(model, state, 0.1, np.zeros((2, 4)), scheme="dlr_em")
+        with pytest.raises(ValueError, match="state dimension does not "
+                           "match model"):
+            dlr_step(model, init_rank_k(np.ones((4, 5)), 1), 0.1,
+                     np.zeros((2, 5)), scheme="dlr_em")
+
+    def test_nonfinite_diffusion_increment_named(self):
+        # a finite drift and an infinite b dW on path 2 only
+        def diffusion_dw(t, x, dw):
+            out = np.zeros_like(x)
+            out[:, 2] = np.inf
+            return out
+
+        model = SdeModel(name="inf_noise", d=2, m=1,
+                         drift_many=lambda t, x: np.zeros_like(x),
+                         diffusion_dw=diffusion_dw)
+        with pytest.raises(ModelBlowUp, match="non-finite diffusion "
+                           "increment at t=0.5 on path 2") as info:
+            em_step(model, np.ones((2, 4)), 0.5, 0.1, np.zeros((1, 4)))
+        assert info.value.path == 2
 
 
 class TestDlrStepsShared:
@@ -777,6 +805,15 @@ class TestIntegrate:
                                m=model.m, m_paths=50, increments=None)
         with pytest.raises(ValueError, match="stores its increments"):
             integrate(model, "dlr_em", state, lattice)
+        cloud = reconstruct(state)
+        for bad in (cloud[:-1], cloud[0]):
+            with pytest.raises(ValueError, match=r"em init must have "
+                               r"shape \(d, M\)"):
+                integrate(model, "em", bad, grid)
+        for node in (-1, 3):
+            with pytest.raises(ValueError, match="record node %d outside "
+                               r"grid \[0, 2\]" % node):
+                integrate(model, "dlr_em", state, grid, record_nodes=[node])
 
     def test_stepper_recording_nothing_matches_integrate(self):
         # record_nodes=() keeps no per-node diagnostics but steps
@@ -1054,6 +1091,26 @@ class TestStackedStep:
                 return q + 1e-9, r, deficient
             return q, r, deficient if requr_column is None else requr_column
         return qr
+
+    def test_refactorization_product_checked_at_1e_10(self, monkeypatch):
+        # debug mode fails a refactorization whose sample product u^T y
+        # moved by more than 1e-10 of its norm: R scaled by 1 + eps moves
+        # it by eps relative
+        model, state = toy_state()
+        # the relative test, not the absolute floor max(norm, 1)
+        assert np.linalg.norm(state.u.T @ state.y) > 2.0
+        for eps, fails in ((1.2e-10, True), (0.8e-10, False)):
+            def scaled_qr(a):
+                q, r, deficient = reduced_qr(a)
+                return q, r * (1.0 + eps), deficient
+
+            monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",
+                                scaled_qr)
+            with (pytest.raises(StepFailed, match="sample product of the "
+                                "refactorization violated")
+                  if fails else nullcontext()):
+                dlr_step(model, state, 0.01, np.zeros((model.m, 400)),
+                         scheme="dlr_em", debug=True)
 
     def test_lost_orthonormality_is_restored(self, monkeypatch):
         monkeypatch.setattr(lowrank_sde.integrators, "reduced_qr",

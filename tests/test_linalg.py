@@ -94,6 +94,14 @@ class TestReducedQR:
         assert r[0, 0] == 0.0 and r[0, 1] == 1.0 and r[1, 1] > 0
         assert_allclose(q @ r, a, atol=1e-14)
 
+    def test_rank_cut_at_1e_14_of_the_norm(self):
+        # ||a||_F == 1 and r[1, 1] == pivot exactly: the pivot is cut at
+        # or below 1e-14, kept above it
+        for pivot, deficient in ((1.2e-14, -1), (1e-14, 1), (0.8e-14, 1)):
+            a = np.array([[1.0, 0.0], [0.0, pivot], [0.0, 0.0]])
+            q, r, verdict = reduced_qr(a)
+            assert r[1, 1] == pivot and verdict == deficient
+
     def test_duplicated_column_reported(self):
         col = np.array([1.0, 2.0, 3.0])
         a = np.stack([col, col], axis=1)
@@ -204,14 +212,17 @@ class TestSolveSpsdMinnorm:
         assert np.linalg.norm(x) <= np.linalg.norm(x0) * (1.0 + slack)
 
     def test_negative_eigenvalue_raises(self):
-        c = np.diag([1.0, -1e-3])
-        with pytest.raises(NotPSD):
-            solve_spsd_minnorm(c, np.ones((2, 1)))
+        # the slack is 1e-10 lambda_max
+        for lam in (-1e-3, -1.2e-10):
+            c = np.diag([1.0, lam])
+            with pytest.raises(NotPSD):
+                solve_spsd_minnorm(c, np.ones((2, 1)))
 
     def test_tiny_negative_rounding_tolerated(self):
-        c = np.diag([1.0, -1e-14])
-        x = solve_spsd_minnorm(c, np.ones((2, 1)))
-        assert np.all(np.isfinite(x))
+        for lam in (-1e-14, -0.8e-10):
+            c = np.diag([1.0, lam])
+            x = solve_spsd_minnorm(c, np.ones((2, 1)))
+            assert np.all(np.isfinite(x))
 
     def test_zero_matrix_returns_zero(self):
         x = solve_spsd_minnorm(np.zeros((3, 3)), np.ones((3, 2)))

@@ -19,6 +19,7 @@ run is
 
 under ``TIMEOUT`` seconds.  A mutant is *killed* when that run fails,
 *survived* when it passes and *timed out* when the timeout stops it.
+Each is printed as ``module:line (function) col C  old -> new``.
 A surviving mutant costs a whole suite run, so the gauge stays outside
 the suite.
 
@@ -59,15 +60,19 @@ _SWAPS = {
 
 
 class Mutant:
-    """One edit: replace ``old`` by ``new`` at (line, col) of module."""
+    """One edit: replace ``old`` by ``new`` at (line, col) of module, in
+    ``function``, the qualified name of the innermost def or class
+    around it (``<module>`` at top level)."""
 
-    def __init__(self, module, line, col, old, new):
+    def __init__(self, module, line, col, old, new, function):
         self.module, self.line, self.col = module, line, col
-        self.old, self.new = old, new
+        self.old, self.new, self.function = old, new, function
 
     def __str__(self):
-        return "%s:%d:%d  %s -> %s" % (self.module, self.line, self.col,
-                                       self.old, self.new)
+        # the function names the site when an edit shifts the lines
+        return "%s:%d (%s) col %d  %s -> %s" % (
+            self.module, self.line, self.function, self.col, self.old,
+            self.new)
 
     def apply(self, text):
         lines = text.splitlines(keepends=True)
@@ -87,6 +92,21 @@ def _operator_token(ops, start, end, symbol):
     raise ValueError("no %r between %r and %r" % (symbol, start, end))
 
 
+def _scopes(tree, prefix=""):
+    """(first line, last line, qualified name) of every def and class in
+    ``tree``, each before the ones nested in it."""
+    found = []
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = prefix + child.name
+            found.append((child.lineno, child.end_lineno, name))
+            found.extend(_scopes(child, name + "."))
+        else:
+            found.extend(_scopes(child, prefix))
+    return found
+
+
 def sites(module, text):
     """Every mutant of one module's source, in source order."""
     ops = [(tok.start, tok.string)
@@ -97,8 +117,16 @@ def sites(module, text):
     def char(line, byte_col):  # ast counts UTF-8 bytes, tokenize chars
         return len(rows[line - 1].encode()[:byte_col].decode())
 
+    tree = ast.parse(text)
+    scopes = _scopes(tree)
+
+    def function(line):  # the innermost scope is the last one around line
+        names = [name for first, last, name in scopes
+                 if first <= line <= last]
+        return names[-1] if names else "<module>"
+
     found = []
-    for node in ast.walk(ast.parse(text)):
+    for node in ast.walk(tree):
         pairs = []
         if isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
             pairs = [(node.left, node.op, node.right)]
@@ -113,14 +141,16 @@ def sites(module, text):
             if node.lineno == node.end_lineno:
                 found.append(Mutant(module, node.lineno,
                                     char(node.lineno, node.col_offset),
-                                    old, repr(node.value * 1.5)))
+                                    old, repr(node.value * 1.5),
+                                    function(node.lineno)))
         for left, op, right in pairs:
             old, new = _SWAPS[type(op)]
             line, col = _operator_token(
                 ops, (left.end_lineno,
                       char(left.end_lineno, left.end_col_offset)),
                 (right.lineno, char(right.lineno, right.col_offset)), old)
-            found.append(Mutant(module, line, col, old, new))
+            found.append(Mutant(module, line, col, old, new,
+                                function(line)))
     return sorted(found, key=lambda m: (m.line, m.col))
 
 
