@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import _write_csv
 from .errors import IncomparableTrajectories
 
 
@@ -234,22 +235,15 @@ class ErrorReport:
             raise ValueError("errors must be non-negative")
 
 
-def _write_csv(path, header, columns):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
 def write_bound_trace_csv(trace, path):
     """Serialize a BoundTrace with fixed column order."""
     _write_csv(path, "t,sigma_k,bound_simple,bound_refined,dt_hat",
-               (trace.times, trace.sigma_k_observed, trace.bound_simple,
-                trace.bound_refined, trace.dt_condition))
+               zip(trace.times, trace.sigma_k_observed, trace.bound_simple,
+                   trace.bound_refined, trace.dt_condition))
 
 
 def write_error_report_csv(report, path):
     """Serialize an ErrorReport with fixed column order."""
     _write_csv(path, "dt,l2_sup,rel_l2_sup",
-               (report.dt_values, report.l2_sup_errors,
-                report.relative_errors))
+               zip(report.dt_values, report.l2_sup_errors,
+                   report.relative_errors))

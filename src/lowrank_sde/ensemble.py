@@ -7,6 +7,8 @@ sample averages; every expectation in the package goes through
 :func:`expectation_outer`, whose reduction is the single BLAS
 matrix-product code path, fixed once for reproducibility.  The k x k
 Gramian E[Y Y^T] is a plain array; :func:`sigma_min` reads its floor.
+Every CSV of the package is written by :func:`_write_csv`, which alone
+fixes their number format (17 significant digits).
 """
 
 from dataclasses import dataclass
@@ -156,21 +158,26 @@ def mean_square_norm(x):
     return float(np.sum(x * x) / x.shape[1])
 
 
+def _write_csv(path, header, rows):
+    """Write the header line, if not None, then each row comma-joined:
+    a string as given, a number as "%.17g" (an integer's "%d" text)."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v
+                              for v in row) + "\n")
+
+
 def save_snapshot(state, path):
     """Serialize an ensemble snapshot as text.
 
-    Layout: one header line "t,k,d,M", then the k rows of u (d values
-    each), then the k rows of y (M values each). 17 significant digits,
-    comma separated, newline terminated.
+    Layout: one line of the values t, k, d, M (no header line), then the
+    k rows of u (d values each), then the k rows of y (M values each),
+    as :func:`_write_csv` writes them.
     """
-    with open(path, "w") as fh:
-        fh.write(
-            "%.17g,%d,%d,%d\n" % (state.t, state.k, state.d, state.m_paths)
-        )
-        for row in state.u:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-        for row in state.y:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    _write_csv(path, None, [(state.t, state.k, state.d, state.m_paths),
+                            *state.u, *state.y])
 
 
 def load_snapshot(path):

@@ -73,6 +73,7 @@ from .diagnostics import (
 )
 from .ensemble import (
     EnsembleState,
+    _write_csv as _write_rows,
     init_rank_k,
     mean_square_norm,
     save_snapshot,
@@ -401,13 +402,6 @@ def _json_float(x):
     return float(x) if np.isfinite(x) else None
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _g(value):
     return "%g" % value
 
@@ -582,8 +576,7 @@ def _convergence(spec, path, model, samples, state0):
             reports[(scheme, ref_name)] = report
             write_error_report_csv(report, path(
                 "errors_%s_vs_%s.csv" % (scheme, ref_name)))
-            slope_rows.append((scheme, ref_name, "%.17g" % order,
-                               str(dts.size)))
+            slope_rows.append((scheme, ref_name, order, dts.size))
 
     _write_rows(path("slopes.csv"), "scheme,reference,fitted_order,points",
                 slope_rows)
@@ -651,8 +644,7 @@ def _singular_values(spec, path, model, samples, state0):
             for i in range(1, sigma.size):
                 if sigma[i] < threshold:
                     violation_rows.append(
-                        (scheme, _g(dt), "%.17g" % times[i],
-                         "%.17g" % sigma[i], "%.17g" % threshold))
+                        (scheme, _g(dt), times[i], sigma[i], threshold))
 
     _write_rows(path("violations.csv"), "scheme,dt,t,sigma_k,threshold",
                 violation_rows)
@@ -691,10 +683,8 @@ def _stability(spec, path, model, samples, state0):
     classifications = {}
     for scheme, dt, cell in results:
         msq = cell.mean_square_norms[:cell.node + 1]  # the nodes reached
-        rows = [("%.17g" % t, "%.17g" % value)
-                for t, value in zip(cell.grid.times(), msq)]
         _write_rows(path("norms_%s_dt%s.csv" % (scheme, _g(dt))),
-                    "t,mean_square_norm", rows)
+                    "t,mean_square_norm", zip(cell.grid.times(), msq))
         verdict = ("failed" if cell.failed and cell.node == 0 else
                    classify_stability(msq[0], msq[-1], not cell.failed))
         classifications[(scheme, dt)] = verdict
@@ -731,11 +721,8 @@ def _single_run(spec, path, model, samples, state0):
             entry = EnsembleState(t=times[node], u=np.eye(model.d), y=entry)
         save_snapshot(entry, path("snapshot_t%s.csv" % _g(times[node])))
 
-    trace_rows = [("%.17g" % times[i],
-                   "%.17g" % cell.mean_square_norms[i],
-                   "%.17g" % cell.sigma_min_gramians[i])
-                  for i in range(n + 1)]
-    _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k", trace_rows)
+    _write_rows(path("trace.csv"), "t,mean_square_norm,sigma_k",
+                zip(times, cell.mean_square_norms, cell.sigma_min_gramians))
 
     summary = {"final_mean_square_norm":
                _json_float(cell.mean_square_norms[-1])}

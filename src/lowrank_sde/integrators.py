@@ -240,13 +240,14 @@ def _move(model, state, dt, dw, *, moved_gramian, full_increment,
 
 def _svd_refactor(u_new, move, column):
     """Refactor a basis that QR found rank deficient at ``column``: fail
-    under "abort"; under "svd" keep u^T y exact and zero the dead
-    directions' rows.  The new samples take the moved samples' buffer."""
+    under "abort"; under "svd" keep u^T y exact: y's rows are scaled by
+    the singular values, so a dead direction's row is tiny, not zeroed.
+    The new samples take the moved samples' buffer."""
     if move.rank_policy == "abort":
         raise StepFailed(
             "basis refactorization found a rank-deficient basis "
             "(column %s); rerun with rank_policy='svd' to continue "
-            "with dead directions zeroed" % column)
+            "on its SVD" % column)
     w, s, vt = np.linalg.svd(u_new.T, full_matrices=False)
     u_plus = w.T
     y_plus = np.matmul(s[:, np.newaxis] * vt, move.y_moved,
@@ -552,8 +553,8 @@ def integrate(model, scheme, init, grid, *, record_nodes=None, debug=False,
         Use the exact linear-drift shortcut in "dlr_em".
     rank_policy : str
         "abort" (default) stops the run when the refactorization finds
-        a rank-deficient basis, "svd" continues with dead directions
-        zeroed.
+        a rank-deficient basis, "svd" continues on the basis's SVD, whose
+        dead directions keep tiny rather than zero samples.
 
     Returns
     -------

@@ -344,7 +344,7 @@ def test_10_minimal_norm_solve_independence(monkeypatch):
 
     # the minimal-norm solve zeroes the dead basis row, so the
     # refactorization must run with the svd policy that keeps the
-    # factored product exact while dead directions stay zeroed
+    # factored product exact (dead directions keep tiny samples)
     for scheme, limit, side in (
             ("dlr_ps_em", 1e-10, "at most"),
             ("dlr_ps_sde", 1e-10, "at most"),

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lowrank_sde.ensemble import (
     EnsembleState,
+    _write_csv,
     expectation_outer,
     gramian,
     init_rank_k,
@@ -181,6 +182,32 @@ class TestSnapshotRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0] == "1.5,2,3,4"
         assert len(lines) == 1 + 2 + 2
+
+
+def test_csv_writer_format_contract(tmp_path):
+    # every CSV byte the package writes rests on this one number format
+    path = tmp_path / "rows.csv"
+    _write_csv(path, "name,a,b", [
+        ("dlr_em", 2000, np.int64(2000)),
+        ("1e-3", 0.1, np.float64(0.1)),
+        ("x", -0.0, float("nan")),
+        ("y", float("inf"), -np.inf),
+    ])
+    assert path.read_bytes() == (b"name,a,b\n"
+                                 b"dlr_em,2000,2000\n"
+                                 b"1e-3,0.10000000000000001,"
+                                 b"0.10000000000000001\n"
+                                 b"x,-0,nan\n"
+                                 b"y,inf,-inf\n")
+    _write_csv(path, None, [(1.5, 2)])
+    assert path.read_bytes() == b"1.5,2\n"
+    # save_snapshot: a values line t,k,d,M, then u's rows, then y's rows
+    state = EnsembleState(t=0.25, u=np.array([[0.6, 0.8]]),
+                          y=np.array([[0.1, -0.0, 2000.0]]))
+    save_snapshot(state, path)
+    assert path.read_bytes() == (b"0.25,1,2,3\n"
+                                 b"0.59999999999999998,0.80000000000000004\n"
+                                 b"0.10000000000000001,-0,2000\n")
 
 
 def test_sigma_min_nan_and_clamp_rule():

@@ -1,15 +1,20 @@
 """Mutation gauge for the numerical contract.
 
-Draws ``--count`` mutants at random (``random.Random(SEED)``) from
-every mutation site of the modules in ``MODULES`` and runs the test
-suite once per mutant, one at a time, each in a fresh temporary copy
-of the checkout; the checkout itself is never written.  The unmutated
-copy runs first and must pass.  A site is one of
+Draws ``--count`` mutants from every mutation site of the modules in
+``MODULES`` and runs the test suite once per mutant, one at a time,
+each in a fresh temporary copy of the checkout; the checkout itself is
+never written.  The unmutated copy runs first and must pass.  A site
+is one of
 
 * a binary ``+ - * /``, swapped as ``+ <-> -`` and ``* <-> /``;
 * a comparison ``< <= > >= == !=``, swapped as ``< <-> <=``,
   ``> <-> >=`` and ``== <-> !=``;
 * a float literal other than 0.0, multiplied by 1.5.
+
+A site's key is its module, function, edit and the edit's occurrence
+within the function, and the draw takes the ``--count`` sites whose
+keys hash smallest under ``SEED``, so adding or removing a site
+elsewhere leaves the drawn set alone.
 
 The mutant is written as a one-token edit of the source text, so every
 other byte of the module, line numbers included, is unchanged.  Each
@@ -31,15 +36,16 @@ Only the standard library is used.
 
 import argparse
 import ast
+import hashlib
 import io
 import os
-import random
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 import tokenize
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "lowrank_sde")
@@ -155,12 +161,20 @@ def sites(module, text):
 
 
 def draw(root, count):
-    """``count`` mutants drawn without replacement from all sites."""
-    every = []
+    """The ``count`` sites with the smallest seeded hash of their key
+    (module, function, edit, occurrence), in that hash order."""
+    keyed = []
     for module in MODULES:
         with open(os.path.join(root, PACKAGE, module)) as fh:
-            every.extend(sites(module, fh.read()))
-    return random.Random(SEED).sample(every, min(count, len(every)))
+            text = fh.read()
+        seen = Counter()
+        for mutant in sites(module, text):  # source order
+            key = (module, mutant.function, mutant.old, mutant.new)
+            seen[key] += 1
+            label = "%d|%s|%s|%s -> %s|%d" % (SEED, *key, seen[key])
+            keyed.append((hashlib.sha256(label.encode()).digest(), mutant))
+    keyed.sort(key=lambda pair: pair[0])
+    return [mutant for _, mutant in keyed[:count]]
 
 
 def run(root, mutant):
